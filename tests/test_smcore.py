@@ -6,8 +6,12 @@ for one cycle, and a blocked miss attempt for one busy cycle before the warp
 parks until its fill lands.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
+from opconv.cachehier import CacheGeometry
 from opconv.oracle import MemoryImage, compare, reference_convolution
 from opconv.smcore import SimParams, Simulation, SmCore, WarpContext, gto_select, run_simulation
 from opconv.workload import (
@@ -258,3 +262,48 @@ def test_forwarding_disabled_across_singleton_clusters():
     stats, out = run_simulation(params, progs, image, geom)
     assert stats.forwards == 0
     assert compare(out.values, reference_convolution(geom, image)).ok
+
+
+# ------------------------------------------------- counter fingerprints
+
+# Tiny layers on corner machines.  Zero assist and forward latencies finish
+# work in the cycle it starts; one- to four-entry tables fill, evict and
+# bounce; a half-KB L1 keeps evicting under cluster-scope invalidation; a
+# seven-cycle purge period purges constantly.
+SMALL_L1 = CacheGeometry(1024, 4, 2)
+FINGERPRINT_CASES = {
+    "pitched": (LayerSpec("fp_pitched", 2, 3, 8, 8, 3, 3), 4096,
+                dict(sm_count=4, clusters=2, pc_entries=64, at_entries=64)),
+    "zero_latency": (LayerSpec("fp_zero", 2, 3, 8, 8, 3, 3), 0,
+                     dict(sm_count=6, clusters=2, pc_entries=64, at_entries=64,
+                          assist_latency=0, forward_latency=0)),
+    "tiny_tables": (LayerSpec("fp_tiny", 2, 4, 9, 9, 3, 3), 4096,
+                    dict(sm_count=8, clusters=1, pc_entries=4, at_entries=4,
+                         l1=SMALL_L1)),
+    "single_entry": (LayerSpec("fp_single", 2, 4, 9, 9, 3, 3), 4096,
+                     dict(sm_count=8, clusters=1, pc_entries=1, at_entries=1)),
+    "cluster_scope": (LayerSpec("fp_cluster", 2, 4, 9, 9, 3, 3, 2, 1), 4096,
+                      dict(sm_count=8, clusters=2, pc_entries=4, at_entries=3,
+                           evict_scope="cluster", l1=SMALL_L1)),
+    "short_purge": (LayerSpec("fp_purge", 1, 3, 10, 10, 3, 3), 0,
+                    dict(sm_count=4, clusters=1, pc_entries=16, at_entries=16,
+                         purge_period=7, purge_fraction=0.5)),
+}
+FINGERPRINTS = Path(__file__).with_name("counter_fingerprints.json")
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "intra", "inter", "both"])
+@pytest.mark.parametrize("case", sorted(FINGERPRINT_CASES))
+def test_counter_fingerprint(case, scheme):
+    """Every SimStats field equals the value recorded for this machine.
+
+    The recorded counters are the timing model's reference: a change meant
+    only to make the simulator faster must leave all of them unchanged."""
+    layer, row_pitch, hw = FINGERPRINT_CASES[case]
+    params = SimParams(scheme=scheme, debug_invariants=True, **hw)
+    geom, image, progs = build_run(layer, params, row_pitch=row_pitch)
+    stats, out = run_simulation(params, progs, image, geom)
+    assert compare(out.values, reference_convolution(geom, image)).ok
+    assert out.total_adds() == stats.total_ops
+    expected = json.loads(FINGERPRINTS.read_text())[f"{case}/{scheme}"]
+    assert stats.to_dict() == expected
