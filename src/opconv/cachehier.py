@@ -11,7 +11,6 @@ the same cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .workload import ConfigError
 
@@ -36,45 +35,41 @@ class CacheGeometry:
         return self.capacity_bytes // (self.sets * self.ways)
 
 
-class AccessKind(Enum):
-    HIT = "hit"
-    MISS = "miss"
-
-
-@dataclass
-class AccessOutcome:
-    kind: AccessKind
-    ready_cycle: int
-    source: str          # "l1" | "l2" | "dram"
-    evicted: int | None  # victim block address, if any
-
-
 class LruCache:
-    """Set-associative LRU cache over aligned block addresses."""
+    """Set-associative LRU cache over aligned block addresses.
+
+    Each set is a dict kept in recency order, least recently used first: a
+    hit moves its block to the end and the victim is the first block."""
 
     def __init__(self, geometry):
         self.geometry = geometry
         self.block_bits = geometry.block_size.bit_length() - 1
-        self.sets = [dict() for _ in range(geometry.sets)]  # block -> stamp
-        self.stamp = 0
+        self.offset_mask = geometry.block_size - 1
+        self.n_sets = geometry.sets
+        self.ways = geometry.ways
+        self.sets = [dict() for _ in range(geometry.sets)]  # block -> None
         self.hits = 0
         self.misses = 0
 
     def _set_of(self, block):
-        if block & (self.geometry.block_size - 1):
+        if block & self.offset_mask:
             raise ConfigError(f"unaligned block address 0x{block:x}")
-        return self.sets[(block >> self.block_bits) % self.geometry.sets]
+        return self.sets[(block >> self.block_bits) % self.n_sets]
 
     def contains(self, block):
         """Pure presence probe; never touches recency."""
-        return block in self._set_of(block)
+        if block & self.offset_mask:
+            self._set_of(block)
+        return block in self.sets[(block >> self.block_bits) % self.n_sets]
 
     def touch(self, block):
         """Recency-updating lookup. True on hit, False (no state change) on miss."""
-        s = self._set_of(block)
+        if block & self.offset_mask:
+            self._set_of(block)
+        s = self.sets[(block >> self.block_bits) % self.n_sets]
         if block in s:
-            self.stamp += 1
-            s[block] = self.stamp
+            del s[block]
+            s[block] = None
             self.hits += 1
             return True
         self.misses += 1
@@ -88,11 +83,10 @@ class LruCache:
         if block in s:
             return None
         victim = None
-        if len(s) >= self.geometry.ways:
-            victim = min(s, key=s.get)
+        if len(s) >= self.ways:
+            victim = next(iter(s))
             del s[victim]
-        self.stamp += 1
-        s[block] = self.stamp
+        s[block] = None
         return victim
 
     def access(self, block):
@@ -164,6 +158,7 @@ def mesh_placement(n_sms, n_mcs, mesh_w=8, mesh_h=8):
 
 
 REQUEST_BYTES = 16  # one address flit
+INF = float("inf")
 
 
 class MemoryHierarchy:
@@ -185,9 +180,18 @@ class MemoryHierarchy:
             sm_nodes, mc_nodes = mesh_placement(n_sms, n_mcs, noc.mesh_w, noc.mesh_h)
         self.sm_nodes = sm_nodes
         self.mc_nodes = mc_nodes
+        self.block_bits = l1_geom.block_size.bit_length() - 1
+        # per (SM, MC) round trip: a request flit out, one block back
+        self.rt_latency = [[noc.latency(s, m, REQUEST_BYTES)
+                            + noc.latency(m, s, self.block_size)
+                            for m in mc_nodes] for s in sm_nodes]
+        self.rt_flit_hops = [[noc.flit_hops(s, m, REQUEST_BYTES)
+                              + noc.flit_hops(m, s, self.block_size)
+                              for m in mc_nodes] for s in sm_nodes]
         # block -> count of SMs with an installed copy, for O(1) probing
         self.holders = {}
         self.in_flight = [dict() for _ in range(n_sms)]  # block -> ready cycle
+        self.next_landing = [INF] * n_sms  # earliest ready cycle in in_flight
         self.evict_listeners = []
         self.install_listeners = []
         # counters
@@ -208,7 +212,7 @@ class MemoryHierarchy:
         self.install_listeners.append(fn)
 
     def probe_sm(self, sm_id, block):
-        """Presence query against another SM's L1; no recency update."""
+        """Presence query against an SM's L1; no recency update."""
         return self.l1[sm_id].contains(block)
 
     def present_elsewhere(self, sm_id, block):
@@ -235,10 +239,15 @@ class MemoryHierarchy:
         for fn in self.evict_listeners:
             fn(sm_id, block)
 
+    def charge_message(self, src_sm, dst_sm):
+        """Control message between two SMs: one request-sized NoC transfer."""
+        self.noc_flit_hops += self.noc.flit_hops(
+            self.sm_nodes[src_sm], self.sm_nodes[dst_sm], REQUEST_BYTES)
+
     def home_mc(self, block):
         # interleave at block-index granularity; the raw address is block
         # aligned so taking it modulo a power-of-two MC count would be constant
-        return (block >> self.l1[0].block_bits) % self.n_mcs
+        return (block >> self.block_bits) % self.n_mcs
 
     def l1_lookup(self, sm_id, block):
         """Recency-updating L1 lookup.
@@ -255,47 +264,44 @@ class MemoryHierarchy:
 
         Installs the block immediately, charges L2/NoC/DRAM counters, and
         returns the cycle at which the data is usable."""
-        pending = self.in_flight[sm_id].get(block)
+        inflight = self.in_flight[sm_id]
+        pending = inflight.get(block)
         if pending is not None:
             return pending
         victim = self.l1[sm_id].install(block)
         self._note_install(sm_id, block)
         if victim is not None:
             self._note_evict(sm_id, victim)
-        latency = self.miss_path_latency(sm_id, block)
-        ready = now + latency
-        self.in_flight[sm_id][block] = ready
+        ready = now + self.miss_path_latency(sm_id, block)
+        inflight[block] = ready
+        if ready < self.next_landing[sm_id]:
+            self.next_landing[sm_id] = ready
         return ready
 
     def miss_path_latency(self, sm_id, block):
         """Round trip to the home L2 slice, and to DRAM beyond it on an L2 miss.
 
         Updates L2 state and the traffic counters."""
-        src = self.sm_nodes[sm_id]
-        mc = self.mc_nodes[self.home_mc(block)]
-        lat = self.noc.latency(src, mc, REQUEST_BYTES)
-        self.noc_flit_hops += self.noc.flit_hops(src, mc, REQUEST_BYTES)
-        l2 = self.l2[self.home_mc(block)]
-        hit, _ = l2.access(block)
+        mc = self.home_mc(block)
+        self.noc_flit_hops += self.rt_flit_hops[sm_id][mc]
+        lat = self.rt_latency[sm_id][mc] + self.lat_l2
+        hit, _ = self.l2[mc].access(block)
         if hit:
             self.l2_hits += 1
-            lat += self.lat_l2
-        else:
-            self.l2_misses += 1
-            self.dram_accesses += 1
-            lat += self.lat_l2 + self.lat_dram
-        lat += self.noc.latency(mc, src, self.block_size)
-        self.noc_flit_hops += self.noc.flit_hops(mc, src, self.block_size)
-        return lat
+            return lat
+        self.l2_misses += 1
+        self.dram_accesses += 1
+        return lat + self.lat_dram
 
     def expire_fills(self, sm_id, now):
         """Drop bookkeeping for fills that have landed."""
-        inflight = self.in_flight[sm_id]
-        if not inflight:
+        if now < self.next_landing[sm_id]:
             return
+        inflight = self.in_flight[sm_id]
         done = [b for b, r in inflight.items() if r <= now]
         for b in done:
             del inflight[b]
+        self.next_landing[sm_id] = min(inflight.values(), default=INF)
 
     def warm(self, sm_id, addrs):
         """Preload blocks into an L1 without touching any counter (tests, demos)."""

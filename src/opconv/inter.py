@@ -71,20 +71,26 @@ class AssignTable:
 
         Re-registration moves ownership to the latest registrant."""
         self.accesses += 1
-        existing = self.entries.get(pair)
-        if existing is not None:
-            self._unlink(existing)
-            del self.entries[existing.pair]
-        elif len(self.entries) >= self.capacity:
-            oldest = next(iter(self.entries.values()))
-            self._unlink(oldest)
-            del self.entries[oldest.pair]
-            self.evictions += 1
-        entry = AssignEntry(pair, sm_id, self.seq)
+        entry = self.entries.pop(pair, None)
+        if entry is not None:
+            # same pair, so its by_block links stay valid
+            entry.owner = sm_id
+            entry.seq = self.seq
+        else:
+            if len(self.entries) >= self.capacity:
+                oldest = next(iter(self.entries.values()))
+                self._unlink(oldest)
+                del self.entries[oldest.pair]
+                self.evictions += 1
+            entry = AssignEntry(pair, sm_id, self.seq)
+            for b in pair:
+                bucket = self.by_block.get(b)
+                if bucket is None:
+                    self.by_block[b] = {pair: entry}
+                else:
+                    bucket[pair] = entry
         self.seq += 1
-        self.entries[pair] = entry
-        for b in pair:
-            self.by_block.setdefault(b, {})[pair] = entry
+        self.entries[pair] = entry  # newest in FIFO order
         self.registrations += 1
 
     def _unlink(self, entry):

@@ -33,21 +33,19 @@ def predict(op, geom):
     """
     layer = geom.layer
     s = layer.stride
+    row_stride = geom.weight.row_stride
     w_off = op.weight_vec_addr - geom.weight.base_address
-    j = (w_off // geom.weight.row_stride) % layer.filter_h
+    j = (w_off // row_stride) % layer.filter_h
     i_off = op.input_vec_addr - geom.input.base_address
     r = (i_off % geom.input.channel_stride) // geom.input.row_stride
     base_row = r - j
-    if base_row % s:
+    if j < s or base_row % s:
         return []
-    oy = base_row // s
-    pairs = []
-    k = 1
-    while j - k * s >= 0 and oy + k <= layer.out_h - 1:
-        pairs.append((op.input_vec_addr,
-                      op.weight_vec_addr - k * s * geom.weight.row_stride))
-        k += 1
-    return pairs
+    # k = 1, 2, ... while the weight row j - k*s exists and the output row
+    # base_row/s + k is still in the layer
+    moves = min(j // s, layer.out_h - 1 - base_row // s)
+    return [(op.input_vec_addr, op.weight_vec_addr - k * s * row_stride)
+            for k in range(1, moves + 1)]
 
 
 @dataclass(slots=True)
@@ -97,7 +95,11 @@ class PrecomputeTable:
 
     def _index(self, entry):
         for b in entry.blocks:
-            self.by_block.setdefault(b, {})[entry.seq] = entry
+            bucket = self.by_block.get(b)
+            if bucket is None:
+                self.by_block[b] = {entry.seq: entry}
+            else:
+                bucket[entry.seq] = entry
 
     def _unindex(self, entry):
         for b in entry.blocks:
@@ -230,12 +232,12 @@ class PrecomputeTable:
         bucket = self.by_block.get(block)
         if not bucket:
             return
-        bit = 0
-        for entry in list(bucket.values()):
+        for entry in bucket.values():
             bit = 1 if entry.blocks[0] == block else 2
             if not entry.res_mask & bit:
                 entry.res_mask |= bit
-                self._push_eligible(entry)
+                if entry.res_mask == 3:
+                    self._push_eligible(entry)
 
     def block_evicted(self, block):
         """Returns assigned entries displaced by the eviction (to bounce)."""
@@ -243,12 +245,13 @@ class PrecomputeTable:
         if not bucket:
             return []
         bounced = []
-        for entry in list(bucket.values()):
+        for entry in bucket.values():
             bit = 1 if entry.blocks[0] == block else 2
             entry.res_mask &= ~bit
             if entry.kind == ASSIGNED:
                 bounced.append(entry)
-                self._remove(entry)
+        for entry in bounced:
+            self._remove(entry)
         return bounced
 
     def purge(self, now, fraction):

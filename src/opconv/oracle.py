@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .workload import ConfigError, Pass
 
@@ -30,6 +31,9 @@ class MemoryImage:
         self.seed = seed
         layer = geom.layer
         word = layer.word_size
+        self.word_size = word
+        self.input_base = geom.input.base_address
+        self.weight_base = geom.weight.base_address
         rng = random.Random((seed, layer.name, mode).__repr__())
         self.input_words = [0] * (geom.input_extent() // word)
         self.weight_words = [0] * (geom.weight_extent() // word)
@@ -47,13 +51,13 @@ class MemoryImage:
             self.weight_words[i] = draw()
 
     def input_vec(self, addr, length):
-        idx = (addr - self.geom.input.base_address) // self.geom.layer.word_size
+        idx = (addr - self.input_base) // self.word_size
         if idx < 0 or idx + length > len(self.input_words):
             raise ConfigError(f"input read outside region: 0x{addr:x}")
         return self.input_words[idx:idx + length]
 
     def weight_vec(self, addr, length):
-        idx = (addr - self.geom.weight.base_address) // self.geom.layer.word_size
+        idx = (addr - self.weight_base) // self.word_size
         if idx < 0 or idx + length > len(self.weight_words):
             raise ConfigError(f"weight read outside region: 0x{addr:x}")
         return self.weight_words[idx:idx + length]
@@ -61,7 +65,7 @@ class MemoryImage:
     def dot(self, input_addr, weight_addr, length):
         a = self.input_vec(input_addr, length)
         b = self.weight_vec(weight_addr, length)
-        return sum(x * y for x, y in zip(a, b))
+        return sum(map(mul, a, b))
 
 
 def reference_convolution(geom, image):

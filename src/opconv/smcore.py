@@ -13,18 +13,26 @@ the whole computation to the SM that owns the data (fire and forget,
 cycles with no ready warp an assistant engine executes staged table work,
 one computation at a time, without generating memory traffic.
 
-Simulated time advances event to event; cycles where every SM is waiting are
-accounted in bulk, which keeps the loop cost proportional to activity.
+Simulated time advances event to event.  A min-heap of (next action cycle,
+SM id) wakes each SM only when it has something to do: its issue slot frees,
+a blocked warp's fill lands, its assistant finishes, a purge falls due, or a
+forwarded or bounced computation arrives for it.  Stale heap entries are
+skipped when popped, and the SMs due at one cycle step in ascending id order.
+An SM's state holds until its next step, so stall and assist cycles are
+charged lazily, once per state change and once more at the end of the run;
+loop cost is proportional to activity, not to SM count times elapsed time.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 
 from . import intra as intra_mod
 from . import inter as inter_mod
-from .cachehier import REQUEST_BYTES, CacheGeometry, MemoryHierarchy, NocModel
+from .cachehier import CacheGeometry, MemoryHierarchy, NocModel
 from .metrics import SimStats
 from .workload import ConfigError
 
@@ -46,14 +54,14 @@ class OutputBuffer:
 
     def __init__(self):
         self.values = {}
-        self.adds = {}
+        self.adds = 0
 
     def add(self, addr, value):
         self.values[addr] = self.values.get(addr, 0) + value
-        self.adds[addr] = self.adds.get(addr, 0) + 1
+        self.adds += 1
 
     def total_adds(self):
-        return sum(self.adds.values())
+        return self.adds
 
 
 @dataclass(slots=True, eq=False)
@@ -74,13 +82,16 @@ def gto_select(sm):
     """Greedy-then-oldest: stay on the last issued warp while it is ready,
     otherwise pick the ready warp with the smallest age stamp."""
     ready = sm.ready
-    if not ready:
-        return None
+    if len(ready) < 2:
+        return ready[0] if ready else None
     last = sm.last_issued
-    if last is not None and not last.done() and last.blocked_until < 0 \
+    if last is not None and last.blocked_until < 0 and not last.done() \
             and last in ready:
         return last
-    return min(ready, key=lambda w: w.age)
+    return min(ready, key=_age)
+
+
+_age = attrgetter("age")
 
 
 class SmCore:
@@ -96,9 +107,10 @@ class SmCore:
         self.assist_busy_until = None
         self.assist_entry = None
         self.table = None
-        self.next_purge = None
+        self.next_purge = INF  # next precompute-table purge (speculation only)
         self.next_action = 0
         self.state = IDLE if not warps else STALLED
+        self.since = 0  # cycle the current state began
 
     def wake_due(self, now):
         while self.blocked and self.blocked[0][0] <= now:
@@ -113,10 +125,13 @@ class SmCore:
         heapq.heappush(self.blocked, (until, warp.age))
 
     def retire_warp_op(self, warp):
+        """Advance the warp past its current op; True if that finished it."""
         warp.pc += 1
-        if warp.done():
-            self.unfinished -= 1
-            self.ready.remove(warp)
+        if warp.pc < len(warp.ops):
+            return False
+        self.unfinished -= 1
+        self.ready.remove(warp)
+        return True
 
     def next_wake(self):
         return self.blocked[0][0] if self.blocked else INF
@@ -162,6 +177,12 @@ class SimParams:
             raise ConfigError("evict_scope must be owner or cluster")
         if not 0.0 <= self.purge_fraction <= 1.0:
             raise ConfigError("purge_fraction must lie in [0, 1]")
+        if self.purge_period < 1:
+            raise ConfigError("purge_period must be at least 1 cycle")
+        for name in ("lat_l1", "lat_l2", "lat_dram", "assist_latency",
+                     "forward_latency", "hop_cycles", "pipeline_stages"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must not be negative")
 
     @property
     def issue_cost(self):
@@ -176,6 +197,11 @@ class Simulation:
         self.speculate = params.scheme in ("intra", "both")
         self.forwarding = params.scheme in ("inter", "both")
         p = params
+        # read on every issue, so kept off the SimParams property
+        self.issue_cost = p.issue_cost
+        self.lat_l1 = p.lat_l1
+        self.debug_invariants = p.debug_invariants
+        self.probe_availability = p.probe_availability
         noc = NocModel(p.mesh_w, p.mesh_h, p.flit_bytes, p.hop_cycles,
                        p.pipeline_stages)
         self.hier = MemoryHierarchy(p.sm_count, p.l1, p.l2, p.mc_count, noc,
@@ -204,7 +230,8 @@ class Simulation:
                 sm.table = intra_mod.PrecomputeTable(
                     p.pc_entries, self.block_size,
                     self._resident_fn(sm.sm_id))
-                sm.next_purge = p.purge_period
+                if self.speculate:
+                    sm.next_purge = p.purge_period
         if self.forwarding:
             self.cluster_of = inter_mod.cluster_map(p.sm_count, p.clusters)
             self.assign_tables = [inter_mod.AssignTable(c, p.at_entries)
@@ -218,34 +245,37 @@ class Simulation:
         self.stats.table_instances = (p.sm_count if self.speculate else 0) + \
                                      (p.clusters if self.forwarding else 0)
 
-        if use_tables or self.forwarding:
+        if use_tables:
             self.hier.add_evict_listener(self._on_evict)
             self.hier.add_install_listener(self._on_install)
 
         self.events = []     # (cycle, seq, kind, dest_sm, payload)
         self.event_seq = 0
+        # heap of next_action << sm_bits | sm_id: one int per (cycle, SM)
+        # ordered by cycle, then SM id; stale entries are skipped when popped
+        self.wakeups = []
+        self.sm_bits = p.sm_count.bit_length()
         self.pending_assigned = 0
         self.pending_bounce_exec = 0
         self.retired = 0
         self.now = 0
+        # what _active() needs, kept current instead of scanning the SMs
+        self.live_warps = sum(sm.unfinished for sm in self.sms)
+        self.assists_in_flight = 0
+        self.max_busy_until = 0
 
     # ---- listeners -------------------------------------------------------
 
     def _resident_fn(self, sm_id):
-        hier = self.hier
-        return lambda block: hier.resident_for_compute(sm_id, block)
+        return partial(self.hier.resident_for_compute, sm_id)
 
     def _on_install(self, sm_id, block):
-        table = self.sms[sm_id].table
-        if table is not None:
-            table.block_installed(block)
+        self.sms[sm_id].table.block_installed(block)
 
     def _on_evict(self, sm_id, block):
-        table = self.sms[sm_id].table
-        if table is not None:
-            for entry in table.block_evicted(block):
-                self.pending_assigned -= 1
-                self._bounce(entry.op, entry.src_sm, sm_id, self.now)
+        for entry in self.sms[sm_id].table.block_evicted(block):
+            self.pending_assigned -= 1
+            self._bounce(entry.op, entry.src_sm, sm_id, self.now)
         if self.forwarding:
             at = self.assign_tables[self.cluster_of[sm_id]]
             at.on_evict(block, sm_id, self.params.evict_scope)
@@ -256,22 +286,21 @@ class Simulation:
         heapq.heappush(self.events, (cycle, self.event_seq, kind, dest, payload))
         self.event_seq += 1
 
-    def _charge_message(self, src_sm, dst_sm):
-        """Control message between two SMs: one request-sized NoC transfer."""
-        hier = self.hier
-        hier.noc_flit_hops += hier.noc.flit_hops(
-            hier.sm_nodes[src_sm], hier.sm_nodes[dst_sm], REQUEST_BYTES)
+    def _wake(self, sm, cycle):
+        sm.next_action = cycle
+        heapq.heappush(self.wakeups, cycle << self.sm_bits | sm.sm_id)
 
     def _deliver_due(self, now):
-        while self.events and self.events[0][0] <= now:
-            _, _, kind, dest, payload = heapq.heappop(self.events)
+        events = self.events
+        while events and events[0][0] <= now:
+            _, _, kind, dest, payload = heapq.heappop(events)
             if kind == "forward":
                 self._forward_arrival(dest, payload, now)
             elif kind == "bounce":
                 self._bounce_arrival(dest, payload, now)
             elif kind == "bounce_fin":
                 self._bounce_finish(dest, payload, now)
-            self.sms[dest].next_action = now
+            self._wake(self.sms[dest], now)
 
     def _forward_arrival(self, owner, msg, now):
         op, src = msg
@@ -301,13 +330,13 @@ class Simulation:
 
     def _bounce(self, op, src, owner, now):
         self.stats.bounces += 1
-        self._charge_message(owner, src)
+        self.hier.charge_message(owner, src)
         self._schedule(now + self.params.forward_latency, "bounce", src, op)
 
     def _bounce_arrival(self, src, op, now):
         """Returned computation: the source fetches what is missing and
         executes out of band (its warp already moved on)."""
-        ready = now + self.params.lat_l1
+        ready = now + self.lat_l1
         for addr in (op.input_vec_addr, op.weight_vec_addr):
             block = addr & self.block_mask
             hit, wait = self.hier.l1_lookup(src, block)
@@ -326,30 +355,38 @@ class Simulation:
         self.stats.normal_done += 1
         self.retired += 1
         if self.forwarding:
-            ib = op.input_vec_addr & self.block_mask
-            wb = op.weight_vec_addr & self.block_mask
-            if self.hier.l1[src].contains(ib) and self.hier.l1[src].contains(wb):
-                pair = (ib, wb)
-                self.assign_tables[self.cluster_of[src]].register(pair, src)
+            self._register_pair(src, op)
+
+    def _register_pair(self, sm_id, op):
+        """Name sm_id the owner of the op's block pair if it still holds both."""
+        ib = op.input_vec_addr & self.block_mask
+        wb = op.weight_vec_addr & self.block_mask
+        if self.hier.probe_sm(sm_id, ib) and self.hier.probe_sm(sm_id, wb):
+            self.assign_tables[self.cluster_of[sm_id]].register((ib, wb), sm_id)
 
     # ---- decode / issue --------------------------------------------------
 
     def _insert_predictions(self, sm, op, now):
+        table = sm.table
         for pair in intra_mod.predict(op, self.geom):
-            if sm.table.insert_prediction(pair, op.length, now) == "accepted":
+            if table.insert_prediction(pair, op.length, now) == "accepted":
                 self.stats.predictions_made += 1
+
+    def _retire_op(self, sm, warp):
+        if sm.retire_warp_op(warp):
+            self.live_warps -= 1
 
     def _issue(self, sm, warp, now):
         """Issue the warp's current op.  Returns the issue cost in cycles, or
         _BLOCKED after moving the warp to the blocked heap."""
         op = warp.ops[warp.pc]
-        stats = self.stats
 
         if warp.exec_pending:
             warp.exec_pending = False
             self._execute(sm, warp, op, now)
-            return self.params.issue_cost
+            return self.issue_cost
 
+        stats = self.stats
         if self.speculate:
             status, result = sm.table.lookup((op.input_vec_addr, op.weight_vec_addr))
             if status == "hit":
@@ -357,52 +394,60 @@ class Simulation:
                 stats.predicted_used += 1
                 stats.instructions_issued += 1
                 self.retired += 1
-                sm.retire_warp_op(warp)
+                self._retire_op(sm, warp)
                 return 1
             if status == "pending":
                 stats.predictions_invalidated += 1
 
+        hier = self.hier
+        sm_id = sm.sm_id
         ib = op.input_vec_addr & self.block_mask
         wb = op.weight_vec_addr & self.block_mask
-        hit_i, wait_i = self.hier.l1_lookup(sm.sm_id, ib)
-        hit_w, wait_w = self.hier.l1_lookup(sm.sm_id, wb)
-        missing = []
-        if not hit_i:
-            missing.append(ib)
-        if not hit_w:
-            missing.append(wb)
+        hit_i, wait_i = hier.l1_lookup(sm_id, ib)
+        hit_w, wait_w = hier.l1_lookup(sm_id, wb)
+        if hit_i and hit_w:
+            if wait_i is None and wait_w is None:
+                self._execute(sm, warp, op, now)
+                return self.issue_cost
+            missing = ()
+        elif hit_i:
+            missing = (wb,)
+        elif hit_w:
+            missing = (ib,)
+        else:
+            missing = (ib, wb)
 
-        if not missing and wait_i is None and wait_w is None:
-            self._execute(sm, warp, op, now)
-            return self.params.issue_cost
-
-        if missing and self.params.probe_availability:
+        if missing and self.probe_availability:
             for b in missing:
                 stats.probe_misses += 1
-                if self.hier.present_elsewhere(sm.sm_id, b):
+                if hier.present_elsewhere(sm_id, b):
                     stats.probe_found_elsewhere += 1
 
         if missing and self.forwarding:
             pair = (ib, wb)
-            owner = self.assign_tables[self.cluster_of[sm.sm_id]].lookup(pair)
-            if owner is not None and owner != sm.sm_id \
-                    and self.cluster_of[owner] == self.cluster_of[sm.sm_id]:
+            cluster = self.cluster_of[sm_id]
+            owner = self.assign_tables[cluster].lookup(pair)
+            if owner is not None and owner != sm_id \
+                    and self.cluster_of[owner] == cluster:
                 stats.forwards += 1
                 stats.instructions_issued += 1
                 stats.fills_avoided += len(missing)
                 self.pending_assigned += 1
-                self._charge_message(sm.sm_id, owner)
+                hier.charge_message(sm_id, owner)
                 self._schedule(now + self.params.forward_latency, "forward",
-                               owner, (op, sm.sm_id))
-                sm.retire_warp_op(warp)
+                               owner, (op, sm_id))
+                self._retire_op(sm, warp)
                 return 1
 
-        ready = now + self.params.lat_l1
+        ready = now + self.lat_l1
         for b in missing:
-            ready = max(ready, self.hier.fill(sm.sm_id, b, now))
-        for w in (wait_i, wait_w):
-            if w is not None:
-                ready = max(ready, w)
+            filled = hier.fill(sm_id, b, now)
+            if filled > ready:
+                ready = filled
+        if wait_i is not None and wait_i > ready:
+            ready = wait_i
+        if wait_w is not None and wait_w > ready:
+            ready = wait_w
         warp.saw_miss = True
         warp.exec_pending = True
         sm.block_warp(warp, ready)
@@ -414,18 +459,14 @@ class Simulation:
         self.stats.normal_done += 1
         self.stats.instructions_issued += 1
         self.retired += 1
-        if self.forwarding and warp.saw_miss:
-            ib = op.input_vec_addr & self.block_mask
-            wb = op.weight_vec_addr & self.block_mask
-            # registration requires the pair to still be fully resident
-            if self.hier.l1[sm.sm_id].contains(ib) and \
-                    self.hier.l1[sm.sm_id].contains(wb):
-                self.assign_tables[self.cluster_of[sm.sm_id]].register((ib, wb),
-                                                                       sm.sm_id)
-        warp.saw_miss = False
+        if warp.saw_miss:
+            warp.saw_miss = False
+            if self.forwarding:
+                # registration requires the pair to still be fully resident
+                self._register_pair(sm.sm_id, op)
         if self.speculate:
             self._insert_predictions(sm, op, now)
-        sm.retire_warp_op(warp)
+        self._retire_op(sm, warp)
 
     # ---- assistant engine ------------------------------------------------
 
@@ -433,6 +474,7 @@ class Simulation:
         entry = sm.assist_entry
         sm.assist_entry = None
         sm.assist_busy_until = None
+        self.assists_in_flight -= 1
         if entry.res_mask == -1:  # removed (bounced or invalidated) mid-flight
             return
         value = self.image.dot(entry.key[0], entry.key[1], entry.length)
@@ -450,22 +492,32 @@ class Simulation:
 
     # ---- per-SM step -----------------------------------------------------
 
+    def _accrue(self, sm, now):
+        """Charge the cycles since the SM's last step to the state it held."""
+        if sm.state == STALLED:
+            self.stats.stall_cycles_per_sm[sm.sm_id] += now - sm.since
+        elif sm.state == ASSIST:
+            self.stats.assist_cycles += now - sm.since
+        sm.since = now
+
     def _step(self, sm, now):
-        """Advance one SM at cycle `now`; sets sm.state and sm.next_action."""
+        """Advance one SM at cycle `now`; sets sm.state and sm.next_action and
+        queues the SM's next wakeup."""
+        self._accrue(sm, now)
         self.hier.expire_fills(sm.sm_id, now)
         if sm.assist_busy_until is not None and sm.assist_busy_until <= now:
             self._assist_finish(sm, now)
-        if self.speculate and sm.next_purge is not None and now >= sm.next_purge:
+        if now >= sm.next_purge:
             self.stats.predictions_purged += sm.table.purge(
                 now, self.params.purge_fraction)
             while sm.next_purge <= now:
                 sm.next_purge += self.params.purge_period
-        sm.wake_due(now)
+        if sm.blocked and sm.blocked[0][0] <= now:
+            sm.wake_due(now)
 
-        if self.params.debug_invariants:
+        if self.debug_invariants:
             self._check_invariants(sm)
 
-        nxt = INF
         if sm.busy_until > now:
             sm.state = BUSY
             nxt = sm.busy_until
@@ -478,6 +530,8 @@ class Simulation:
                 else:
                     sm.busy_until = now + cost
                     sm.last_issued = warp
+                if sm.busy_until > self.max_busy_until:
+                    self.max_busy_until = sm.busy_until
                 sm.state = BUSY
                 nxt = sm.busy_until
             else:
@@ -486,6 +540,7 @@ class Simulation:
                     if entry is not None:
                         sm.assist_entry = entry
                         sm.assist_busy_until = now + self.params.assist_latency
+                        self.assists_in_flight += 1
                 if sm.assist_busy_until is not None:
                     sm.state = ASSIST
                     nxt = sm.assist_busy_until
@@ -495,9 +550,11 @@ class Simulation:
                 else:
                     sm.state = IDLE
                     nxt = sm.next_wake()
-        if self.speculate and sm.next_purge is not None:
-            nxt = min(nxt, sm.next_purge)
+        if sm.next_purge < nxt:
+            nxt = sm.next_purge
         sm.next_action = nxt
+        if nxt != INF:
+            heapq.heappush(self.wakeups, nxt << self.sm_bits | sm.sm_id)
         return nxt
 
     def _check_invariants(self, sm):
@@ -509,32 +566,48 @@ class Simulation:
 
     # ---- main loop -------------------------------------------------------
 
-    def _active(self):
-        if self.events or self.pending_assigned or self.pending_bounce_exec:
-            return True
-        for sm in self.sms:
-            if sm.unfinished or sm.assist_busy_until is not None \
-                    or sm.busy_until > self.now:
-                return True
-        return False
-
     def run(self):
         stats = self.stats
         sms = self.sms
+        events = self.events
+        wakeups = self.wakeups
+        bits = self.sm_bits
+        sm_mask = (1 << bits) - 1
+        heappop = heapq.heappop
+        step = self._step
+        for sm in sms:
+            self._wake(sm, sm.next_action)
         now = 0
         last_progress_count = -1
         last_progress_cycle = 0
         while True:
             self.now = now
-            self._deliver_due(now)
-            for sm in sms:
-                if sm.next_action <= now:
-                    self._step(sm, now)
-            next_t = self.events[0][0] if self.events else INF
-            for sm in sms:
-                if sm.next_action < next_t:
-                    next_t = sm.next_action
-            if not self._active():
+            if events and events[0][0] <= now:
+                self._deliver_due(now)
+            due = []
+            limit = (now + 1) << bits
+            key = -1
+            while wakeups and wakeups[0] < limit:
+                if wakeups[0] == key:  # duplicate entry for an SM already due
+                    heappop(wakeups)
+                    continue
+                key = heappop(wakeups)
+                sm_id = key & sm_mask
+                if sms[sm_id].next_action == key >> bits:
+                    due.append(sm_id)
+            if len(due) > 1:
+                due.sort()
+            for sm_id in due:
+                step(sms[sm_id], now)
+            while wakeups and \
+                    sms[wakeups[0] & sm_mask].next_action != wakeups[0] >> bits:
+                heappop(wakeups)
+            next_t = wakeups[0] >> bits if wakeups else INF
+            if events and events[0][0] < next_t:
+                next_t = events[0][0]
+            if not (self.live_warps or events or self.pending_assigned
+                    or self.pending_bounce_exec or self.assists_in_flight
+                    or self.max_busy_until > now):
                 break
             if self.retired != last_progress_count:
                 last_progress_count = self.retired
@@ -544,22 +617,18 @@ class Simulation:
                     f"no progress since cycle {last_progress_cycle}: "
                     f"{self.retired}/{stats.total_ops} ops retired, "
                     f"{self.pending_assigned} assigned pending, "
-                    f"{len(self.events)} events queued")
-            if next_t is INF:
+                    f"{len(events)} events queued")
+            if next_t == INF:
                 raise SimulationError(
                     f"nothing runnable at cycle {now} with work outstanding "
                     f"({self.retired}/{stats.total_ops} ops retired)")
             if next_t <= now:
                 next_t = now + 1
-            gap = next_t - now
-            for sm in sms:
-                if sm.state == STALLED:
-                    stats.stall_cycles_per_sm[sm.sm_id] += gap
-                elif sm.state == ASSIST:
-                    stats.assist_cycles += gap
             now = next_t
 
         stats.total_cycles = now
+        for sm in sms:
+            self._accrue(sm, now)
         self._collect(stats)
         if self.speculate or self.forwarding:
             for sm in sms:
