@@ -298,10 +298,13 @@ class MemoryHierarchy:
         if now < self.next_landing[sm_id]:
             return
         inflight = self.in_flight[sm_id]
-        done = [b for b, r in inflight.items() if r <= now]
-        for b in done:
-            del inflight[b]
-        self.next_landing[sm_id] = min(inflight.values(), default=INF)
+        pending = INF
+        for b, ready in list(inflight.items()):
+            if ready <= now:
+                del inflight[b]
+            elif ready < pending:
+                pending = ready
+        self.next_landing[sm_id] = pending
 
     def warm(self, sm_id, addrs):
         """Preload blocks into an L1 without touching any counter (tests, demos)."""

@@ -305,11 +305,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["--preset", "warp9", "--out", str(tmp_path / "o2")]) == 2
     assert "error:" in capsys.readouterr().err
 
-    bad_geom = write_config(tmp_path, write_workload(tmp_path),
-                            extra=("l1.sets = 0",))
-    assert cli.main(["--config", str(bad_geom),
-                     "--out", str(tmp_path / "o3")]) == 2
-    assert "error:" in capsys.readouterr().err
+    # rejected before any simulation: a zero purge period used to hang and
+    # a negative DRAM latency used to report a shorter run
+    for i, bad in enumerate(("l1.sets = 0", "intra.purge_period = 0",
+                             "lat.dram = -500")):
+        bad_cfg = write_config(tmp_path, write_workload(tmp_path), extra=(bad,))
+        assert cli.main(["--config", str(bad_cfg), "--scheme", "all",
+                         "--out", str(tmp_path / f"bad{i}")]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_main_reports_verification_failures(tmp_path, capsys, monkeypatch):

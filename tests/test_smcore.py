@@ -47,6 +47,16 @@ def test_simparams_validation():
         SimParams(evict_scope="global")
     with pytest.raises(ConfigError):
         SimParams(purge_fraction=1.5)
+    # a zero purge period never advances the next purge: the run would hang
+    for period in (0, -5):
+        with pytest.raises(ConfigError):
+            SimParams(scheme="intra", purge_period=period)
+    # negative latencies would run and report nonsense cycle counts
+    for name in ("lat_l1", "lat_l2", "lat_dram", "assist_latency",
+                 "forward_latency", "hop_cycles", "pipeline_stages"):
+        with pytest.raises(ConfigError, match=name):
+            SimParams(**{name: -1})
+        SimParams(**{name: 0})
     assert SimParams().issue_cost == 4
     assert SimParams(warp_size=16, simt_width=8).issue_cost == 2
 
