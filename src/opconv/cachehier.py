@@ -35,6 +35,10 @@ class CacheGeometry:
         return self.capacity_bytes // (self.sets * self.ways)
 
 
+def _unaligned(block):
+    return ConfigError(f"unaligned block address 0x{block:x}")
+
+
 class LruCache:
     """Set-associative LRU cache over aligned block addresses.
 
@@ -51,21 +55,19 @@ class LruCache:
         self.hits = 0
         self.misses = 0
 
-    def _set_of(self, block):
-        if block & self.offset_mask:
-            raise ConfigError(f"unaligned block address 0x{block:x}")
-        return self.sets[(block >> self.block_bits) % self.n_sets]
+    # The set index is computed inline in each of the three hot methods below
+    # rather than through a helper: they run several times per simulated op.
 
     def contains(self, block):
         """Pure presence probe; never touches recency."""
         if block & self.offset_mask:
-            self._set_of(block)
+            raise _unaligned(block)
         return block in self.sets[(block >> self.block_bits) % self.n_sets]
 
     def touch(self, block):
         """Recency-updating lookup. True on hit, False (no state change) on miss."""
         if block & self.offset_mask:
-            self._set_of(block)
+            raise _unaligned(block)
         s = self.sets[(block >> self.block_bits) % self.n_sets]
         if block in s:
             del s[block]
@@ -79,7 +81,9 @@ class LruCache:
         """Insert a block, evicting the LRU victim if the set is full.
 
         Returns the victim block address or None."""
-        s = self._set_of(block)
+        if block & self.offset_mask:
+            raise _unaligned(block)
+        s = self.sets[(block >> self.block_bits) % self.n_sets]
         if block in s:
             return None
         victim = None

@@ -85,7 +85,7 @@ def gto_select(sm):
     if len(ready) < 2:
         return ready[0] if ready else None
     last = sm.last_issued
-    if last is not None and last.blocked_until < 0 and not last.done() \
+    if last is not None and not last.done() and last.blocked_until < 0 \
             and last in ready:
         return last
     return min(ready, key=_age)
@@ -127,7 +127,7 @@ class SmCore:
     def retire_warp_op(self, warp):
         """Advance the warp past its current op; True if that finished it."""
         warp.pc += 1
-        if warp.pc < len(warp.ops):
+        if not warp.done():
             return False
         self.unfinished -= 1
         self.ready.remove(warp)
@@ -259,7 +259,7 @@ class Simulation:
         self.pending_bounce_exec = 0
         self.retired = 0
         self.now = 0
-        # what _active() needs, kept current instead of scanning the SMs
+        # kept current so that _active() need not scan the SMs
         self.live_warps = sum(sm.unfinished for sm in self.sms)
         self.assists_in_flight = 0
         self.max_busy_until = 0
@@ -552,9 +552,10 @@ class Simulation:
                     nxt = sm.next_wake()
         if sm.next_purge < nxt:
             nxt = sm.next_purge
-        sm.next_action = nxt
-        if nxt != INF:
-            heapq.heappush(self.wakeups, nxt << self.sm_bits | sm.sm_id)
+        if nxt == INF:
+            sm.next_action = nxt
+        else:
+            self._wake(sm, nxt)
         return nxt
 
     def _check_invariants(self, sm):
@@ -565,6 +566,11 @@ class Simulation:
                 raise AssertionError(f"cluster {at.cluster_id} assign table over capacity")
 
     # ---- main loop -------------------------------------------------------
+
+    def _active(self):
+        return bool(self.live_warps or self.events or self.pending_assigned
+                    or self.pending_bounce_exec or self.assists_in_flight
+                    or self.max_busy_until > self.now)
 
     def run(self):
         stats = self.stats
@@ -584,19 +590,19 @@ class Simulation:
             self.now = now
             if events and events[0][0] <= now:
                 self._deliver_due(now)
+            # pop every SM due by now, skipping duplicate and stale entries
             due = []
             limit = (now + 1) << bits
-            key = -1
+            last = -1
             while wakeups and wakeups[0] < limit:
-                if wakeups[0] == key:  # duplicate entry for an SM already due
-                    heappop(wakeups)
-                    continue
                 key = heappop(wakeups)
+                if key == last:
+                    continue
+                last = key
                 sm_id = key & sm_mask
                 if sms[sm_id].next_action == key >> bits:
                     due.append(sm_id)
-            if len(due) > 1:
-                due.sort()
+            due.sort()
             for sm_id in due:
                 step(sms[sm_id], now)
             while wakeups and \
@@ -605,9 +611,7 @@ class Simulation:
             next_t = wakeups[0] >> bits if wakeups else INF
             if events and events[0][0] < next_t:
                 next_t = events[0][0]
-            if not (self.live_warps or events or self.pending_assigned
-                    or self.pending_bounce_exec or self.assists_in_flight
-                    or self.max_busy_until > now):
+            if not self._active():
                 break
             if self.retired != last_progress_count:
                 last_progress_count = self.retired

@@ -72,8 +72,9 @@ def test_set_indexing_and_alignment():
     cache.install(64)   # different set, no eviction
     assert cache.contains(0) and cache.contains(64)
     assert cache.install(128) == 0  # wraps onto set 0
-    with pytest.raises(ConfigError):
-        cache.touch(3)
+    for probe in (cache.touch, cache.contains, cache.install):
+        with pytest.raises(ConfigError):
+            probe(3)
 
 
 def stack_distance_hits(geom, trace):
