@@ -74,7 +74,9 @@ class PrecomputeTable:
         self.entries = {}               # key -> entry
         self.spec_order = {}            # seq -> entry, insertion ordered
         self.assigned_order = {}        # seq -> entry, insertion ordered
-        self.by_block = {}              # block -> {seq: entry}
+        # block -> {seq: entry}, for the entries whose operand residency
+        # still matters: pending speculation and assigned work
+        self.by_block = {}
         self.eligible_heap = []         # seqs of speculative entries, lazy
         self.seq = 0
         # counters
@@ -125,7 +127,7 @@ class PrecomputeTable:
         return m
 
     def _push_eligible(self, entry):
-        if entry.kind == SPECULATIVE and not entry.complete and entry.res_mask == 3:
+        if entry.res_mask == 3 and entry.kind == SPECULATIVE and not entry.complete:
             heapq.heappush(self.eligible_heap, entry.seq)
 
     def lookup(self, key):
@@ -227,17 +229,24 @@ class PrecomputeTable:
             return
         entry.complete = True
         entry.result = result
+        # a computed result no longer waits on its operands, and block events
+        # would only revisit it; the bucket scans skip it from here on
+        self._unindex(entry)
 
     def block_installed(self, block):
         bucket = self.by_block.get(block)
         if not bucket:
             return
+        # runs once per L1 install, over every entry naming the block, so the
+        # eligibility push of _push_eligible is written out here
+        heap = self.eligible_heap
         for entry in bucket.values():
             bit = 1 if entry.blocks[0] == block else 2
-            if not entry.res_mask & bit:
-                entry.res_mask |= bit
-                if entry.res_mask == 3:
-                    self._push_eligible(entry)
+            mask = entry.res_mask
+            if not mask & bit:
+                entry.res_mask = mask = mask | bit
+                if mask == 3 and entry.kind == SPECULATIVE and not entry.complete:
+                    heapq.heappush(heap, entry.seq)
 
     def block_evicted(self, block):
         """Returns assigned entries displaced by the eviction (to bounce)."""
@@ -246,8 +255,7 @@ class PrecomputeTable:
             return []
         bounced = []
         for entry in bucket.values():
-            bit = 1 if entry.blocks[0] == block else 2
-            entry.res_mask &= ~bit
+            entry.res_mask &= ~1 if entry.blocks[0] == block else ~2
             if entry.kind == ASSIGNED:
                 bounced.append(entry)
         for entry in bounced:
