@@ -18,9 +18,9 @@ SM id) wakes each SM only when it has something to do: its issue slot frees,
 a blocked warp's fill lands, its assistant finishes, a purge falls due, or a
 forwarded or bounced computation arrives for it.  Stale heap entries are
 skipped when popped, and the SMs due at one cycle step in ascending id order.
-An SM's state holds until its next step, so stall and assist cycles are
-charged lazily, once per state change and once more at the end of the run;
-loop cost is proportional to activity, not to SM count times elapsed time.
+An SM's state holds until its next step, so its stall or assist cycles are
+charged lazily when it next steps, and once more at the end of the run.
+Loop cost is proportional to SM steps, not to SM count times event count.
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ class WarpContext:
         return self.pc >= len(self.ops)
 
 
+_age = attrgetter("age")
+
+
 def gto_select(sm):
     """Greedy-then-oldest: stay on the last issued warp while it is ready,
     otherwise pick the ready warp with the smallest age stamp."""
@@ -89,9 +92,6 @@ def gto_select(sm):
             and last in ready:
         return last
     return min(ready, key=_age)
-
-
-_age = attrgetter("age")
 
 
 class SmCore:
