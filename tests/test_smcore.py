@@ -7,6 +7,7 @@ parks until its fill lands.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -298,7 +299,57 @@ FINGERPRINT_CASES = {
     "short_purge": (LayerSpec("fp_purge", 1, 3, 10, 10, 3, 3), 0,
                     dict(sm_count=4, clusters=1, pc_entries=16, at_entries=16,
                          purge_period=7, purge_fraction=0.5)),
+    # long assists on a thrashing L1: warps block while an assist runs
+    "assist_in_flight": (LayerSpec("fp_assist", 2, 3, 8, 8, 3, 3), 4096,
+                         dict(sm_count=2, clusters=1, pc_entries=32,
+                              at_entries=16, assist_latency=37, l1=SMALL_L1)),
+    # one-cycle issue and many warps per SM sharing in-flight fills, so a
+    # warp can be woken one cycle after it blocked
+    "l1_latency_0": (LayerSpec("fp_l1_0", 3, 6, 7, 7, 2, 2), 0,
+                     dict(sm_count=1, clusters=1, pc_entries=16, at_entries=16,
+                          warp_size=8, lat_l1=0, l1=SMALL_L1)),
+    "l1_latency_1": (LayerSpec("fp_l1_1", 3, 6, 7, 7, 2, 2), 0,
+                     dict(sm_count=1, clusters=1, pc_entries=16, at_entries=16,
+                          warp_size=8, lat_l1=1, l1=SMALL_L1)),
+    # more SMs than warps: idle SMs see every purge
+    "idle_sms": (LayerSpec("fp_idle", 1, 2, 6, 6, 3, 3), 0,
+                 dict(sm_count=12, clusters=3, pc_entries=8, at_entries=8,
+                      purge_period=5)),
+    "forward_latency_1": (LayerSpec("fp_fwd1", 2, 4, 9, 9, 3, 3), 4096,
+                          dict(sm_count=8, clusters=2, pc_entries=8,
+                               at_entries=8, forward_latency=1)),
 }
+
+
+def _random_machines(count, seed):
+    """Seeded tiny layers on random tiny machines: 1-16 SMs, 1-64-entry
+    tables, both evict scopes, packed and pitched layouts, and short or zero
+    latencies."""
+    rng = random.Random(seed)
+    cases = {}
+    while len(cases) < count:
+        stride = rng.randint(1, 2)
+        fh = rng.randint(1, 3)
+        h = fh + stride * rng.randint(1, 6)
+        layer = LayerSpec(f"fp_random_{len(cases):02d}", rng.randint(1, 3),
+                          rng.randint(1, 4), h, h, fh, fh, stride)
+        sm_count = rng.randint(1, 16)
+        # cluster counts that leave no cluster empty and hold at most 8 SMs
+        clusters = rng.choice([c for c in range(1, sm_count + 1)
+                               if -(-sm_count // -(-sm_count // c)) == c
+                               and -(-sm_count // c) <= 8])
+        hw = dict(sm_count=sm_count, clusters=clusters,
+                  pc_entries=rng.randint(1, 64), at_entries=rng.randint(1, 64),
+                  evict_scope=rng.choice(["owner", "cluster"]),
+                  lat_l1=rng.randint(0, 2), assist_latency=rng.randint(0, 9),
+                  forward_latency=rng.randint(0, 9),
+                  purge_period=rng.randint(1, 60),
+                  l1=rng.choice([SMALL_L1, SimParams().l1]))
+        cases[f"random_{len(cases):02d}"] = (layer, rng.choice([0, 4096]), hw)
+    return cases
+
+
+FINGERPRINT_CASES.update(_random_machines(20, seed=2024))
 FINGERPRINTS = Path(__file__).with_name("counter_fingerprints.json")
 
 
