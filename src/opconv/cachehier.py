@@ -263,11 +263,34 @@ class MemoryHierarchy:
             return True, self.in_flight[sm_id].get(block)
         return False, None
 
+    def l1_lookup_pair(self, sm_id, a, b):
+        """Recency-updating L1 lookups of an op's two operand blocks, a first.
+
+        Returns (missing, wait): the blocks that missed, in lookup order, and
+        the latest ready cycle of a hit block whose fill is still in flight,
+        or 0 if there is none (a fill is never ready before cycle 1)."""
+        l1 = self.l1[sm_id]
+        hit_a = l1.touch(a)
+        hit_b = l1.touch(b)
+        wait = 0
+        inflight = self.in_flight[sm_id]
+        if inflight:
+            if hit_a:
+                wait = inflight.get(a, 0)
+            if hit_b:
+                w = inflight.get(b, 0)
+                if w > wait:
+                    wait = w
+        if hit_a:
+            return (() if hit_b else (b,)), wait
+        return ((a,) if hit_b else (a, b)), wait
+
     def fill(self, sm_id, block, now):
         """Start (or join) a fill of block into sm_id's L1.
 
         Installs the block immediately, charges L2/NoC/DRAM counters, and
-        returns the cycle at which the data is usable."""
+        returns the cycle at which the data is usable: a round trip to the
+        block's home L2 slice, and to DRAM beyond it on an L2 miss."""
         inflight = self.in_flight[sm_id]
         pending = inflight.get(block)
         if pending is not None:
@@ -276,26 +299,19 @@ class MemoryHierarchy:
         self._note_install(sm_id, block)
         if victim is not None:
             self._note_evict(sm_id, victim)
-        ready = now + self.miss_path_latency(sm_id, block)
+        mc = (block >> self.block_bits) % self.n_mcs  # home_mc
+        self.noc_flit_hops += self.rt_flit_hops[sm_id][mc]
+        ready = now + self.rt_latency[sm_id][mc] + self.lat_l2
+        if self.l2[mc].access(block)[0]:
+            self.l2_hits += 1
+        else:
+            self.l2_misses += 1
+            self.dram_accesses += 1
+            ready += self.lat_dram
         inflight[block] = ready
         if ready < self.next_landing[sm_id]:
             self.next_landing[sm_id] = ready
         return ready
-
-    def miss_path_latency(self, sm_id, block):
-        """Round trip to the home L2 slice, and to DRAM beyond it on an L2 miss.
-
-        Updates L2 state and the traffic counters."""
-        mc = self.home_mc(block)
-        self.noc_flit_hops += self.rt_flit_hops[sm_id][mc]
-        lat = self.rt_latency[sm_id][mc] + self.lat_l2
-        hit, _ = self.l2[mc].access(block)
-        if hit:
-            self.l2_hits += 1
-            return lat
-        self.l2_misses += 1
-        self.dram_accesses += 1
-        return lat + self.lat_dram
 
     def expire_fills(self, sm_id, now):
         """Drop bookkeeping for fills that have landed."""

@@ -172,6 +172,7 @@ def validate_config(cfg):
     for s in scheme_list(cfg):
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r}")
+        make_params(cfg, s)  # SimParams rejects a bad machine before any run
 
 
 def scheme_list(cfg):

@@ -34,7 +34,6 @@ def cluster_map(n_sms, n_clusters):
 class AssignEntry:
     pair: tuple
     owner: int
-    seq: int
 
 
 class AssignTable:
@@ -45,7 +44,6 @@ class AssignTable:
         self.capacity = capacity
         self.entries = {}   # pair -> AssignEntry, insertion ordered
         self.by_block = {}  # block -> {pair: entry}
-        self.seq = 0
         self.lookups = 0
         self.lookup_hits = 0
         self.registrations = 0
@@ -75,21 +73,19 @@ class AssignTable:
         if entry is not None:
             # same pair, so its by_block links stay valid
             entry.owner = sm_id
-            entry.seq = self.seq
         else:
             if len(self.entries) >= self.capacity:
                 oldest = next(iter(self.entries.values()))
                 self._unlink(oldest)
                 del self.entries[oldest.pair]
                 self.evictions += 1
-            entry = AssignEntry(pair, sm_id, self.seq)
+            entry = AssignEntry(pair, sm_id)
             for b in pair:
                 bucket = self.by_block.get(b)
                 if bucket is None:
                     self.by_block[b] = {pair: entry}
                 else:
                     bucket[pair] = entry
-        self.seq += 1
         self.entries[pair] = entry  # newest in FIFO order
         self.registrations += 1
 

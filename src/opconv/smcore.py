@@ -13,14 +13,34 @@ the whole computation to the SM that owns the data (fire and forget,
 cycles with no ready warp an assistant engine executes staged table work,
 one computation at a time, without generating memory traffic.
 
-Simulated time advances event to event.  A min-heap of (next action cycle,
-SM id) wakes each SM only when it has something to do: its issue slot frees,
-a blocked warp's fill lands, its assistant finishes, a purge falls due, or a
-forwarded or bounced computation arrives for it.  Stale heap entries are
-skipped when popped, and the SMs due at one cycle step in ascending id order.
-An SM's state holds until its next step, so its stall or assist cycles are
-charged lazily when it next steps, and once more at the end of the run.
-Loop cost is proportional to SM steps, not to SM count times event count.
+Simulated time advances event to event.  Each SM runs as a coroutine that
+is sent the cycle of its wakeup, steps once and yields the cycle it next
+needs to act: its issue slot frees, a blocked warp's fill lands, its
+assistant finishes or a purge falls due.  Its scheduling state lives in the
+coroutine's locals, so a wakeup costs one resumed Python frame.  A min-heap
+of packed (cycle, SM id) ints holds the wakeups; a forwarded or bounced
+computation arriving for an SM re-arms it at the arrival cycle, stale heap
+entries are skipped when popped, and the SMs due at one cycle step in
+ascending id order.  An SM's state holds until its next step, so its stall
+or assist cycles are charged when it next steps, and once more when the run
+ends and its coroutine is closed.
+
+An SM is not woken when its step could change nothing:
+
+* After a blocked issue at cycle t the SM is busy through t + 1.  If at that
+  point no warp is ready, no blocked warp wakes, no purge falls due and no
+  fill lands by t + 1, and either an assist is already in flight or the
+  table has no assist to start, the step at t + 1 would only change the
+  SM's state.  The SM takes that state (ASSIST or STALLED) from t + 1 and
+  next wakes when its assist finishes or its first blocked warp wakes.
+* A stalled or idle SM with no assist in flight, no speculative table entry
+  and no fill landing before its next wakeup skips purges: a purge of that
+  table changes nothing, and the overdue purge slots are passed over at the
+  SM's next step.
+
+Both rules keep every counter exact: a fill that landed stays booked as in
+flight until its SM next steps, so a skipped step must not be one at which a
+fill lands.
 """
 
 from __future__ import annotations
@@ -40,8 +60,6 @@ INF = float("inf")
 
 # per-step SM states
 BUSY, ASSIST, STALLED, IDLE = range(4)
-
-_BLOCKED = -1
 
 
 class SimulationError(RuntimeError):
@@ -70,7 +88,6 @@ class WarpContext:
     age: int                 # launch stamp; smaller is older
     ops: list
     pc: int = 0
-    blocked_until: int = -1
     exec_pending: bool = False  # operands delivered, execute on next issue
     saw_miss: bool = False      # current op went through the miss path
 
@@ -81,60 +98,14 @@ class WarpContext:
 _age = attrgetter("age")
 
 
-def gto_select(sm):
+def gto_select(ready, last):
     """Greedy-then-oldest: stay on the last issued warp while it is ready,
-    otherwise pick the ready warp with the smallest age stamp."""
-    ready = sm.ready
-    if len(ready) < 2:
-        return ready[0] if ready else None
-    last = sm.last_issued
-    if last is not None and not last.done() and last.blocked_until < 0 \
-            and last in ready:
+    otherwise pick the ready warp with the smallest age stamp.
+
+    `ready` holds exactly the warps that are neither blocked nor finished."""
+    if last in ready:
         return last
     return min(ready, key=_age)
-
-
-class SmCore:
-    def __init__(self, sm_id, warps):
-        self.sm_id = sm_id
-        self.warps = warps
-        self.ready = list(warps)
-        self.blocked = []  # heap of (wake, age); warp looked up by age
-        self.by_age = {w.age: w for w in warps}
-        self.last_issued = None
-        self.busy_until = 0
-        self.unfinished = len(warps)
-        self.assist_busy_until = None
-        self.assist_entry = None
-        self.table = None
-        self.next_purge = INF  # next precompute-table purge (speculation only)
-        self.next_action = 0
-        self.state = IDLE if not warps else STALLED
-        self.since = 0  # cycle the current state began
-
-    def wake_due(self, now):
-        while self.blocked and self.blocked[0][0] <= now:
-            _, age = heapq.heappop(self.blocked)
-            warp = self.by_age[age]
-            warp.blocked_until = -1
-            self.ready.append(warp)
-
-    def block_warp(self, warp, until):
-        warp.blocked_until = until
-        self.ready.remove(warp)
-        heapq.heappush(self.blocked, (until, warp.age))
-
-    def retire_warp_op(self, warp):
-        """Advance the warp past its current op; True if that finished it."""
-        warp.pc += 1
-        if not warp.done():
-            return False
-        self.unfinished -= 1
-        self.ready.remove(warp)
-        return True
-
-    def next_wake(self):
-        return self.blocked[0][0] if self.blocked else INF
 
 
 @dataclass
@@ -183,6 +154,14 @@ class SimParams:
                      "forward_latency", "hop_cycles", "pipeline_stages"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative")
+        if self.scheme in ("inter", "both"):
+            # a cluster that cluster_map leaves without SMs would still be
+            # charged as a table
+            used = len(set(inter_mod.cluster_map(self.sm_count, self.clusters)))
+            if used < self.clusters:
+                raise ConfigError(
+                    f"clusters = {self.clusters} on {self.sm_count} SMs leaves "
+                    f"{self.clusters - used} of them empty")
 
     @property
     def issue_cost(self):
@@ -197,11 +176,6 @@ class Simulation:
         self.speculate = params.scheme in ("intra", "both")
         self.forwarding = params.scheme in ("inter", "both")
         p = params
-        # read on every issue, so kept off the SimParams property
-        self.issue_cost = p.issue_cost
-        self.lat_l1 = p.lat_l1
-        self.debug_invariants = p.debug_invariants
-        self.probe_availability = p.probe_availability
         noc = NocModel(p.mesh_w, p.mesh_h, p.flit_bytes, p.hop_cycles,
                        p.pipeline_stages)
         self.hier = MemoryHierarchy(p.sm_count, p.l1, p.l2, p.mc_count, noc,
@@ -209,7 +183,7 @@ class Simulation:
         self.block_size = p.l1.block_size
         self.block_mask = ~(self.block_size - 1)
 
-        per_sm = [[] for _ in range(p.sm_count)]
+        self.warps = [[] for _ in range(p.sm_count)]
         total_ops = 0
         for prog in programs:
             if not 0 <= prog.sm_id < p.sm_count:
@@ -217,8 +191,8 @@ class Simulation:
             flat = prog.ops
             total_ops += len(flat)
             if flat:
-                per_sm[prog.sm_id].append(WarpContext(prog.warp_id, prog.warp_id, flat))
-        self.sms = [SmCore(i, per_sm[i]) for i in range(p.sm_count)]
+                self.warps[prog.sm_id].append(
+                    WarpContext(prog.warp_id, prog.warp_id, flat))
 
         self.stats = SimStats(scheme=p.scheme, total_ops=total_ops,
                               stall_cycles_per_sm=[0] * p.sm_count)
@@ -226,12 +200,11 @@ class Simulation:
 
         use_tables = self.speculate or self.forwarding
         if use_tables:
-            for sm in self.sms:
-                sm.table = intra_mod.PrecomputeTable(
-                    p.pc_entries, self.block_size,
-                    self._resident_fn(sm.sm_id))
-                if self.speculate:
-                    sm.next_purge = p.purge_period
+            self.tables = [intra_mod.PrecomputeTable(
+                p.pc_entries, self.block_size, self._resident_fn(sm_id))
+                for sm_id in range(p.sm_count)]
+        else:
+            self.tables = [None] * p.sm_count
         if self.forwarding:
             self.cluster_of = inter_mod.cluster_map(p.sm_count, p.clusters)
             self.assign_tables = [inter_mod.AssignTable(c, p.at_entries)
@@ -251,16 +224,18 @@ class Simulation:
 
         self.events = []     # (cycle, seq, kind, dest_sm, payload)
         self.event_seq = 0
-        # heap of next_action << sm_bits | sm_id: one int per (cycle, SM)
-        # ordered by cycle, then SM id; stale entries are skipped when popped
+        # heap of cycle << sm_bits | sm_id: one int per (cycle, SM), ordered
+        # by cycle, then SM id.  armed[sm_id] is the key the SM is due at;
+        # a popped key that differs from it is stale and skipped.
         self.wakeups = []
         self.sm_bits = p.sm_count.bit_length()
+        self.armed = list(range(p.sm_count))  # every SM steps at cycle 0
         self.pending_assigned = 0
         self.pending_bounce_exec = 0
         self.retired = 0
         self.now = 0
-        # kept current so that _active() need not scan the SMs
-        self.live_warps = sum(sm.unfinished for sm in self.sms)
+        # kept current so that the run loop's liveness test scans no SM
+        self.live_warps = sum(len(w) for w in self.warps)
         self.assists_in_flight = 0
         self.max_busy_until = 0
 
@@ -270,10 +245,10 @@ class Simulation:
         return partial(self.hier.resident_for_compute, sm_id)
 
     def _on_install(self, sm_id, block):
-        self.sms[sm_id].table.block_installed(block)
+        self.tables[sm_id].block_installed(block)
 
     def _on_evict(self, sm_id, block):
-        for entry in self.sms[sm_id].table.block_evicted(block):
+        for entry in self.tables[sm_id].block_evicted(block):
             self.pending_assigned -= 1
             self._bounce(entry.op, entry.src_sm, sm_id, self.now)
         if self.forwarding:
@@ -286,12 +261,10 @@ class Simulation:
         heapq.heappush(self.events, (cycle, self.event_seq, kind, dest, payload))
         self.event_seq += 1
 
-    def _wake(self, sm, cycle):
-        sm.next_action = cycle
-        heapq.heappush(self.wakeups, cycle << self.sm_bits | sm.sm_id)
-
     def _deliver_due(self, now):
         events = self.events
+        armed = self.armed
+        bits = self.sm_bits
         while events and events[0][0] <= now:
             _, _, kind, dest, payload = heapq.heappop(events)
             if kind == "forward":
@@ -300,13 +273,27 @@ class Simulation:
                 self._bounce_arrival(dest, payload, now)
             elif kind == "bounce_fin":
                 self._bounce_finish(dest, payload, now)
-            self._wake(self.sms[dest], now)
+            key = now << bits | dest
+            if armed[dest] != key:
+                armed[dest] = key
+                heapq.heappush(self.wakeups, key)
+
+    def _forward(self, sm_id, owner, op, n_missing, now):
+        """Hand the op to the SM that owns its block pair."""
+        stats = self.stats
+        stats.forwards += 1
+        stats.instructions_issued += 1
+        stats.fills_avoided += n_missing
+        self.pending_assigned += 1
+        self.hier.charge_message(sm_id, owner)
+        self._schedule(now + self.params.forward_latency, "forward",
+                       owner, (op, sm_id))
 
     def _forward_arrival(self, owner, msg, now):
         op, src = msg
         self.pending_assigned -= 1
         key = (op.input_vec_addr, op.weight_vec_addr)
-        table = self.sms[owner].table
+        table = self.tables[owner]
         hier = self.hier
         hier.expire_fills(owner, now)
         ib = op.input_vec_addr & self.block_mask
@@ -322,7 +309,7 @@ class Simulation:
             self.stats.forward_memo_hits += 1
             self.retired += 1
             if self.speculate:
-                self._insert_predictions(self.sms[owner], op, now)
+                self._insert_predictions(table, op, now)
         elif status == "staged":
             self.pending_assigned += 1
         else:  # full
@@ -336,7 +323,7 @@ class Simulation:
     def _bounce_arrival(self, src, op, now):
         """Returned computation: the source fetches what is missing and
         executes out of band (its warp already moved on)."""
-        ready = now + self.lat_l1
+        ready = now + self.params.lat_l1
         for addr in (op.input_vec_addr, op.weight_vec_addr):
             block = addr & self.block_mask
             hit, wait = self.hier.l1_lookup(src, block)
@@ -364,225 +351,284 @@ class Simulation:
         if self.hier.probe_sm(sm_id, ib) and self.hier.probe_sm(sm_id, wb):
             self.assign_tables[self.cluster_of[sm_id]].register((ib, wb), sm_id)
 
-    # ---- decode / issue --------------------------------------------------
+    # ---- table work off the common path ----------------------------------
 
-    def _insert_predictions(self, sm, op, now):
-        table = sm.table
+    def _insert_predictions(self, table, op, now):
         for pair in intra_mod.predict(op, self.geom):
             if table.insert_prediction(pair, op.length, now) == "accepted":
                 self.stats.predictions_made += 1
 
-    def _retire_op(self, sm, warp):
-        if sm.retire_warp_op(warp):
-            self.live_warps -= 1
-
-    def _issue(self, sm, warp, now):
-        """Issue the warp's current op.  Returns the issue cost in cycles, or
-        _BLOCKED after moving the warp to the blocked heap."""
-        op = warp.ops[warp.pc]
-
-        if warp.exec_pending:
-            warp.exec_pending = False
-            self._execute(sm, warp, op, now)
-            return self.issue_cost
-
-        stats = self.stats
-        if self.speculate:
-            status, result = sm.table.lookup((op.input_vec_addr, op.weight_vec_addr))
-            if status == "hit":
-                self.out.add(op.output_addr, result)
-                stats.predicted_used += 1
-                stats.instructions_issued += 1
-                self.retired += 1
-                self._retire_op(sm, warp)
-                return 1
-            if status == "pending":
-                stats.predictions_invalidated += 1
-
-        hier = self.hier
-        sm_id = sm.sm_id
-        ib = op.input_vec_addr & self.block_mask
-        wb = op.weight_vec_addr & self.block_mask
-        hit_i, wait_i = hier.l1_lookup(sm_id, ib)
-        hit_w, wait_w = hier.l1_lookup(sm_id, wb)
-        if hit_i and hit_w:
-            if wait_i is None and wait_w is None:
-                self._execute(sm, warp, op, now)
-                return self.issue_cost
-            missing = ()
-        elif hit_i:
-            missing = (wb,)
-        elif hit_w:
-            missing = (ib,)
-        else:
-            missing = (ib, wb)
-
-        if missing and self.probe_availability:
-            for b in missing:
-                stats.probe_misses += 1
-                if hier.present_elsewhere(sm_id, b):
-                    stats.probe_found_elsewhere += 1
-
-        if missing and self.forwarding:
-            pair = (ib, wb)
-            cluster = self.cluster_of[sm_id]
-            owner = self.assign_tables[cluster].lookup(pair)
-            if owner is not None and owner != sm_id \
-                    and self.cluster_of[owner] == cluster:
-                stats.forwards += 1
-                stats.instructions_issued += 1
-                stats.fills_avoided += len(missing)
-                self.pending_assigned += 1
-                hier.charge_message(sm_id, owner)
-                self._schedule(now + self.params.forward_latency, "forward",
-                               owner, (op, sm_id))
-                self._retire_op(sm, warp)
-                return 1
-
-        ready = now + self.lat_l1
-        for b in missing:
-            filled = hier.fill(sm_id, b, now)
-            if filled > ready:
-                ready = filled
-        if wait_i is not None and wait_i > ready:
-            ready = wait_i
-        if wait_w is not None and wait_w > ready:
-            ready = wait_w
-        warp.saw_miss = True
-        warp.exec_pending = True
-        sm.block_warp(warp, ready)
-        return _BLOCKED
-
-    def _execute(self, sm, warp, op, now):
-        value = self.image.dot(op.input_vec_addr, op.weight_vec_addr, op.length)
-        self.out.add(op.output_addr, value)
-        self.stats.normal_done += 1
-        self.stats.instructions_issued += 1
+    def _assigned_done(self, table, entry, value, now):
+        """An assist finished a computation forwarded by another SM."""
+        self.out.add(entry.op.output_addr, value)
+        self.stats.assigned_done += 1
+        self.pending_assigned -= 1
         self.retired += 1
-        if warp.saw_miss:
-            warp.saw_miss = False
-            if self.forwarding:
-                # registration requires the pair to still be fully resident
-                self._register_pair(sm.sm_id, op)
         if self.speculate:
-            self._insert_predictions(sm, op, now)
-        self._retire_op(sm, warp)
+            self._insert_predictions(table, entry.op, now)
 
-    # ---- assistant engine ------------------------------------------------
-
-    def _assist_finish(self, sm, now):
-        entry = sm.assist_entry
-        sm.assist_entry = None
-        sm.assist_busy_until = None
-        self.assists_in_flight -= 1
-        if entry.res_mask == -1:  # removed (bounced or invalidated) mid-flight
-            return
-        value = self.image.dot(entry.key[0], entry.key[1], entry.length)
-        sm.table.finish(entry, value, now)
-        self.stats.assists_executed += 1
-        if entry.kind == intra_mod.ASSIGNED:
-            self.out.add(entry.op.output_addr, value)
-            self.stats.assigned_done += 1
-            self.pending_assigned -= 1
-            self.retired += 1
-            if self.speculate:
-                self._insert_predictions(sm, entry.op, now)
-        else:
-            self.stats.predictions_completed += 1
-
-    # ---- per-SM step -----------------------------------------------------
-
-    def _accrue(self, sm, now):
-        """Charge the cycles since the SM's last step to the state it held."""
-        if sm.state == STALLED:
-            self.stats.stall_cycles_per_sm[sm.sm_id] += now - sm.since
-        elif sm.state == ASSIST:
-            self.stats.assist_cycles += now - sm.since
-        sm.since = now
-
-    def _step(self, sm, now):
-        """Advance one SM at cycle `now`; sets sm.state and sm.next_action and
-        queues the SM's next wakeup."""
-        self._accrue(sm, now)
-        self.hier.expire_fills(sm.sm_id, now)
-        if sm.assist_busy_until is not None and sm.assist_busy_until <= now:
-            self._assist_finish(sm, now)
-        if now >= sm.next_purge:
-            self.stats.predictions_purged += sm.table.purge(
-                now, self.params.purge_fraction)
-            while sm.next_purge <= now:
-                sm.next_purge += self.params.purge_period
-        if sm.blocked and sm.blocked[0][0] <= now:
-            sm.wake_due(now)
-
-        if self.debug_invariants:
-            self._check_invariants(sm)
-
-        if sm.busy_until > now:
-            sm.state = BUSY
-            nxt = sm.busy_until
-        else:
-            warp = gto_select(sm)
-            if warp is not None:
-                cost = self._issue(sm, warp, now)
-                if cost == _BLOCKED:
-                    sm.busy_until = now + 1
-                else:
-                    sm.busy_until = now + cost
-                    sm.last_issued = warp
-                if sm.busy_until > self.max_busy_until:
-                    self.max_busy_until = sm.busy_until
-                sm.state = BUSY
-                nxt = sm.busy_until
-            else:
-                if sm.table is not None and sm.assist_busy_until is None:
-                    entry = sm.table.next_assist()
-                    if entry is not None:
-                        sm.assist_entry = entry
-                        sm.assist_busy_until = now + self.params.assist_latency
-                        self.assists_in_flight += 1
-                if sm.assist_busy_until is not None:
-                    sm.state = ASSIST
-                    nxt = sm.assist_busy_until
-                elif sm.unfinished > 0:
-                    sm.state = STALLED
-                    nxt = sm.next_wake()
-                else:
-                    sm.state = IDLE
-                    nxt = sm.next_wake()
-        if sm.next_purge < nxt:
-            nxt = sm.next_purge
-        if nxt == INF:
-            sm.next_action = nxt
-        else:
-            self._wake(sm, nxt)
-        return nxt
-
-    def _check_invariants(self, sm):
-        if sm.table is not None and len(sm.table) > sm.table.capacity:
-            raise AssertionError(f"SM {sm.sm_id} precompute table over capacity")
+    def _check_invariants(self, table):
+        if table is not None and len(table) > table.capacity:
+            raise AssertionError("precompute table over capacity")
         for at in self.assign_tables:
             if len(at) > at.capacity:
                 raise AssertionError(f"cluster {at.cluster_id} assign table over capacity")
 
-    # ---- main loop -------------------------------------------------------
+    # ---- one SM ----------------------------------------------------------
 
-    def _active(self):
-        return bool(self.live_warps or self.events or self.pending_assigned
-                    or self.pending_bounce_exec or self.assists_in_flight
-                    or self.max_busy_until > self.now)
+    def _sm(self, sm_id):
+        """Coroutine of one SM: sent the cycle of each wakeup, it steps the SM
+        once and yields the cycle it must next be woken at (INF: only an
+        arriving computation can give it work).  Closing it charges the
+        state it holds up to the final cycle of the run."""
+        warps = self.warps[sm_id]
+        table = self.tables[sm_id]
+        stats = self.stats
+        stall = stats.stall_cycles_per_sm
+        out = self.out
+        values = out.values
+        hier = self.hier
+        next_landing = hier.next_landing
+        expire_fills = hier.expire_fills
+        lookup_pair = hier.l1_lookup_pair
+        fill = hier.fill
+        probe_sm = hier.probe_sm
+        present_elsewhere = hier.present_elsewhere
+        dot = self.image.dot
+        p = self.params
+        issue_cost = p.issue_cost
+        lat_l1 = p.lat_l1
+        assist_latency = p.assist_latency
+        purge_period = p.purge_period
+        purge_fraction = p.purge_fraction
+        debug_invariants = p.debug_invariants
+        probe = p.probe_availability
+        block_mask = self.block_mask
+        speculate = self.speculate
+        predict = intra_mod.predict
+        geom = self.geom
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        if table is not None:
+            lookup = table.lookup
+            insert_prediction = table.insert_prediction
+            next_assist = table.next_assist
+            spec_order = table.spec_order
+        else:
+            spec_order = ()
+        forwarding = self.forwarding
+        if forwarding:
+            cluster = self.cluster_of[sm_id]
+            cluster_of = self.cluster_of
+            assign_table = self.assign_tables[cluster]
+
+        ready = list(warps)   # neither blocked nor finished
+        blocked = []          # heap of (wake cycle, age, warp)
+        last = None           # last warp that issued without blocking
+        unfinished = len(warps)
+        busy_until = 0
+        assist_entry = None
+        assist_until = INF
+        next_purge = purge_period if speculate else INF
+        state = IDLE if not warps else STALLED
+        since = 0             # cycle the current state began
+        nxt = 0
+        try:
+            while True:
+                now = yield nxt
+
+                if state == STALLED:
+                    stall[sm_id] += now - since
+                elif state == ASSIST:
+                    stats.assist_cycles += now - since
+                since = now
+                if now >= next_landing[sm_id]:
+                    expire_fills(sm_id, now)
+
+                if assist_until <= now:
+                    entry = assist_entry
+                    assist_entry = None
+                    assist_until = INF
+                    self.assists_in_flight -= 1
+                    # res_mask -1: removed (bounced or invalidated) mid-flight
+                    if entry.res_mask != -1:
+                        value = dot(entry.key[0], entry.key[1], entry.length)
+                        table.finish(entry, value, now)
+                        stats.assists_executed += 1
+                        if entry.kind == intra_mod.ASSIGNED:
+                            self._assigned_done(table, entry, value, now)
+                        else:
+                            stats.predictions_completed += 1
+                if now >= next_purge:
+                    stats.predictions_purged += table.purge(now, purge_fraction)
+                    while next_purge <= now:
+                        next_purge += purge_period
+                while blocked and blocked[0][0] <= now:
+                    ready.append(heappop(blocked)[2])
+
+                if debug_invariants:
+                    self._check_invariants(table)
+
+                if busy_until > now:
+                    state = BUSY
+                    nxt = busy_until
+                elif ready:
+                    warp = ready[0] if len(ready) == 1 else gto_select(ready, last)
+                    op = warp.ops[warp.pc]
+                    cost = issue_cost
+                    if warp.exec_pending:
+                        warp.exec_pending = False
+                        execute = True
+                    else:
+                        execute = False
+                        if speculate:
+                            status, result = lookup((op.input_vec_addr,
+                                                     op.weight_vec_addr))
+                        else:
+                            status = None
+                        if status == "hit":
+                            addr = op.output_addr
+                            values[addr] = values.get(addr, 0) + result
+                            out.adds += 1
+                            stats.predicted_used += 1
+                            stats.instructions_issued += 1
+                            self.retired += 1
+                            cost = 1
+                        else:
+                            if status == "pending":
+                                stats.predictions_invalidated += 1
+                            ib = op.input_vec_addr & block_mask
+                            wb = op.weight_vec_addr & block_mask
+                            missing, wait = lookup_pair(sm_id, ib, wb)
+                            if not missing and not wait:
+                                execute = True
+                            else:
+                                if missing and probe:
+                                    stats.probe_misses += len(missing)
+                                    for b in missing:
+                                        if present_elsewhere(sm_id, b):
+                                            stats.probe_found_elsewhere += 1
+                                owner = None
+                                if missing and forwarding:
+                                    owner = assign_table.lookup((ib, wb))
+                                    if owner is not None and (
+                                            owner == sm_id
+                                            or cluster_of[owner] != cluster):
+                                        owner = None
+                                if owner is not None:
+                                    self._forward(sm_id, owner, op,
+                                                  len(missing), now)
+                                    cost = 1
+                                else:
+                                    # block until the operands land
+                                    until = now + lat_l1
+                                    for b in missing:
+                                        filled = fill(sm_id, b, now)
+                                        if filled > until:
+                                            until = filled
+                                    if wait > until:
+                                        until = wait
+                                    warp.saw_miss = True
+                                    warp.exec_pending = True
+                                    ready.remove(warp)
+                                    heappush(blocked, (until, warp.age, warp))
+                                    cost = 0
+                    if execute:
+                        value = dot(op.input_vec_addr, op.weight_vec_addr,
+                                    op.length)
+                        addr = op.output_addr
+                        values[addr] = values.get(addr, 0) + value
+                        out.adds += 1
+                        stats.normal_done += 1
+                        stats.instructions_issued += 1
+                        self.retired += 1
+                        if warp.saw_miss:
+                            warp.saw_miss = False
+                            if forwarding:
+                                # registration requires the pair to still be
+                                # fully resident
+                                ib = op.input_vec_addr & block_mask
+                                wb = op.weight_vec_addr & block_mask
+                                if probe_sm(sm_id, ib) and probe_sm(sm_id, wb):
+                                    assign_table.register((ib, wb), sm_id)
+                        if speculate:
+                            for pair in predict(op, geom):
+                                if insert_prediction(pair, op.length,
+                                                     now) == "accepted":
+                                    stats.predictions_made += 1
+                    state = BUSY
+                    if cost:
+                        # the op retired: memoized, forwarded or executed
+                        warp.pc += 1
+                        if warp.pc >= len(warp.ops):
+                            unfinished -= 1
+                            ready.remove(warp)
+                            self.live_warps -= 1
+                        last = warp
+                        busy_until = nxt = now + cost
+                    else:
+                        # a blocked attempt holds issue for one cycle
+                        busy_until = nxt = now + 1
+                        if not ready and blocked[0][0] > nxt \
+                                and next_purge > nxt and next_landing[sm_id] > nxt:
+                            # the step at now + 1 could only change the state
+                            if assist_until != INF:
+                                if assist_until > nxt:
+                                    state = ASSIST
+                                    since = nxt
+                                    nxt = assist_until
+                            elif table is None or next_assist() is None:
+                                state = STALLED
+                                since = nxt
+                                nxt = blocked[0][0]
+                    if busy_until > self.max_busy_until:
+                        self.max_busy_until = busy_until
+                else:
+                    if assist_until == INF and table is not None:
+                        entry = next_assist()
+                        if entry is not None:
+                            assist_entry = entry
+                            assist_until = now + assist_latency
+                            self.assists_in_flight += 1
+                    if assist_until != INF:
+                        state = ASSIST
+                        # zero latency finishes at once; step again next cycle
+                        nxt = assist_until if assist_until > now else now + 1
+                    else:
+                        state = STALLED if unfinished else IDLE
+                        nxt = blocked[0][0] if blocked else INF
+                        if not spec_order and next_landing[sm_id] >= nxt:
+                            # a purge of a table without speculation changes
+                            # nothing, and no fill lands before nxt: skip the
+                            # purge wakeups
+                            continue
+                if next_purge < nxt:
+                    nxt = next_purge
+        except GeneratorExit:
+            now = self.now
+            if state == STALLED:
+                stall[sm_id] += now - since
+            elif state == ASSIST:
+                stats.assist_cycles += now - since
+
+    # ---- main loop -------------------------------------------------------
 
     def run(self):
         stats = self.stats
-        sms = self.sms
         events = self.events
         wakeups = self.wakeups
+        armed = self.armed
         bits = self.sm_bits
         sm_mask = (1 << bits) - 1
         heappop = heapq.heappop
-        step = self._step
-        for sm in sms:
-            self._wake(sm, sm.next_action)
+        heappush = heapq.heappush
+        max_idle = self.params.max_idle_cycles
+        sms = [self._sm(sm_id) for sm_id in range(self.params.sm_count)]
+        steps = []
+        for sm_id, sm in enumerate(sms):
+            next(sm)
+            steps.append(sm.send)
+            heappush(wakeups, armed[sm_id])
         now = 0
         last_progress_count = -1
         last_progress_cycle = 0
@@ -590,33 +636,34 @@ class Simulation:
             self.now = now
             if events and events[0][0] <= now:
                 self._deliver_due(now)
-            # pop every SM due by now, skipping duplicate and stale entries
-            due = []
+            # heap order steps the SMs due now in ascending id order; an SM
+            # re-arms strictly after now, so no SM steps twice in a cycle
             limit = (now + 1) << bits
-            last = -1
             while wakeups and wakeups[0] < limit:
                 key = heappop(wakeups)
-                if key == last:
-                    continue
-                last = key
                 sm_id = key & sm_mask
-                if sms[sm_id].next_action == key >> bits:
-                    due.append(sm_id)
-            due.sort()
-            for sm_id in due:
-                step(sms[sm_id], now)
-            while wakeups and \
-                    sms[wakeups[0] & sm_mask].next_action != wakeups[0] >> bits:
+                if armed[sm_id] != key:
+                    continue
+                nxt = steps[sm_id](now)
+                if nxt == INF:
+                    armed[sm_id] = -1
+                else:
+                    key = nxt << bits | sm_id
+                    armed[sm_id] = key
+                    heappush(wakeups, key)
+            while wakeups and armed[wakeups[0] & sm_mask] != wakeups[0]:
                 heappop(wakeups)
             next_t = wakeups[0] >> bits if wakeups else INF
             if events and events[0][0] < next_t:
                 next_t = events[0][0]
-            if not self._active():
+            if not (self.live_warps or events or self.pending_assigned
+                    or self.pending_bounce_exec or self.assists_in_flight
+                    or self.max_busy_until > now):
                 break
             if self.retired != last_progress_count:
                 last_progress_count = self.retired
                 last_progress_cycle = now
-            elif now - last_progress_cycle > self.params.max_idle_cycles:
+            elif now - last_progress_cycle > max_idle:
                 raise SimulationError(
                     f"no progress since cycle {last_progress_cycle}: "
                     f"{self.retired}/{stats.total_ops} ops retired, "
@@ -632,14 +679,13 @@ class Simulation:
 
         stats.total_cycles = now
         for sm in sms:
-            self._accrue(sm, now)
+            sm.close()
         self._collect(stats)
-        if self.speculate or self.forwarding:
-            for sm in sms:
-                if sm.table is not None:
-                    sm.table.flush()
-            for at in self.assign_tables:
-                at.flush()
+        for table in self.tables:
+            if table is not None:
+                table.flush()
+        for at in self.assign_tables:
+            at.flush()
         stats.check_conservation()
         return stats, self.out
 
@@ -650,8 +696,8 @@ class Simulation:
         stats.l2_misses = self.hier.l2_misses
         stats.dram_accesses = self.hier.dram_accesses
         stats.noc_flit_hops = self.hier.noc_flit_hops
-        stats.precompute_accesses = sum(sm.table.accesses for sm in self.sms
-                                        if sm.table is not None)
+        stats.precompute_accesses = sum(t.accesses for t in self.tables
+                                        if t is not None)
         stats.assign_accesses = sum(at.accesses for at in self.assign_tables)
 
 

@@ -305,10 +305,12 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["--preset", "warp9", "--out", str(tmp_path / "o2")]) == 2
     assert "error:" in capsys.readouterr().err
 
-    # rejected before any simulation: a zero purge period used to hang and
-    # a negative DRAM latency used to report a shorter run
+    # rejected before any simulation: a zero purge period used to hang, a
+    # negative DRAM latency used to report a shorter run, and clusters left
+    # without SMs were still charged as tables
     for i, bad in enumerate(("l1.sets = 0", "intra.purge_period = 0",
-                             "lat.dram = -500")):
+                             "lat.dram = -500", "inter.clusters = 100",
+                             "inter.clusters = 3")):
         bad_cfg = write_config(tmp_path, write_workload(tmp_path), extra=(bad,))
         assert cli.main(["--config", str(bad_cfg), "--scheme", "all",
                          "--out", str(tmp_path / f"bad{i}")]) == 2

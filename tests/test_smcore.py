@@ -6,6 +6,7 @@ for one cycle, and a blocked miss attempt for one busy cycle before the warp
 parks until its fill lands.
 """
 
+import heapq
 import json
 import random
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 
 from opconv.cachehier import CacheGeometry
 from opconv.oracle import MemoryImage, compare, reference_convolution
-from opconv.smcore import SimParams, Simulation, SmCore, WarpContext, gto_select, run_simulation
+from opconv.smcore import SimParams, Simulation, WarpContext, gto_select, run_simulation
 from opconv.workload import (
     ConfigError,
     LayerSpec,
@@ -58,6 +59,14 @@ def test_simparams_validation():
         with pytest.raises(ConfigError, match=name):
             SimParams(**{name: -1})
         SimParams(**{name: 0})
+    # clusters that cluster_map would leave without SMs, under forwarding
+    for sms, clusters in ((56, 100), (56, 30), (4, 3), (16, 14)):
+        for scheme in ("inter", "both"):
+            with pytest.raises(ConfigError, match="clusters"):
+                SimParams(scheme=scheme, sm_count=sms, clusters=clusters)
+        SimParams(scheme="baseline", sm_count=sms, clusters=clusters)
+    for sms, clusters in ((56, 8), (56, 28), (56, 56), (4, 4), (1, 1)):
+        SimParams(scheme="both", sm_count=sms, clusters=clusters)
     assert SimParams().issue_cost == 4
     assert SimParams(warp_size=16, simt_width=8).issue_cost == 2
 
@@ -65,42 +74,50 @@ def test_simparams_validation():
 # ----------------------------------------------------------------- scheduler
 
 def test_gto_sticks_to_last_issued_then_oldest():
-    a = WarpContext(0, 0, [None])
-    b = WarpContext(1, 1, [None])
-    sm = SmCore(0, [a, b])
-    assert gto_select(sm) is a          # oldest first
-    sm.last_issued = b
-    assert gto_select(sm) is b          # greedy on the running warp
-    sm.block_warp(b, until=10)
-    assert gto_select(sm) is a          # falls back to oldest ready
-    sm.wake_due(10)
-    assert b.blocked_until == -1
-    assert gto_select(sm) is b          # greedy resumes after the wake
+    a, b, c = (WarpContext(i, i, [None]) for i in range(3))
+    ready = [a, b, c]
+    assert gto_select(ready, None) is a     # oldest first
+    assert gto_select(ready, b) is b        # greedy on the running warp
+    ready.remove(b)                         # b blocks on a miss
+    assert gto_select(ready, b) is a        # falls back to oldest ready
+    ready.append(b)                         # b's fill lands
+    assert gto_select(ready, b) is b        # greedy resumes after the wake
 
 
 def test_gto_selection_properties():
-    import random
+    # the SM loop's bookkeeping: ready warps in a list, blocked ones in a
+    # heap of (wake, age, warp), finished ones dropped
     rng = random.Random(41)
     warps = [WarpContext(i, i, [None] * rng.randint(1, 6)) for i in range(8)]
-    sm = SmCore(0, list(warps))
+    ready = list(warps)
+    blocked = []
+    last = None
     now = 0
-    while sm.unfinished:
-        sm.wake_due(now)
-        pick = gto_select(sm)
-        if pick is None:
-            now = sm.next_wake()
+    issued = 0
+    while ready or blocked:
+        while blocked and blocked[0][0] <= now:
+            ready.append(heapq.heappop(blocked)[2])
+        if not ready:
+            now = blocked[0][0]
             continue
-        last = sm.last_issued
-        if last is not None and last in sm.ready and not last.done():
+        pick = gto_select(ready, last)
+        assert pick in ready
+        if last is not None and last in ready:
             assert pick is last                       # greedy wins while ready
         else:
-            assert pick.age == min(w.age for w in sm.ready)
-        sm.last_issued = pick
+            assert pick.age == min(w.age for w in ready)
         if rng.random() < 0.4:
-            sm.block_warp(pick, until=now + rng.randint(1, 7))
+            ready.remove(pick)
+            heapq.heappush(blocked, (now + rng.randint(1, 7), pick.age, pick))
         else:
-            sm.retire_warp_op(pick)
+            last = pick
+            pick.pc += 1
+            issued += 1
+            if pick.done():
+                ready.remove(pick)
         now += 1
+    assert issued == sum(len(w.ops) for w in warps)
+    assert all(w.done() for w in warps)
 
 
 # ------------------------------------------------------------- issue timing
