@@ -91,9 +91,6 @@ class WarpContext:
     exec_pending: bool = False  # operands delivered, execute on next issue
     saw_miss: bool = False      # current op went through the miss path
 
-    def done(self):
-        return self.pc >= len(self.ops)
-
 
 _age = attrgetter("age")
 
@@ -425,7 +422,6 @@ class Simulation:
         ready = list(warps)   # neither blocked nor finished
         blocked = []          # heap of (wake cycle, age, warp)
         last = None           # last warp that issued without blocking
-        unfinished = len(warps)
         busy_until = 0
         assist_entry = None
         assist_until = INF
@@ -561,7 +557,6 @@ class Simulation:
                         # the op retired: memoized, forwarded or executed
                         warp.pc += 1
                         if warp.pc >= len(warp.ops):
-                            unfinished -= 1
                             ready.remove(warp)
                             self.live_warps -= 1
                         last = warp
@@ -595,7 +590,8 @@ class Simulation:
                         # zero latency finishes at once; step again next cycle
                         nxt = assist_until if assist_until > now else now + 1
                     else:
-                        state = STALLED if unfinished else IDLE
+                        # no ready warp: any unfinished warp is blocked
+                        state = STALLED if blocked else IDLE
                         nxt = blocked[0][0] if blocked else INF
                         if not spec_order and next_landing[sm_id] >= nxt:
                             # a purge of a table without speculation changes

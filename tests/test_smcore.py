@@ -113,11 +113,11 @@ def test_gto_selection_properties():
             last = pick
             pick.pc += 1
             issued += 1
-            if pick.done():
+            if pick.pc == len(pick.ops):
                 ready.remove(pick)
         now += 1
     assert issued == sum(len(w.ops) for w in warps)
-    assert all(w.done() for w in warps)
+    assert all(w.pc == len(w.ops) for w in warps)
 
 
 # ------------------------------------------------------------- issue timing
@@ -335,6 +335,15 @@ FINGERPRINT_CASES = {
     "forward_latency_1": (LayerSpec("fp_fwd1", 2, 4, 9, 9, 3, 3), 4096,
                           dict(sm_count=8, clusters=2, pc_entries=8,
                                at_entries=8, forward_latency=1)),
+    # a one-set L1 and bounces: fills land one cycle after a blocked issue
+    # while the warp waits for a later one, so that SM must still step then
+    "landing_after_block": (LayerSpec("fp_landing", 2, 5, 9, 9, 2, 2), 0,
+                            dict(sm_count=8, clusters=2, warp_size=8,
+                                 pc_entries=7, at_entries=8,
+                                 evict_scope="cluster", lat_l2=1, lat_dram=2,
+                                 assist_latency=10, forward_latency=4,
+                                 purge_period=5, pipeline_stages=0,
+                                 l1=CacheGeometry(256, 1, 2))),
 }
 
 
