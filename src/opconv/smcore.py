@@ -28,11 +28,12 @@ ends and its coroutine is closed.
 An SM is not woken when its step could change nothing:
 
 * After a blocked issue at cycle t the SM is busy through t + 1.  If at that
-  point no warp is ready, no blocked warp wakes, no purge falls due and no
-  fill lands by t + 1, and either an assist is already in flight or the
-  table has no assist to start, the step at t + 1 would only change the
-  SM's state.  The SM takes that state (ASSIST or STALLED) from t + 1 and
-  next wakes when its assist finishes or its first blocked warp wakes.
+  point no warp is ready, no blocked warp wakes and no fill lands by t + 1,
+  and either an assist is already in flight or the table has no assist to
+  start, the step at t + 1 would only change the SM's state.  The SM takes
+  that state (ASSIST or STALLED) from t + 1 and next wakes when its assist
+  finishes or its first blocked warp wakes, or at the next purge if that
+  comes first.
 * A stalled or idle SM with no assist in flight, no speculative table entry
   and no fill landing before its next wakeup skips purges: a purge of that
   table changes nothing, and the overdue purge slots are passed over at the
@@ -565,13 +566,14 @@ class Simulation:
                         # a blocked attempt holds issue for one cycle
                         busy_until = nxt = now + 1
                         if not ready and blocked[0][0] > nxt \
-                                and next_purge > nxt and next_landing[sm_id] > nxt:
-                            # the step at now + 1 could only change the state
+                                and next_landing[sm_id] > nxt:
+                            # the step at now + 1 could only change the
+                            # state; a warp whose fill lands before the
+                            # assist finishes waits for the assist
                             if assist_until != INF:
-                                if assist_until > nxt:
-                                    state = ASSIST
-                                    since = nxt
-                                    nxt = assist_until
+                                state = ASSIST
+                                since = nxt
+                                nxt = assist_until
                             elif table is None or next_assist() is None:
                                 state = STALLED
                                 since = nxt

@@ -344,6 +344,22 @@ FINGERPRINT_CASES = {
                                  assist_latency=10, forward_latency=4,
                                  purge_period=5, pipeline_stages=0,
                                  l1=CacheGeometry(256, 1, 2))),
+    # a three-cycle L1 hit, long assists and frequent purges: a warp can
+    # block while an assist runs and another warp wakes the next cycle
+    "assist_then_wake": (LayerSpec("fp_assist_wake", 1, 4, 7, 7, 2, 2), 4096,
+                         dict(sm_count=4, clusters=1, warp_size=8,
+                              pc_entries=8, at_entries=16, assist_latency=40,
+                              lat_l1=3, lat_l2=5, lat_dram=2, purge_period=3,
+                              l1=SMALL_L1)),
+    # zero-latency memory, one-cycle purges that empty the table and
+    # bounces: a purge slot an SM sleeps through must not be one at which
+    # its fill lands
+    "landing_at_purge": (LayerSpec("fp_purge_landing", 3, 5, 6, 6, 2, 2), 0,
+                         dict(sm_count=14, clusters=7, pc_entries=1,
+                              at_entries=60, lat_l1=0, lat_l2=0, lat_dram=0,
+                              assist_latency=3, forward_latency=2,
+                              purge_period=1, purge_fraction=1.0,
+                              l1=CacheGeometry(256, 1, 2))),
 }
 
 
