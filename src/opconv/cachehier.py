@@ -299,7 +299,7 @@ class MemoryHierarchy:
         self._note_install(sm_id, block)
         if victim is not None:
             self._note_evict(sm_id, victim)
-        mc = (block >> self.block_bits) % self.n_mcs  # home_mc
+        mc = self.home_mc(block)
         self.noc_flit_hops += self.rt_flit_hops[sm_id][mc]
         ready = now + self.rt_latency[sm_id][mc] + self.lat_l2
         if self.l2[mc].access(block)[0]:

@@ -365,9 +365,9 @@ class Simulation:
         if self.speculate:
             self._insert_predictions(table, entry.op, now)
 
-    def _check_invariants(self, table):
+    def _check_invariants(self, sm_id, table):
         if table is not None and len(table) > table.capacity:
-            raise AssertionError("precompute table over capacity")
+            raise AssertionError(f"SM {sm_id} precompute table over capacity")
         for at in self.assign_tables:
             if len(at) > at.capacity:
                 raise AssertionError(f"cluster {at.cluster_id} assign table over capacity")
@@ -464,7 +464,7 @@ class Simulation:
                     ready.append(heappop(blocked)[2])
 
                 if debug_invariants:
-                    self._check_invariants(table)
+                    self._check_invariants(sm_id, table)
 
                 if busy_until > now:
                     state = BUSY
