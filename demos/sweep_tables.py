@@ -2,13 +2,11 @@
 """Sweep table capacities across one workload and merge the reports.
 
 Uses the programmatic sweep API: one config per preset bundle, all sharing
-the same workload and seed, merged into a single report.csv.  With --jobs
-the configs run on worker threads; the merged rows are identical either
-way, which is what makes the sweep safe to parallelize.
+the same workload and seed, merged into a single report.csv.
 
 Usage:
     python3 demos/sweep_tables.py
-    python3 demos/sweep_tables.py --jobs 4 --out out/sweep_report.csv
+    python3 demos/sweep_tables.py --shrink 4 --out out/sweep_report.csv
 """
 
 import argparse
@@ -19,7 +17,6 @@ from opconv.cli import DEFAULTS, PRESETS, sweep
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="out/sweep_report.csv")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--shrink", type=int, default=2)
     ap.add_argument("--presets", nargs="*", default=[
         "intraSM_C1", "intraSM_C2", "interSM_C1", "interSM_C2",
@@ -31,10 +28,9 @@ def main():
         cfg = dict(DEFAULTS)
         cfg.update(PRESETS[name])
         cfg["workload.shrink"] = args.shrink
-        cfg["run.jobs"] = 1  # parallelism lives at the sweep level here
         configs.append(cfg)
 
-    rows, failures = sweep(configs, args.out, jobs=args.jobs, log=lambda _: None)
+    rows, failures = sweep(configs, args.out, log=lambda _: None)
     if failures:
         raise SystemExit("verification failed: " + "; ".join(failures))
 

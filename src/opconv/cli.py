@@ -16,66 +16,39 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import metrics, workload
 from .cachehier import CacheGeometry
 from .metrics import EnergyWeights
-from .oracle import MemoryImage, compare, reference_convolution
-from .smcore import SimParams, run_simulation
-from .workload import ConfigError
+from .oracle import ARITH_MODES, MemoryImage, compare, reference_convolution
+from .smcore import SCHEMES, SimParams, run_simulation
+from .workload import ConfigError, Knob, knobs
 
-DEFAULTS = {
-    "sm.count": 56,
-    "sm.warp_size": 32,
-    "sm.simt_width": 8,
-    "l1.kb": 16,
-    "l1.sets": 32,
-    "l1.ways": 4,
-    "l2.kb": 64,          # per memory controller slice
-    "l2.ways": 8,
-    "mem.mcs": 8,
-    "noc.mesh_w": 8,
-    "noc.mesh_h": 8,
-    "noc.channel_bits": 128,
-    "noc.flit_bytes": 16,
-    "noc.hop_cycles": 1,
-    "noc.pipeline_stages": 2,
-    "lat.l1": 1,
-    "lat.l2": 30,
-    "lat.dram": 120,
-    "layout.row_pitch": 4096,  # pitched input rows; 0 packs them
-    "layout.word_size": 4,
-    "intra.enabled": False,
-    "intra.table_entries": 256,
-    "intra.assist_latency": 4,
-    "intra.purge_period": 10000,
-    "intra.purge_fraction": 0.25,
-    "inter.enabled": False,
-    "inter.clusters": 8,
-    "inter.table_entries": 512,
-    "inter.forward_latency": 8,
-    "inter.evict_scope": "owner",
-    "workload.name": "lenet5",
-    "workload.shrink": 0,      # 0 = pick a sensible factor per workload
-    "workload.file": "",
-    "workload.passes": "forward",
-    "run.seed": 0,
-    "run.arith": "int32",
-    "run.verify": True,
-    "run.schemes": "",
-    "run.jobs": 1,
-    "run.max_idle": 1000000,
-    "run.debug_invariants": False,
-    "metrics.probe_availability": True,
-    "energy.l1": 1.0,
-    "energy.l2": 10.0,
-    "energy.dram": 100.0,
-    "energy.noc_flit_hop": 2.0,
-    "energy.table": 1.0,
-    "energy.mac": 1.0,
-    "energy.static": 0.01,
-}
+AUTO_SHRINK = {"lenet5": 2, "alexnet": 8, "custom": 1}
+
+# the keys cli reads itself; every other key is declared by the SimParams or
+# EnergyWeights field it sets
+CLI_KNOBS = (
+    Knob("l1.kb", 16, lo=1),
+    Knob("l1.sets", 32, lo=1),
+    Knob("l1.ways", 4, lo=1),
+    Knob("l2.kb", 64, lo=1),          # per memory controller slice
+    Knob("l2.ways", 8, lo=1),
+    Knob("layout.row_pitch", 4096, lo=0),  # pitched input rows; 0 packs them
+    Knob("workload.name", "lenet5", choices=tuple(AUTO_SHRINK)),
+    Knob("workload.shrink", 0, lo=0),      # 0 = pick a sensible factor per workload
+    Knob("workload.file", ""),
+    Knob("workload.passes", "forward", choices=("forward", "backward", "all")),
+    Knob("run.seed", 0),
+    Knob("run.arith", "int32", choices=ARITH_MODES),
+    Knob("run.verify", True),
+    Knob("run.schemes", "baseline"),
+)
+
+KNOBS = {k.key: k for k in CLI_KNOBS}
+KNOBS.update((k.key, k) for cls in (SimParams, EnergyWeights)
+             for _, k in knobs(cls) if k.key)
+DEFAULTS = {key: KNOBS[key].default for key in sorted(KNOBS)}
 
 # bundles matching the two table sizings used throughout the evaluation
 PRESETS = {
@@ -89,10 +62,6 @@ PRESETS = {
     "combined_C2": {"run.schemes": "both",
                     "intra.table_entries": 512, "inter.table_entries": 1024},
 }
-
-SCHEMES = ("baseline", "intra", "inter", "both")
-
-AUTO_SHRINK = {"lenet5": 2, "alexnet": 8, "custom": 1}
 
 
 def _coerce(key, text, where=""):
@@ -157,46 +126,23 @@ def resolve_config(args):
 
 
 def validate_config(cfg):
-    if cfg["noc.channel_bits"] != cfg["noc.flit_bytes"] * 8:
-        raise ConfigError("noc.channel_bits must equal noc.flit_bytes * 8")
-    if cfg["workload.name"] not in AUTO_SHRINK:
-        raise ConfigError(f"unknown workload {cfg['workload.name']!r}")
+    """Reject a bad config before any run; keys nothing declares are ignored."""
+    for key, k in KNOBS.items():
+        k.check(cfg[key], key)
     if cfg["workload.name"] == "custom" and not cfg["workload.file"]:
         raise ConfigError("workload.file is required for the custom workload")
-    if cfg["workload.passes"] not in ("forward", "backward", "all"):
-        raise ConfigError("workload.passes must be forward, backward or all")
-    if cfg["run.arith"] not in ("int32", "float32"):
-        raise ConfigError("run.arith must be int32 or float32")
-    if cfg["run.jobs"] < 1:
-        raise ConfigError("run.jobs must be >= 1")
-    for s in scheme_list(cfg):
-        if s not in SCHEMES:
-            raise ConfigError(f"unknown scheme {s!r}")
-        make_params(cfg, s)  # SimParams rejects a bad machine before any run
+    for s in ["baseline"] + scheme_list(cfg):
+        make_params(cfg, s)  # SimParams rejects a bad scheme or machine
 
 
 def scheme_list(cfg):
-    """Requested schemes, in run order."""
-    text = cfg["run.schemes"].strip()
-    if not text:
-        if cfg["intra.enabled"] and cfg["inter.enabled"]:
-            text = "both"
-        elif cfg["intra.enabled"]:
-            text = "intra"
-        elif cfg["inter.enabled"]:
-            text = "inter"
-        else:
-            text = "baseline"
-    seen = []
-    for s in text.split(","):
-        s = s.strip()
-        if s and s not in seen:
-            seen.append(s)
-    return seen
+    """Requested schemes, in request order, without repeats."""
+    return list(dict.fromkeys(
+        s.strip() for s in cfg["run.schemes"].split(",") if s.strip()))
 
 
 def config_echo(cfg):
-    return [f"{k} = {cfg[k]}" for k in sorted(cfg)]
+    return [f"{k} = {cfg[k]}" for k in DEFAULTS]
 
 
 def table_cfg_label(cfg, scheme):
@@ -253,40 +199,24 @@ def build_layers(cfg):
     return out
 
 
+def from_config(cls, cfg, **extra):
+    """A `cls` whose knob fields take their config keys' values."""
+    return cls(**{name: cfg[k.key] for name, k in knobs(cls) if k.key}, **extra)
+
+
+def l1_geometry(cfg):
+    return CacheGeometry(cfg["l1.kb"] * 1024, cfg["l1.sets"], cfg["l1.ways"])
+
+
 def make_params(cfg, scheme):
-    l1 = CacheGeometry(cfg["l1.kb"] * 1024, cfg["l1.sets"], cfg["l1.ways"])
+    l1 = l1_geometry(cfg)
     l2_sets = cfg["l2.kb"] * 1024 // (cfg["l2.ways"] * l1.block_size)
     l2 = CacheGeometry(cfg["l2.kb"] * 1024, l2_sets, cfg["l2.ways"])
-    return SimParams(
-        sm_count=cfg["sm.count"],
-        warp_size=cfg["sm.warp_size"],
-        simt_width=cfg["sm.simt_width"],
-        l1=l1, l2=l2,
-        mc_count=cfg["mem.mcs"],
-        mesh_w=cfg["noc.mesh_w"], mesh_h=cfg["noc.mesh_h"],
-        flit_bytes=cfg["noc.flit_bytes"],
-        hop_cycles=cfg["noc.hop_cycles"],
-        pipeline_stages=cfg["noc.pipeline_stages"],
-        lat_l1=cfg["lat.l1"], lat_l2=cfg["lat.l2"], lat_dram=cfg["lat.dram"],
-        scheme=scheme,
-        pc_entries=cfg["intra.table_entries"],
-        assist_latency=cfg["intra.assist_latency"],
-        purge_period=cfg["intra.purge_period"],
-        purge_fraction=cfg["intra.purge_fraction"],
-        at_entries=cfg["inter.table_entries"],
-        clusters=cfg["inter.clusters"],
-        forward_latency=cfg["inter.forward_latency"],
-        evict_scope=cfg["inter.evict_scope"],
-        probe_availability=cfg["metrics.probe_availability"],
-        debug_invariants=cfg["run.debug_invariants"],
-        max_idle_cycles=cfg["run.max_idle"],
-    )
+    return from_config(SimParams, cfg, l1=l1, l2=l2, scheme=scheme)
 
 
 def energy_weights(cfg):
-    return EnergyWeights(cfg["energy.l1"], cfg["energy.l2"], cfg["energy.dram"],
-                         cfg["energy.noc_flit_hop"], cfg["energy.table"],
-                         cfg["energy.mac"], cfg["energy.static"])
+    return from_config(EnergyWeights, cfg)
 
 
 class LayerRun:
@@ -320,31 +250,19 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
     """Run every layer under baseline plus the requested schemes.
 
     Returns (report_rows, counters, failures)."""
-    schemes = scheme_list(cfg)
-    if "baseline" not in schemes:
-        schemes = ["baseline"] + schemes
-    else:
-        schemes = ["baseline"] + [s for s in schemes if s != "baseline"]
+    schemes = ["baseline"] + [s for s in scheme_list(cfg) if s != "baseline"]
     layers = build_layers(cfg)
     runs = [LayerRun(cfg, layer) for layer in layers]
     weights = energy_weights(cfg)
-
-    work = [(lr, scheme) for lr in runs for scheme in schemes]
-    if cfg["run.jobs"] > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=cfg["run.jobs"]) as pool:
-            results = list(pool.map(lambda w: run_one(cfg, w[0], w[1]), work))
-    else:
-        results = [run_one(cfg, lr, scheme) for lr, scheme in work]
 
     rows = []
     counters = {}
     failures = []
     avail_rows = []
-    by_index = iter(results)
     for lr in runs:
         baseline_stats = None
         for scheme in schemes:
-            stats, res = next(by_index)
+            stats, res = run_one(cfg, lr, scheme)
             if scheme == "baseline":
                 baseline_stats = stats
                 avail_rows.append((lr.layer.name, stats.probe_misses,
@@ -376,8 +294,7 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
         with open(os.path.join(out_dir, "config.echo"), "w") as fh:
             fh.write("\n".join(echo) + "\n")
         if characterize:
-            block = CacheGeometry(cfg["l1.kb"] * 1024, cfg["l1.sets"],
-                                  cfg["l1.ways"]).block_size
+            block = l1_geometry(cfg).block_size
             for lr in runs:
                 _, buckets = workload.reuse_histogram(lr.ops, block)
                 path = os.path.join(out_dir, f"reuse_{lr.layer.name}.csv")
@@ -398,16 +315,14 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
 
 # keys that define the simulated workload; sweep members must agree on them
 _WORKLOAD_KEYS = ("workload.name", "workload.file", "workload.shrink",
-                  "workload.passes", "run.seed", "run.arith",
-                  "layout.row_pitch", "layout.word_size")
+                  "workload.passes", "run.seed", "run.arith", "layout.row_pitch")
 
 
-def sweep(configs, out_path, jobs=1, log=print):
+def sweep(configs, out_path, log=print):
     """Run several configs over one shared workload into one merged report.
 
     Rows are merged in config order, so paired scheme variants land next to
-    each other and the merge is deterministic regardless of `jobs`.  Returns
-    (merged report rows, verification failures)."""
+    each other.  Returns (merged report rows, verification failures)."""
     configs = list(configs)
     for i, cfg in enumerate(configs[1:], 1):
         diffs = [k for k in _WORKLOAD_KEYS if cfg[k] != configs[0][k]]
@@ -415,28 +330,15 @@ def sweep(configs, out_path, jobs=1, log=print):
             raise ConfigError(f"sweep config {i} changes the workload: "
                               + ", ".join(diffs))
 
-    logs = [[] for _ in configs]
-
-    def one(i):
-        rows, _counters, failures = run_experiment(
-            configs[i], out_dir=None, log=logs[i].append)
-        return rows, failures
-
-    if jobs > 1 and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, range(len(configs))))
-    else:
-        results = [one(i) for i in range(len(configs))]
-
     merged = []
     failures = []
     echo = []
-    for i, (rows, fails) in enumerate(results):
+    for i, cfg in enumerate(configs):
+        rows, _counters, fails = run_experiment(
+            cfg, out_dir=None, log=lambda line: log(f"[{i}] {line}"))
         merged.extend(rows)
         failures.extend(f"config {i}: {f}" for f in fails)
-        echo.extend(f"[{i}] {line}" for line in config_echo(configs[i]))
-        for line in logs[i]:
-            log(f"[{i}] {line}")
+        echo.extend(f"[{i}] {line}" for line in config_echo(cfg))
     if out_path:
         os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
         with open(out_path, "w") as fh:
@@ -449,7 +351,7 @@ def main(argv=None):
         prog="opconv",
         description="Cycle-approximate simulation of opportunistic "
                     "computation reuse and forwarding on a many-core GPU.")
-    ap.add_argument("--workload", choices=["lenet5", "alexnet", "custom"],
+    ap.add_argument("--workload", choices=list(AUTO_SHRINK),
                     help="layer set to simulate (default lenet5)")
     ap.add_argument("--scheme", choices=list(SCHEMES) + ["all"],
                     help="scheme to evaluate; 'all' runs every scheme")

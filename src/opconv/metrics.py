@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
+from .workload import check_knobs, knob
+
 
 @dataclass
 class SimStats:
@@ -74,13 +76,16 @@ class SimStats:
 class EnergyWeights:
     """Relative event costs; absolute units are arbitrary."""
 
-    l1_access: float = 1.0
-    l2_access: float = 10.0
-    dram_access: float = 100.0
-    noc_flit_hop: float = 2.0
-    table_access: float = 1.0
-    mac_op: float = 1.0
-    table_static_per_cycle: float = 0.01
+    l1_access: float = knob("energy.l1", 1.0, lo=0.0)
+    l2_access: float = knob("energy.l2", 10.0, lo=0.0)
+    dram_access: float = knob("energy.dram", 100.0, lo=0.0)
+    noc_flit_hop: float = knob("energy.noc_flit_hop", 2.0, lo=0.0)
+    table_access: float = knob("energy.table", 1.0, lo=0.0)
+    mac_op: float = knob("energy.mac", 1.0, lo=0.0)
+    table_static_per_cycle: float = knob("energy.static", 0.01, lo=0.0)
+
+    def __post_init__(self):
+        check_knobs(self)
 
 
 def energy(stats, weights=EnergyWeights()):

@@ -14,6 +14,8 @@ from operator import mul
 
 from .workload import ConfigError, Pass
 
+ARITH_MODES = ("int32", "float32")
+
 
 class MemoryImage:
     """Operand values addressed exactly like the simulated tensor regions.
@@ -24,7 +26,7 @@ class MemoryImage:
     """
 
     def __init__(self, geom, seed=0, mode="int32"):
-        if mode not in ("int32", "float32"):
+        if mode not in ARITH_MODES:
             raise ConfigError(f"unknown arithmetic mode {mode!r}")
         self.geom = geom
         self.mode = mode

@@ -55,7 +55,7 @@ from . import intra as intra_mod
 from . import inter as inter_mod
 from .cachehier import CacheGeometry, MemoryHierarchy, NocModel
 from .metrics import SimStats
-from .workload import ConfigError
+from .workload import ConfigError, check_knobs, knob
 
 INF = float("inf")
 
@@ -106,52 +106,50 @@ def gto_select(ready, last):
     return min(ready, key=_age)
 
 
+SCHEMES = ("baseline", "intra", "inter", "both")
+
+
 @dataclass
 class SimParams:
-    """Hardware and scheme knobs for one simulation run."""
+    """Hardware and scheme knobs for one simulation run.
 
-    sm_count: int = 56
-    warp_size: int = 32
-    simt_width: int = 8
+    Each knob field is the one declaration of its config key, default and
+    bounds; `cli` derives its defaults, validation and echo from them."""
+
+    sm_count: int = knob("sm.count", 56, lo=1)
+    warp_size: int = knob("sm.warp_size", 32, lo=1)
+    simt_width: int = knob("sm.simt_width", 8, lo=1)
+    # written again as cli's l1.* / l2.* keys, which make_params turns into these
     l1: CacheGeometry = field(default_factory=lambda: CacheGeometry(16 * 1024, 32, 4))
     l2: CacheGeometry = field(default_factory=lambda: CacheGeometry(64 * 1024, 64, 8))
-    mc_count: int = 8
-    mesh_w: int = 8
-    mesh_h: int = 8
-    flit_bytes: int = 16
-    hop_cycles: int = 1
-    pipeline_stages: int = 2
-    lat_l1: int = 1
-    lat_l2: int = 30
-    lat_dram: int = 120
-    scheme: str = "baseline"   # baseline | intra | inter | both
-    pc_entries: int = 256
-    assist_latency: int = 4
-    purge_period: int = 10000
-    purge_fraction: float = 0.25
-    at_entries: int = 512
-    clusters: int = 8
-    forward_latency: int = 8
-    evict_scope: str = "owner"
-    probe_availability: bool = True
-    debug_invariants: bool = False
-    max_idle_cycles: int = 1_000_000
+    mc_count: int = knob("mem.mcs", 8, lo=1)
+    mesh_w: int = knob("noc.mesh_w", 8, lo=1)
+    mesh_h: int = knob("noc.mesh_h", 8, lo=1)
+    flit_bytes: int = knob("noc.flit_bytes", 16, lo=1)
+    hop_cycles: int = knob("noc.hop_cycles", 1, lo=0)
+    pipeline_stages: int = knob("noc.pipeline_stages", 2, lo=0)
+    lat_l1: int = knob("lat.l1", 1, lo=0)
+    lat_l2: int = knob("lat.l2", 30, lo=0)
+    lat_dram: int = knob("lat.dram", 120, lo=0)
+    scheme: str = knob(None, "baseline", choices=SCHEMES)
+    pc_entries: int = knob("intra.table_entries", 256, lo=1)
+    assist_latency: int = knob("intra.assist_latency", 4, lo=0)
+    # a zero period never advances the next purge, so the run would hang
+    purge_period: int = knob("intra.purge_period", 10000, lo=1)
+    purge_fraction: float = knob("intra.purge_fraction", 0.25, lo=0.0, hi=1.0)
+    at_entries: int = knob("inter.table_entries", 512, lo=1)
+    clusters: int = knob("inter.clusters", 8, lo=1)
+    forward_latency: int = knob("inter.forward_latency", 8, lo=0)
+    evict_scope: str = knob("inter.evict_scope", "owner",
+                            choices=("owner", "cluster"))
+    probe_availability: bool = knob("metrics.probe_availability", True)
+    debug_invariants: bool = knob("run.debug_invariants", False)
+    max_idle_cycles: int = knob("run.max_idle", 1_000_000, lo=1)
 
     def __post_init__(self):
-        if self.scheme not in ("baseline", "intra", "inter", "both"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
+        check_knobs(self)
         if self.warp_size % self.simt_width:
             raise ConfigError("warp_size must be a multiple of simt_width")
-        if self.evict_scope not in ("owner", "cluster"):
-            raise ConfigError("evict_scope must be owner or cluster")
-        if not 0.0 <= self.purge_fraction <= 1.0:
-            raise ConfigError("purge_fraction must lie in [0, 1]")
-        if self.purge_period < 1:
-            raise ConfigError("purge_period must be at least 1 cycle")
-        for name in ("lat_l1", "lat_l2", "lat_dram", "assist_latency",
-                     "forward_latency", "hop_cycles", "pipeline_stages"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must not be negative")
         if self.scheme in ("inter", "both"):
             # a cluster that cluster_map leaves without SMs would still be
             # charged as a table

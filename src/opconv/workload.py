@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 WORD_SIZE = 4
@@ -26,6 +26,44 @@ REGION_SPAN = 0x4000_0000
 
 class ConfigError(ValueError):
     """Inconsistent layer dimensions or configuration values."""
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One config key with its default and its bounds or allowed values."""
+
+    key: str | None     # dotted config key; None for a field no key sets
+    default: object
+    lo: object = None
+    hi: object = None
+    choices: tuple = ()
+
+    def check(self, value, what):
+        if self.choices and value not in self.choices:
+            raise ConfigError(f"{what} must be one of {', '.join(self.choices)}, "
+                              f"got {value!r}")
+        if self.lo is not None and not value >= self.lo:  # rejects NaN too
+            raise ConfigError(f"{what} must be at least {self.lo}, got {value!r}")
+        if self.hi is not None and not value <= self.hi:
+            raise ConfigError(f"{what} must be at most {self.hi}, got {value!r}")
+
+
+def knob(key, default, lo=None, hi=None, choices=()):
+    """A dataclass field that is also the declaration of config key `key`."""
+    return field(default=default,
+                 metadata={"knob": Knob(key, default, lo, hi, tuple(choices))})
+
+
+def knobs(cls):
+    """(field name, Knob) for every knob field of dataclass `cls`."""
+    return [(f.name, f.metadata["knob"]) for f in fields(cls)
+            if "knob" in f.metadata]
+
+
+def check_knobs(obj):
+    """Raise ConfigError, naming field and key, for a knob out of bounds."""
+    for name, k in knobs(type(obj)):
+        k.check(getattr(obj, name), f"{name} ({k.key})" if k.key else name)
 
 
 class Pass(str, Enum):

@@ -2,11 +2,14 @@
 
 import argparse
 import json
+import re
 
 import pytest
 
 from opconv import cli
+from opconv.metrics import EnergyWeights
 from opconv.oracle import CompareResult
+from opconv.smcore import SimParams
 from opconv.workload import ConfigError, Pass
 
 
@@ -89,9 +92,6 @@ def test_scheme_flag_and_derivation():
     assert cli.scheme_list(cfg) == ["baseline"]
     cfg["run.schemes"] = "intra, baseline, intra"
     assert cli.scheme_list(cfg) == ["intra", "baseline"]
-    cfg["run.schemes"] = ""
-    cfg["inter.enabled"] = True
-    assert cli.scheme_list(cfg) == ["inter"]
 
 
 def test_validate_config_rejections():
@@ -101,17 +101,41 @@ def test_validate_config_rejections():
         return cfg
 
     for bad in (
-        broken(**{"noc.channel_bits": 64}),
         broken(**{"workload.name": "resnet"}),
         broken(**{"workload.name": "custom"}),        # no file given
         broken(**{"workload.passes": "sideways"}),
         broken(**{"run.arith": "int8"}),
-        broken(**{"run.jobs": 0}),
         broken(**{"run.schemes": "baseline,warp"}),
     ):
         with pytest.raises(ConfigError):
             cli.validate_config(bad)
     cli.validate_config(dict(cli.DEFAULTS))
+
+
+def test_every_declared_bound_is_enforced():
+    # driven by the declarations, so a knob added later is covered too
+    checked = 0
+    for key, knob in cli.KNOBS.items():
+        bad = []
+        if knob.lo is not None:
+            bad.append(knob.lo - 1)
+        if knob.hi is not None:
+            bad.append(knob.hi + 1)
+        if knob.choices:
+            bad.append("no-such-choice")
+        for value in bad:
+            cfg = dict(cli.DEFAULTS)
+            cfg[key] = value
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                cli.validate_config(cfg)
+            checked += 1
+    assert checked >= 30
+
+
+def test_library_and_cli_default_machines_agree():
+    for scheme in cli.SCHEMES:
+        assert cli.make_params(cli.DEFAULTS, scheme) == SimParams(scheme=scheme)
+    assert cli.energy_weights(cli.DEFAULTS) == EnergyWeights()
 
 
 def test_table_cfg_labels():
@@ -202,20 +226,6 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
-def test_parallel_jobs_match_serial_results(tmp_path):
-    serial = experiment_cfg(tmp_path)
-    parallel = experiment_cfg(tmp_path, extra=("run.jobs = 2",))
-    cli.run_experiment(serial, str(tmp_path / "s"), log=lambda _line: None)
-    cli.run_experiment(parallel, str(tmp_path / "p"), log=lambda _line: None)
-    # the embedded config echo differs in run.jobs; the measurements must not
-    def data_rows(d):
-        return [l for l in (d / "report.csv").read_text().splitlines()
-                if not l.startswith("#")]
-    assert data_rows(tmp_path / "s") == data_rows(tmp_path / "p")
-    assert (tmp_path / "s" / "counters.json").read_bytes() == \
-        (tmp_path / "p" / "counters.json").read_bytes()
-
-
 def test_characterize_writes_reuse_and_availability(tmp_path):
     cfg = experiment_cfg(tmp_path)
     cfg["run.schemes"] = "baseline"
@@ -235,6 +245,8 @@ def test_characterize_writes_reuse_and_availability(tmp_path):
 
 def test_report_header_reproduces_run(tmp_path):
     cfg = experiment_cfg(tmp_path)
+    cfg["sweep.label"] = "a"   # a key nothing declares is ignored
+    cli.validate_config(cfg)
     first = tmp_path / "first"
     cli.run_experiment(cfg, str(first), log=lambda _line: None)
     report = (first / "report.csv").read_text()
@@ -272,20 +284,6 @@ def test_sweep_empty_writes_bare_report(tmp_path):
     assert out.read_text().strip() == ",".join(cli.metrics.REPORT_COLUMNS)
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    cfg_path = write_config(tmp_path, write_workload(tmp_path))
-    presets = ["baseline", "intraSM_C1", "interSM_C1", "combined_C1"]
-
-    def run(jobs, name):
-        cfgs = [cli.resolve_config(make_args(config=str(cfg_path), preset=p))
-                for p in presets]
-        out = tmp_path / name
-        cli.sweep(cfgs, str(out), jobs=jobs, log=lambda _line: None)
-        return out.read_bytes()
-
-    assert run(1, "serial.csv") == run(4, "threaded.csv")
-
-
 def test_sweep_refuses_mixed_workloads(tmp_path):
     cfg_path = write_config(tmp_path, write_workload(tmp_path))
     a = cli.resolve_config(make_args(config=str(cfg_path)))
@@ -306,11 +304,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
     # rejected before any simulation: a zero purge period used to hang, a
-    # negative DRAM latency used to report a shorter run, and clusters left
-    # without SMs were still charged as tables
+    # negative DRAM latency used to report a shorter run, clusters left
+    # without SMs were still charged as tables, a zero SIMT width or MC count
+    # divided by zero, a zero-entry assign table failed mid-run and a
+    # negative idle bound failed only after simulating
     for i, bad in enumerate(("l1.sets = 0", "intra.purge_period = 0",
                              "lat.dram = -500", "inter.clusters = 100",
-                             "inter.clusters = 3")):
+                             "inter.clusters = 3", "sm.simt_width = 0",
+                             "mem.mcs = 0", "inter.table_entries = 0",
+                             "intra.table_entries = -1", "run.max_idle = -1",
+                             "energy.dram = -5")):
         bad_cfg = write_config(tmp_path, write_workload(tmp_path), extra=(bad,))
         assert cli.main(["--config", str(bad_cfg), "--scheme", "all",
                          "--out", str(tmp_path / f"bad{i}")]) == 2
