@@ -14,7 +14,6 @@ from .workload import (
     LayerGeometry,
     LayerSpec,
     Pass,
-    Region,
     TensorLayout,
     VectorMacOp,
     WarpProgram,
@@ -63,7 +62,7 @@ __all__ = [
     "AssignTable", "CacheGeometry", "ConfigError", "DEFAULTS",
     "EnergyWeights", "LayerGeometry", "LayerSpec", "LruCache",
     "MemoryHierarchy", "MemoryImage", "NocModel", "OutputBuffer", "PRESETS",
-    "Pass", "PrecomputeTable", "Region", "SimParams", "SimStats",
+    "Pass", "PrecomputeTable", "SimParams", "SimStats",
     "Simulation", "SimulationError", "TensorLayout", "VectorMacOp",
     "WarpProgram", "alexnet_conv_layers", "backward_specs", "block_pair_of",
     "build_layers", "cluster_map", "compare", "computation_distribution",

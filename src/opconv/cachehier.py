@@ -6,6 +6,12 @@ state is updated at access time (victim selected immediately); the fill
 latency only delays the consuming warp.  Evictions are reported through
 listener callbacks so the scheme tables can invalidate dependent entries in
 the same cycle.
+
+A fill has landed once the cycle passed in is at or past its ready cycle.
+Every method that reads fill state takes that cycle and decides landing
+itself, dropping landed fills as it goes, so whether a block is still in
+flight depends on simulated time alone and never on when a caller last
+looked.  The cycles passed for one SM never decrease.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ class LruCache:
     hit moves its block to the end and the victim is the first block."""
 
     def __init__(self, geometry):
-        self.geometry = geometry
         self.block_bits = geometry.block_size.bit_length() - 1
         self.offset_mask = geometry.block_size - 1
         self.n_sets = geometry.sets
@@ -170,8 +175,6 @@ class MemoryHierarchy:
 
     def __init__(self, n_sms, l1_geom, l2_geom, n_mcs, noc, latencies,
                  sm_nodes=None, mc_nodes=None):
-        self.n_sms = n_sms
-        self.l1_geom = l1_geom
         self.block_size = l1_geom.block_size
         if l2_geom.block_size != l1_geom.block_size:
             raise ConfigError("L1 and L2 block sizes must match")
@@ -194,8 +197,10 @@ class MemoryHierarchy:
                               for m in mc_nodes] for s in sm_nodes]
         # block -> count of SMs with an installed copy, for O(1) probing
         self.holders = {}
-        self.in_flight = [dict() for _ in range(n_sms)]  # block -> ready cycle
-        self.next_landing = [INF] * n_sms  # earliest ready cycle in in_flight
+        # per SM, fills not yet seen to land (block -> ready cycle) and the
+        # earliest of their ready cycles; read through _in_flight_at
+        self._in_flight = [dict() for _ in range(n_sms)]
+        self._next_landing = [INF] * n_sms
         self.evict_listeners = []
         self.install_listeners = []
         # counters
@@ -225,9 +230,10 @@ class MemoryHierarchy:
             n -= 1
         return n > 0
 
-    def resident_for_compute(self, sm_id, block):
-        """Installed and not still in flight; what an assistant may read."""
-        return self.l1[sm_id].contains(block) and block not in self.in_flight[sm_id]
+    def resident_for_compute(self, sm_id, block, now):
+        """Installed and landed by now; what an assistant may read."""
+        return (self.l1[sm_id].contains(block)
+                and block not in self._in_flight_at(sm_id, now))
 
     def _note_install(self, sm_id, block):
         self.holders[block] = self.holders.get(block, 0) + 1
@@ -253,27 +259,27 @@ class MemoryHierarchy:
         # aligned so taking it modulo a power-of-two MC count would be constant
         return (block >> self.block_bits) % self.n_mcs
 
-    def l1_lookup(self, sm_id, block):
-        """Recency-updating L1 lookup.
+    def l1_lookup(self, sm_id, block, now):
+        """Recency-updating L1 lookup at cycle now.
 
         Returns (hit, wait_until): a hit on a block whose fill is still in
         flight reports the fill's ready cycle so the requester coalesces."""
         hit = self.l1[sm_id].touch(block)
         if hit:
-            return True, self.in_flight[sm_id].get(block)
+            return True, self._in_flight_at(sm_id, now).get(block)
         return False, None
 
-    def l1_lookup_pair(self, sm_id, a, b):
+    def l1_lookup_pair(self, sm_id, a, b, now):
         """Recency-updating L1 lookups of an op's two operand blocks, a first.
 
         Returns (missing, wait): the blocks that missed, in lookup order, and
-        the latest ready cycle of a hit block whose fill is still in flight,
-        or 0 if there is none (a fill is never ready before cycle 1)."""
+        the latest ready cycle of a hit block whose fill is still in flight
+        at now, or 0 if there is none (a fill is never ready before cycle 1)."""
         l1 = self.l1[sm_id]
         hit_a = l1.touch(a)
         hit_b = l1.touch(b)
         wait = 0
-        inflight = self.in_flight[sm_id]
+        inflight = self._in_flight_at(sm_id, now)
         if inflight:
             if hit_a:
                 wait = inflight.get(a, 0)
@@ -286,12 +292,13 @@ class MemoryHierarchy:
         return ((a,) if hit_b else (a, b)), wait
 
     def fill(self, sm_id, block, now):
-        """Start (or join) a fill of block into sm_id's L1.
+        """Start a fill of block into sm_id's L1 at cycle now, or join one
+        still in flight.
 
         Installs the block immediately, charges L2/NoC/DRAM counters, and
         returns the cycle at which the data is usable: a round trip to the
         block's home L2 slice, and to DRAM beyond it on an L2 miss."""
-        inflight = self.in_flight[sm_id]
+        inflight = self._in_flight_at(sm_id, now)
         pending = inflight.get(block)
         if pending is not None:
             return pending
@@ -309,22 +316,23 @@ class MemoryHierarchy:
             self.dram_accesses += 1
             ready += self.lat_dram
         inflight[block] = ready
-        if ready < self.next_landing[sm_id]:
-            self.next_landing[sm_id] = ready
+        if ready < self._next_landing[sm_id]:
+            self._next_landing[sm_id] = ready
         return ready
 
-    def expire_fills(self, sm_id, now):
-        """Drop bookkeeping for fills that have landed."""
-        if now < self.next_landing[sm_id]:
-            return
-        inflight = self.in_flight[sm_id]
-        pending = INF
-        for b, ready in list(inflight.items()):
-            if ready <= now:
-                del inflight[b]
-            elif ready < pending:
-                pending = ready
-        self.next_landing[sm_id] = pending
+    def _in_flight_at(self, sm_id, now):
+        """The SM's fills still in flight at now, block -> ready cycle; the
+        fills that have landed by now are dropped first."""
+        inflight = self._in_flight[sm_id]
+        if now >= self._next_landing[sm_id]:
+            pending = INF
+            for b, ready in list(inflight.items()):
+                if ready <= now:
+                    del inflight[b]
+                elif ready < pending:
+                    pending = ready
+            self._next_landing[sm_id] = pending
+        return inflight
 
     def warm(self, sm_id, addrs):
         """Preload blocks into an L1 without touching any counter (tests, demos)."""

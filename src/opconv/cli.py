@@ -6,7 +6,10 @@ layers, runs each under the requested schemes with a baseline run first for
 normalization, verifies every output against the reference convolution, and
 writes report.csv / counters.json / config.echo into the output directory.
 
-Exit status is 0 only if every run completed and every verification passed.
+Exit status is 0 only if every run completed and every verification passed;
+1 if a verification failed, 2 on a configuration error, and 3 if a
+simulation stopped without finishing (a `SimulationError`, such as the
+`run.max_idle` watchdog firing).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from . import metrics, workload
 from .cachehier import CacheGeometry
 from .metrics import EnergyWeights
 from .oracle import ARITH_MODES, MemoryImage, compare, reference_convolution
-from .smcore import SCHEMES, SimParams, run_simulation
+from .smcore import SCHEMES, SimParams, SimulationError, run_simulation
 from .workload import ConfigError, Knob, knobs
 
 AUTO_SHRINK = {"lenet5": 2, "alexnet": 8, "custom": 1}
@@ -204,14 +207,25 @@ def from_config(cls, cfg, **extra):
     return cls(**{name: cfg[k.key] for name, k in knobs(cls) if k.key}, **extra)
 
 
+def _cache_geometry(keys, capacity_bytes, sets, ways):
+    """CacheGeometry whose errors name the config keys it was built from."""
+    try:
+        return CacheGeometry(capacity_bytes, sets, ways)
+    except ConfigError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
 def l1_geometry(cfg):
-    return CacheGeometry(cfg["l1.kb"] * 1024, cfg["l1.sets"], cfg["l1.ways"])
+    return _cache_geometry("l1.kb/l1.sets/l1.ways", cfg["l1.kb"] * 1024,
+                           cfg["l1.sets"], cfg["l1.ways"])
 
 
 def make_params(cfg, scheme):
     l1 = l1_geometry(cfg)
+    # L2 slices share L1's block size, so their set count is derived
     l2_sets = cfg["l2.kb"] * 1024 // (cfg["l2.ways"] * l1.block_size)
-    l2 = CacheGeometry(cfg["l2.kb"] * 1024, l2_sets, cfg["l2.ways"])
+    l2 = _cache_geometry("l2.kb/l2.ways", cfg["l2.kb"] * 1024, l2_sets,
+                         cfg["l2.ways"])
     return from_config(SimParams, cfg, l1=l1, l2=l2, scheme=scheme)
 
 
@@ -374,6 +388,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SimulationError as exc:
+        print(f"error: simulation stopped: {exc}", file=sys.stderr)
+        return 3
     if failures:
         for f in failures:
             print(f"verification failed: {f}", file=sys.stderr)

@@ -54,7 +54,6 @@ class PrecomputeEntry:
     blocks: tuple        # operand cache blocks of the pair
     length: int
     kind: int            # SPECULATIVE or ASSIGNED
-    inserted_at: int
     seq: int
     complete: bool = False
     result: object = None
@@ -70,7 +69,9 @@ class PrecomputeTable:
     def __init__(self, capacity, block_size, resident_fn):
         self.capacity = capacity
         self.block_mask = ~(block_size - 1)
-        self.resident_fn = resident_fn  # block -> bool, no cache side effects
+        # block -> bool: installed and landed at the current cycle; no cache
+        # side effects
+        self.resident_fn = resident_fn
         self.entries = {}               # key -> entry
         self.spec_order = {}            # seq -> entry, insertion ordered
         self.assigned_order = {}        # seq -> entry, insertion ordered
@@ -152,7 +153,7 @@ class PrecomputeTable:
         self._remove(entry)
         return "pending", None
 
-    def insert_prediction(self, key, length, now):
+    def insert_prediction(self, key, length):
         """Queue a predicted pair.  Returns accepted | duplicate | rejected."""
         self.accesses += 1
         if key in self.entries:
@@ -161,7 +162,7 @@ class PrecomputeTable:
         if len(self.entries) >= self.capacity and not self._evict_oldest_spec():
             return "rejected"
         blocks = self._blocks_of(key)
-        entry = PrecomputeEntry(key, blocks, length, SPECULATIVE, now, self.seq)
+        entry = PrecomputeEntry(key, blocks, length, SPECULATIVE, self.seq)
         self.seq += 1
         entry.res_mask = self._mask_of(blocks)
         self.entries[key] = entry
@@ -171,7 +172,7 @@ class PrecomputeTable:
         self.inserts += 1
         return "accepted"
 
-    def stage_assigned(self, key, op, src_sm, now):
+    def stage_assigned(self, key, op, src_sm):
         """Stage a computation forwarded from src_sm.
 
         Returns (status, payload): ("memo", result) when a completed
@@ -189,7 +190,7 @@ class PrecomputeTable:
         if len(self.entries) >= self.capacity and not self._evict_oldest_spec():
             return "full", None
         blocks = self._blocks_of(key)
-        entry = PrecomputeEntry(key, blocks, op.length, ASSIGNED, now, self.seq,
+        entry = PrecomputeEntry(key, blocks, op.length, ASSIGNED, self.seq,
                                 op=op, src_sm=src_sm)
         self.seq += 1
         entry.res_mask = 3  # both operands were resident when forwarded here

@@ -28,27 +28,20 @@ ends and its coroutine is closed.
 An SM is not woken when its step could change nothing:
 
 * After a blocked issue at cycle t the SM is busy through t + 1.  If at that
-  point no warp is ready, no blocked warp wakes and no fill lands by t + 1,
-  and either an assist is already in flight or the table has no assist to
-  start, the step at t + 1 would only change the SM's state.  The SM takes
-  that state (ASSIST or STALLED) from t + 1 and next wakes when its assist
-  finishes or its first blocked warp wakes, or at the next purge if that
-  comes first.
-* A stalled or idle SM with no assist in flight, no speculative table entry
-  and no fill landing before its next wakeup skips purges: a purge of that
-  table changes nothing, and the overdue purge slots are passed over at the
-  SM's next step.
-
-Both rules keep every counter exact: a fill that landed stays booked as in
-flight until its SM next steps, so a skipped step must not be one at which a
-fill lands.
+  point no warp is ready, no blocked warp wakes by t + 1, and either an
+  assist is already in flight or the table has no assist to start, the step
+  at t + 1 would only change the SM's state.  The SM takes that state
+  (ASSIST or STALLED) from t + 1 and next wakes when its assist finishes or
+  its first blocked warp wakes, or at the next purge if that comes first.
+* A stalled or idle SM with no assist in flight and no speculative table
+  entry skips purges: a purge of that table changes nothing, and the overdue
+  purge slots are passed over at the SM's next step.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import partial
 from operator import attrgetter
 
 from . import intra as intra_mod
@@ -78,9 +71,6 @@ class OutputBuffer:
     def add(self, addr, value):
         self.values[addr] = self.values.get(addr, 0) + value
         self.adds += 1
-
-    def total_adds(self):
-        return self.adds
 
 
 @dataclass(slots=True, eq=False)
@@ -142,7 +132,6 @@ class SimParams:
     forward_latency: int = knob("inter.forward_latency", 8, lo=0)
     evict_scope: str = knob("inter.evict_scope", "owner",
                             choices=("owner", "cluster"))
-    probe_availability: bool = knob("metrics.probe_availability", True)
     debug_invariants: bool = knob("run.debug_invariants", False)
     max_idle_cycles: int = knob("run.max_idle", 1_000_000, lo=1)
 
@@ -238,7 +227,8 @@ class Simulation:
     # ---- listeners -------------------------------------------------------
 
     def _resident_fn(self, sm_id):
-        return partial(self.hier.resident_for_compute, sm_id)
+        resident = self.hier.resident_for_compute
+        return lambda block: resident(sm_id, block, self.now)
 
     def _on_install(self, sm_id, block):
         self.tables[sm_id].block_installed(block)
@@ -291,21 +281,20 @@ class Simulation:
         key = (op.input_vec_addr, op.weight_vec_addr)
         table = self.tables[owner]
         hier = self.hier
-        hier.expire_fills(owner, now)
         ib = op.input_vec_addr & self.block_mask
         wb = op.weight_vec_addr & self.block_mask
-        if not (hier.resident_for_compute(owner, ib)
-                and hier.resident_for_compute(owner, wb)):
+        if not (hier.resident_for_compute(owner, ib, now)
+                and hier.resident_for_compute(owner, wb, now)):
             self._bounce(op, src, owner, now)
             return
-        status, payload = table.stage_assigned(key, op, src, now)
+        status, payload = table.stage_assigned(key, op, src)
         if status == "memo":
             self.out.add(op.output_addr, payload)
             self.stats.assigned_done += 1
             self.stats.forward_memo_hits += 1
             self.retired += 1
             if self.speculate:
-                self._insert_predictions(table, op, now)
+                self._insert_predictions(table, op)
         elif status == "staged":
             self.pending_assigned += 1
         else:  # full
@@ -322,7 +311,7 @@ class Simulation:
         ready = now + self.params.lat_l1
         for addr in (op.input_vec_addr, op.weight_vec_addr):
             block = addr & self.block_mask
-            hit, wait = self.hier.l1_lookup(src, block)
+            hit, wait = self.hier.l1_lookup(src, block, now)
             if hit:
                 if wait is not None:
                     ready = max(ready, wait)
@@ -349,19 +338,19 @@ class Simulation:
 
     # ---- table work off the common path ----------------------------------
 
-    def _insert_predictions(self, table, op, now):
+    def _insert_predictions(self, table, op):
         for pair in intra_mod.predict(op, self.geom):
-            if table.insert_prediction(pair, op.length, now) == "accepted":
+            if table.insert_prediction(pair, op.length) == "accepted":
                 self.stats.predictions_made += 1
 
-    def _assigned_done(self, table, entry, value, now):
+    def _assigned_done(self, table, entry, value):
         """An assist finished a computation forwarded by another SM."""
         self.out.add(entry.op.output_addr, value)
         self.stats.assigned_done += 1
         self.pending_assigned -= 1
         self.retired += 1
         if self.speculate:
-            self._insert_predictions(table, entry.op, now)
+            self._insert_predictions(table, entry.op)
 
     def _check_invariants(self, sm_id, table):
         if table is not None and len(table) > table.capacity:
@@ -384,8 +373,6 @@ class Simulation:
         out = self.out
         values = out.values
         hier = self.hier
-        next_landing = hier.next_landing
-        expire_fills = hier.expire_fills
         lookup_pair = hier.l1_lookup_pair
         fill = hier.fill
         probe_sm = hier.probe_sm
@@ -398,7 +385,6 @@ class Simulation:
         purge_period = p.purge_period
         purge_fraction = p.purge_fraction
         debug_invariants = p.debug_invariants
-        probe = p.probe_availability
         block_mask = self.block_mask
         speculate = self.speculate
         predict = intra_mod.predict
@@ -437,8 +423,6 @@ class Simulation:
                 elif state == ASSIST:
                     stats.assist_cycles += now - since
                 since = now
-                if now >= next_landing[sm_id]:
-                    expire_fills(sm_id, now)
 
                 if assist_until <= now:
                     entry = assist_entry
@@ -451,7 +435,7 @@ class Simulation:
                         table.finish(entry, value, now)
                         stats.assists_executed += 1
                         if entry.kind == intra_mod.ASSIGNED:
-                            self._assigned_done(table, entry, value, now)
+                            self._assigned_done(table, entry, value)
                         else:
                             stats.predictions_completed += 1
                 if now >= next_purge:
@@ -494,11 +478,11 @@ class Simulation:
                                 stats.predictions_invalidated += 1
                             ib = op.input_vec_addr & block_mask
                             wb = op.weight_vec_addr & block_mask
-                            missing, wait = lookup_pair(sm_id, ib, wb)
+                            missing, wait = lookup_pair(sm_id, ib, wb, now)
                             if not missing and not wait:
                                 execute = True
                             else:
-                                if missing and probe:
+                                if missing:
                                     stats.probe_misses += len(missing)
                                     for b in missing:
                                         if present_elsewhere(sm_id, b):
@@ -548,8 +532,8 @@ class Simulation:
                                     assign_table.register((ib, wb), sm_id)
                         if speculate:
                             for pair in predict(op, geom):
-                                if insert_prediction(pair, op.length,
-                                                     now) == "accepted":
+                                if insert_prediction(pair, op.length) \
+                                        == "accepted":
                                     stats.predictions_made += 1
                     state = BUSY
                     if cost:
@@ -563,8 +547,7 @@ class Simulation:
                     else:
                         # a blocked attempt holds issue for one cycle
                         busy_until = nxt = now + 1
-                        if not ready and blocked[0][0] > nxt \
-                                and next_landing[sm_id] > nxt:
+                        if not ready and blocked[0][0] > nxt:
                             # the step at now + 1 could only change the
                             # state; a warp whose fill lands before the
                             # assist finishes waits for the assist
@@ -593,10 +576,9 @@ class Simulation:
                         # no ready warp: any unfinished warp is blocked
                         state = STALLED if blocked else IDLE
                         nxt = blocked[0][0] if blocked else INF
-                        if not spec_order and next_landing[sm_id] >= nxt:
+                        if not spec_order:
                             # a purge of a table without speculation changes
-                            # nothing, and no fill lands before nxt: skip the
-                            # purge wakeups
+                            # nothing: skip the purge wakeups
                             continue
                 if next_purge < nxt:
                     nxt = next_purge

@@ -72,12 +72,6 @@ class Pass(str, Enum):
     BACKWARD_WEIGHT = "backward_weight"
 
 
-class Region(str, Enum):
-    INPUT = "input"
-    WEIGHT = "weight"
-    OUTPUT = "output"
-
-
 @dataclass(frozen=True)
 class LayerSpec:
     """Shape of one direct-convolution layer.
@@ -138,7 +132,6 @@ class LayerSpec:
 @dataclass(frozen=True)
 class TensorLayout:
     base_address: int
-    region: Region
     row_stride: int      # bytes between consecutive rows
     channel_stride: int  # bytes between consecutive channels
 
@@ -157,10 +150,6 @@ class LayerGeometry:
     @property
     def weight_filter_stride(self):
         return self.layer.in_channels * self.weight.channel_stride
-
-    @property
-    def output_channel_stride(self):
-        return self.output.channel_stride
 
     def input_vec_addr(self, ic, prow, pcol):
         return (self.input.base_address + ic * self.input.channel_stride
@@ -201,11 +190,10 @@ def make_layouts(layer, row_pitch=0, input_base=INPUT_BASE,
         row_stride = -(-packed_row // row_pitch) * row_pitch
     else:
         row_stride = packed_row
-    inp = TensorLayout(input_base, Region.INPUT, row_stride,
-                       layer.padded_h * row_stride)
+    inp = TensorLayout(input_base, row_stride, layer.padded_h * row_stride)
     w_row = layer.filter_w * word
-    wgt = TensorLayout(weight_base, Region.WEIGHT, w_row, layer.filter_h * w_row)
-    out = TensorLayout(output_base, Region.OUTPUT, layer.out_w * word,
+    wgt = TensorLayout(weight_base, w_row, layer.filter_h * w_row)
+    out = TensorLayout(output_base, layer.out_w * word,
                        layer.out_h * layer.out_w * word)
     geom = LayerGeometry(layer, inp, wgt, out)
     if geom.input_extent() > weight_base - input_base or \
@@ -225,7 +213,6 @@ class VectorMacOp:
     output_addr: int
     warp_id: int = -1
     lane_id: int = -1
-    sm_hint: int = -1
 
 
 def enumerate_ops(layer, geom):
@@ -298,7 +285,6 @@ def map_to_warps(ops, warp_size, n_sms):
             cur_out = op.output_addr
         op.warp_id = cur.warp_id
         op.lane_id = len(cur.lanes) - 1
-        op.sm_hint = cur.sm_id
         cur.lanes[-1].append(op)
     return programs
 

@@ -93,7 +93,7 @@ def test_02_mac_conservation():
     bad = []
     for (lname, scheme, _pc, _at, _tag), (stats, out, _exp) in _RUNS.items():
         checked += 1
-        if stats.retired() != stats.total_ops or out.total_adds() != stats.total_ops:
+        if stats.retired() != stats.total_ops or out.adds != stats.total_ops:
             bad.append(f"{lname}/{scheme}: {stats.retired()}/{stats.total_ops}")
     ok = not bad and checked >= 20
     _report(2, "computation conservation", ok,
@@ -193,7 +193,7 @@ def test_08_table_integrity_and_exactly_once():
             key = (rng.choice(blocks), rng.choice(wblocks))
             if key not in table.entries:
                 status, _payload = table.stage_assigned(
-                    key, VectorMacOp(key[0], key[1], 3, 0x8000_0000), 0, 0)
+                    key, VectorMacOp(key[0], key[1], 3, 0x8000_0000), 0)
                 if status == "staged":
                     staged += 1
         elif roll < 0.55:

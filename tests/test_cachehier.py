@@ -166,7 +166,6 @@ def test_miss_path_latency_frozen():
     for i in range(1, 5):
         hier.fill(0, i * 32 * 128, now=0)
     assert not hier.l1[0].contains(0)
-    hier.expire_fills(0, 1000)   # callers retire landed fills before reusing
     t = hier.fill(0, 0, now=1000)
     assert t - 1000 == 4 + 30 + 11
     assert hier.l2_hits == 1
@@ -177,21 +176,44 @@ def test_fills_coalesce_and_expire():
     r1 = hier.fill(0, 0, now=0)
     assert hier.fill(0, 0, now=3) == r1       # joins the in-flight fill
     assert hier.l2_misses == 1                # charged only once
-    hit, wait = hier.l1_lookup(0, 0)
+    hit, wait = hier.l1_lookup(0, 0, now=3)
     assert hit and wait == r1                 # installed, data not landed yet
-    assert not hier.resident_for_compute(0, 0)
-    hier.expire_fills(0, r1)
-    assert hier.l1_lookup(0, 0) == (True, None)
-    assert hier.resident_for_compute(0, 0)
+    assert not hier.resident_for_compute(0, 0, r1 - 1)
+    assert hier.l1_lookup(0, 0, r1) == (True, None)
+    assert hier.resident_for_compute(0, 0, r1)
+
+
+def test_landed_fill_is_not_joined():
+    """A fill has landed from its ready cycle on, whoever asks and whenever
+    they last asked: a refetch of a block that landed and was then evicted
+    is a new fill, with its own traffic and ready cycle."""
+    hier = one_sm_hier()
+    r1 = hier.fill(0, 0, now=0)
+    installs = []
+    hier.add_install_listener(lambda sm, blk: installs.append(blk))
+    for i in range(1, 5):                     # push block 0 out of its set
+        hier.fill(0, i * 32 * 128, now=0)
+    assert not hier.l1[0].contains(0)
+    hops, l2_hits = hier.noc_flit_hops, hier.l2_hits
+    r2 = hier.fill(0, 0, now=r1)
+    assert r2 == r1 + 4 + 30 + 11             # an L2 hit, not the old fill
+    assert installs[-1] == 0 and hier.l1[0].contains(0)
+    assert (hier.l2_hits, hier.noc_flit_hops) == (l2_hits + 1, hops + 9)
+
+    other = 4 * 32 * 128                      # still resident, landed at r1
+    assert hier.resident_for_compute(0, other, r2 - 1)
+    assert not hier.resident_for_compute(0, 0, r2 - 1)
+    assert hier.l1_lookup_pair(0, other, 0, r2 - 1) == ((), r2)
+    assert hier.resident_for_compute(0, 0, r2)
+    assert hier.l1_lookup_pair(0, 0, other, r2) == ((), 0)
 
 
 def test_lookup_counts_and_block_of():
     hier = one_sm_hier()
     assert hier.block_of(0x1234) == 0x1200
-    assert hier.l1_lookup(0, 0) == (False, None)
+    assert hier.l1_lookup(0, 0, 0) == (False, None)
     hier.fill(0, 0, 0)
-    hier.expire_fills(0, 1000)
-    hier.l1_lookup(0, 0)
+    hier.l1_lookup(0, 0, 1000)
     assert (hier.l1_hits(), hier.l1_misses()) == (1, 1)
 
 

@@ -59,9 +59,11 @@ def test_parse_config_file(tmp_path):
     path.write_text("# comment\n\nsm.count = 8   # trailing\nrun.seed=3\n")
     assert cli.parse_config_file(path) == {"sm.count": 8, "run.seed": 3}
 
-    path.write_text("sm.cores = 8\n")
-    with pytest.raises(ConfigError, match=r"a\.cfg:1: unknown key"):
-        cli.parse_config_file(path)
+    # a misspelt key, and a key that has been deleted
+    for line in ("sm.cores = 8", "metrics.probe_availability = true"):
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=r"a\.cfg:1: unknown key"):
+            cli.parse_config_file(path)
     path.write_text("sm.count\n")
     with pytest.raises(ConfigError, match="expected key = value"):
         cli.parse_config_file(path)
@@ -318,6 +320,27 @@ def test_main_exit_codes(tmp_path, capsys):
         assert cli.main(["--config", str(bad_cfg), "--scheme", "all",
                          "--out", str(tmp_path / f"bad{i}")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    # passes validation, then the watchdog stops the run: status 3, not the
+    # verification failure's 1, and one line instead of a traceback
+    idle_cfg = write_config(tmp_path, write_workload(tmp_path),
+                            extra=("run.max_idle = 1",))
+    assert cli.main(["--config", str(idle_cfg),
+                     "--out", str(tmp_path / "idle")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulation stopped: no progress since cycle")
+    assert err.count("\n") == 1
+
+
+def test_cache_geometry_errors_name_their_keys(tmp_path, capsys):
+    for bad, at_fault, other in (("l1.sets = 3", "l1.", "l2."),
+                                 ("l2.ways = 3", "l2.", "l1.")):
+        cfg_path = write_config(tmp_path, write_workload(tmp_path), extra=(bad,))
+        assert cli.main(["--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "capacity must divide into sets*ways blocks" in err
+        assert at_fault in err and other not in err
 
 
 def test_main_reports_verification_failures(tmp_path, capsys, monkeypatch):

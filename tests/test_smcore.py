@@ -180,7 +180,7 @@ def test_outputs_bit_exact_under_every_scheme(scheme):
     stats, out = run_simulation(params, progs, image, geom)
     expected = reference_convolution(geom, image)
     assert compare(out.values, expected).ok
-    assert out.total_adds() == TOY.op_count()
+    assert out.adds == TOY.op_count()
     assert stats.retired() == stats.total_ops == TOY.op_count()
 
 
@@ -336,7 +336,8 @@ FINGERPRINT_CASES = {
                           dict(sm_count=8, clusters=2, pc_entries=8,
                                at_entries=8, forward_latency=1)),
     # a one-set L1 and bounces: fills land one cycle after a blocked issue
-    # while the warp waits for a later one, so that SM must still step then
+    # that the SM sleeps through, and bounces refetch blocks that landed and
+    # were evicted since; each refetch is a new fill, charged and reinstalled
     "landing_after_block": (LayerSpec("fp_landing", 2, 5, 9, 9, 2, 2), 0,
                             dict(sm_count=8, clusters=2, warp_size=8,
                                  pc_entries=7, at_entries=8,
@@ -352,8 +353,8 @@ FINGERPRINT_CASES = {
                               lat_l1=3, lat_l2=5, lat_dram=2, purge_period=3,
                               l1=SMALL_L1)),
     # zero-latency memory, one-cycle purges that empty the table and
-    # bounces: a purge slot an SM sleeps through must not be one at which
-    # its fill lands
+    # bounces: fills land at purge slots the SM sleeps through, and a bounce
+    # that refetches such a block after its eviction starts a new fill
     "landing_at_purge": (LayerSpec("fp_purge_landing", 3, 5, 6, 6, 2, 2), 0,
                          dict(sm_count=14, clusters=7, pc_entries=1,
                               at_entries=60, lat_l1=0, lat_l2=0, lat_dram=0,
@@ -407,6 +408,6 @@ def test_counter_fingerprint(case, scheme):
     geom, image, progs = build_run(layer, params, row_pitch=row_pitch)
     stats, out = run_simulation(params, progs, image, geom)
     assert compare(out.values, reference_convolution(geom, image)).ok
-    assert out.total_adds() == stats.total_ops
+    assert out.adds == stats.total_ops
     expected = json.loads(FINGERPRINTS.read_text())[f"{case}/{scheme}"]
     assert stats.to_dict() == expected
