@@ -335,7 +335,7 @@ class MemoryHierarchy:
         return inflight
 
     def warm(self, sm_id, addrs):
-        """Preload blocks into an L1 without touching any counter (tests, demos)."""
+        """Preload blocks into an L1 without touching any counter (tests)."""
         for addr in addrs:
             block = self.block_of(addr)
             if not self.l1[sm_id].contains(block):

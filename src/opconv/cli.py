@@ -23,7 +23,7 @@ import sys
 from . import metrics, workload
 from .cachehier import CacheGeometry
 from .metrics import EnergyWeights
-from .oracle import ARITH_MODES, MemoryImage, compare, reference_convolution
+from .oracle import MemoryImage, compare, reference_convolution
 from .smcore import SCHEMES, SimParams, SimulationError, run_simulation
 from .workload import ConfigError, Knob, knobs
 
@@ -43,7 +43,6 @@ CLI_KNOBS = (
     Knob("workload.file", ""),
     Knob("workload.passes", "forward", choices=("forward", "backward", "all")),
     Knob("run.seed", 0),
-    Knob("run.arith", "int32", choices=ARITH_MODES),
     Knob("run.verify", True),
     Knob("run.schemes", "baseline"),
 )
@@ -243,7 +242,7 @@ class LayerRun:
         self.programs = workload.map_to_warps(ops, cfg["sm.warp_size"],
                                               cfg["sm.count"])
         self.ops = ops
-        self.image = MemoryImage(self.geom, cfg["run.seed"], cfg["run.arith"])
+        self.image = MemoryImage(self.geom, cfg["run.seed"])
         self.expected = (reference_convolution(self.geom, self.image)
                          if cfg["run.verify"] else None)
 
@@ -256,7 +255,7 @@ def run_one(cfg, lr, scheme):
     stats.table_cfg = table_cfg_label(cfg, scheme)
     res = None
     if lr.expected is not None:
-        res = compare(out.values, lr.expected, cfg["run.arith"])
+        res = compare(out.values, lr.expected)
     return stats, res
 
 
@@ -329,7 +328,7 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
 
 # keys that define the simulated workload; sweep members must agree on them
 _WORKLOAD_KEYS = ("workload.name", "workload.file", "workload.shrink",
-                  "workload.passes", "run.seed", "run.arith", "layout.row_pitch")
+                  "workload.passes", "run.seed", "layout.row_pitch")
 
 
 def sweep(configs, out_path, log=print):

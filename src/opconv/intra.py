@@ -52,7 +52,6 @@ def predict(op, geom):
 class PrecomputeEntry:
     key: tuple           # (input_vec_addr, weight_vec_addr)
     blocks: tuple        # operand cache blocks of the pair
-    length: int
     kind: int            # SPECULATIVE or ASSIGNED
     seq: int
     complete: bool = False
@@ -153,7 +152,7 @@ class PrecomputeTable:
         self._remove(entry)
         return "pending", None
 
-    def insert_prediction(self, key, length):
+    def insert_prediction(self, key):
         """Queue a predicted pair.  Returns accepted | duplicate | rejected."""
         self.accesses += 1
         if key in self.entries:
@@ -162,7 +161,7 @@ class PrecomputeTable:
         if len(self.entries) >= self.capacity and not self._evict_oldest_spec():
             return "rejected"
         blocks = self._blocks_of(key)
-        entry = PrecomputeEntry(key, blocks, length, SPECULATIVE, self.seq)
+        entry = PrecomputeEntry(key, blocks, SPECULATIVE, self.seq)
         self.seq += 1
         entry.res_mask = self._mask_of(blocks)
         self.entries[key] = entry
@@ -190,7 +189,7 @@ class PrecomputeTable:
         if len(self.entries) >= self.capacity and not self._evict_oldest_spec():
             return "full", None
         blocks = self._blocks_of(key)
-        entry = PrecomputeEntry(key, blocks, op.length, ASSIGNED, self.seq,
+        entry = PrecomputeEntry(key, blocks, ASSIGNED, self.seq,
                                 op=op, src_sm=src_sm)
         self.seq += 1
         entry.res_mask = 3  # both operands were resident when forwarded here

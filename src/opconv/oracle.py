@@ -1,9 +1,10 @@
-"""Arithmetic ground truth: deterministic operand images, a naive reference
-convolution, and output comparison.
+"""Arithmetic ground truth: deterministic int32 operand images, a naive
+reference convolution, and bit-exact output comparison.
 
 The simulator only reorders and relocates computations; it must never change
-their values.  Every experiment can therefore be checked against the plain
-loop-nest convolution computed here, element for element.
+their values, and its timing never depends on them.  Every experiment can
+therefore be checked against the plain loop-nest convolution computed here,
+element for element.
 """
 
 from __future__ import annotations
@@ -12,61 +13,54 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .workload import ConfigError, Pass
-
-ARITH_MODES = ("int32", "float32")
+from .workload import WORD_SIZE, ConfigError
 
 
 class MemoryImage:
     """Operand values addressed exactly like the simulated tensor regions.
 
-    Integer mode draws uniformly from [-8, 8]; the magnitudes keep every
-    partial sum far from 32-bit limits for desk-scale layers.  Float mode
-    draws from [-1, 1).  Padding cells hold zero by construction.
+    Values are drawn uniformly from [-8, 8]; the magnitudes keep every
+    partial sum far from 32-bit limits for desk-scale layers.  Padding cells
+    hold zero by construction.  Every operand vector is the layer's
+    filter_w words long.
     """
 
-    def __init__(self, geom, seed=0, mode="int32"):
-        if mode not in ARITH_MODES:
-            raise ConfigError(f"unknown arithmetic mode {mode!r}")
-        self.geom = geom
-        self.mode = mode
-        self.seed = seed
+    def __init__(self, geom, seed=0):
         layer = geom.layer
-        word = layer.word_size
-        self.word_size = word
+        self.length = layer.filter_w
         self.input_base = geom.input.base_address
         self.weight_base = geom.weight.base_address
-        rng = random.Random((seed, layer.name, mode).__repr__())
-        self.input_words = [0] * (geom.input_extent() // word)
-        self.weight_words = [0] * (geom.weight_extent() // word)
-        draw = (lambda: rng.randint(-8, 8)) if mode == "int32" else \
-               (lambda: rng.uniform(-1.0, 1.0))
+        # "int32" stays in the seed string so that no operand value changes
+        rng = random.Random((seed, layer.name, "int32").__repr__())
+        self.input_words = [0] * (geom.input_extent() // WORD_SIZE)
+        self.weight_words = [0] * (geom.weight_extent() // WORD_SIZE)
         p = layer.padding
-        row_words = geom.input.row_stride // word
-        ch_words = geom.input.channel_stride // word
+        row_words = geom.input.row_stride // WORD_SIZE
+        ch_words = geom.input.channel_stride // WORD_SIZE
         for ic in range(layer.in_channels):
             for r in range(layer.in_height):
                 base = ic * ch_words + (r + p) * row_words + p
                 for c in range(layer.in_width):
-                    self.input_words[base + c] = draw()
+                    self.input_words[base + c] = rng.randint(-8, 8)
         for i in range(len(self.weight_words)):
-            self.weight_words[i] = draw()
+            self.weight_words[i] = rng.randint(-8, 8)
 
     def input_vec(self, addr, length):
-        idx = (addr - self.input_base) // self.word_size
+        idx = (addr - self.input_base) // WORD_SIZE
         if idx < 0 or idx + length > len(self.input_words):
             raise ConfigError(f"input read outside region: 0x{addr:x}")
         return self.input_words[idx:idx + length]
 
     def weight_vec(self, addr, length):
-        idx = (addr - self.weight_base) // self.word_size
+        idx = (addr - self.weight_base) // WORD_SIZE
         if idx < 0 or idx + length > len(self.weight_words):
             raise ConfigError(f"weight read outside region: 0x{addr:x}")
         return self.weight_words[idx:idx + length]
 
-    def dot(self, input_addr, weight_addr, length):
-        a = self.input_vec(input_addr, length)
-        b = self.weight_vec(weight_addr, length)
+    def dot(self, input_addr, weight_addr):
+        """Dot product of the operand vectors at the two addresses."""
+        a = self.input_vec(input_addr, self.length)
+        b = self.weight_vec(weight_addr, self.length)
         return sum(map(mul, a, b))
 
 
@@ -79,7 +73,6 @@ def reference_convolution(geom, image):
     layer = geom.layer
     out = {}
     s = layer.stride
-    word = layer.word_size
     for oc in range(layer.out_channels):
         for oy in range(layer.out_h):
             for ox in range(layer.out_w):
@@ -88,7 +81,7 @@ def reference_convolution(geom, image):
                     for fr in range(layer.filter_h):
                         iaddr = geom.input_vec_addr(ic, oy * s + fr, ox * s)
                         waddr = geom.weight_vec_addr(oc, ic, fr)
-                        acc += image.dot(iaddr, waddr, layer.filter_w)
+                        acc += image.dot(iaddr, waddr)
                 out[geom.output_addr(oc, oy, ox)] = acc
     return out
 
@@ -106,11 +99,10 @@ class CompareResult:
         return f"{len(self.mismatches)} of {self.checked} outputs differ: {head}"
 
 
-def compare(actual, expected, mode="int32", rel_tol=1e-5):
-    """Compare an output map against the reference.
+def compare(actual, expected):
+    """Compare an output map against the reference, bit-exact.
 
-    int32 mode requires bit-exact equality; float32 mode allows rel_tol
-    relative error.  Missing or extra addresses are mismatches."""
+    Missing or extra addresses are mismatches."""
     mismatches = []
     for addr in sorted(set(actual) | set(expected)):
         if addr not in actual:
@@ -120,10 +112,6 @@ def compare(actual, expected, mode="int32", rel_tol=1e-5):
             mismatches.append(f"0x{addr:x} not produced by reference")
             continue
         a, e = actual[addr], expected[addr]
-        if mode == "int32":
-            bad = a != e
-        else:
-            bad = abs(a - e) > rel_tol * max(abs(a), abs(e), 1e-30)
-        if bad:
+        if a != e:
             mismatches.append(f"0x{addr:x}: got {a!r}, want {e!r}")
     return CompareResult(not mismatches, len(expected), mismatches)

@@ -75,9 +75,8 @@ class OutputBuffer:
 
 @dataclass(slots=True, eq=False)
 class WarpContext:
-    warp_id: int
-    age: int                 # launch stamp; smaller is older
-    ops: list
+    age: int                 # launch stamp (the warp id); smaller is older
+    ops: list                # the WarpProgram's own list; never changed here
     pc: int = 0
     exec_pending: bool = False  # operands delivered, execute on next issue
     saw_miss: bool = False      # current op went through the miss path
@@ -173,11 +172,9 @@ class Simulation:
         for prog in programs:
             if not 0 <= prog.sm_id < p.sm_count:
                 raise ConfigError(f"warp {prog.warp_id} targets SM {prog.sm_id}")
-            flat = prog.ops
-            total_ops += len(flat)
-            if flat:
-                self.warps[prog.sm_id].append(
-                    WarpContext(prog.warp_id, prog.warp_id, flat))
+            total_ops += len(prog.ops)
+            if prog.ops:
+                self.warps[prog.sm_id].append(WarpContext(prog.warp_id, prog.ops))
 
         self.stats = SimStats(scheme=p.scheme, total_ops=total_ops,
                               stall_cycles_per_sm=[0] * p.sm_count)
@@ -322,7 +319,7 @@ class Simulation:
 
     def _bounce_finish(self, src, op, now):
         self.pending_bounce_exec -= 1
-        value = self.image.dot(op.input_vec_addr, op.weight_vec_addr, op.length)
+        value = self.image.dot(op.input_vec_addr, op.weight_vec_addr)
         self.out.add(op.output_addr, value)
         self.stats.normal_done += 1
         self.retired += 1
@@ -340,7 +337,7 @@ class Simulation:
 
     def _insert_predictions(self, table, op):
         for pair in intra_mod.predict(op, self.geom):
-            if table.insert_prediction(pair, op.length) == "accepted":
+            if table.insert_prediction(pair) == "accepted":
                 self.stats.predictions_made += 1
 
     def _assigned_done(self, table, entry, value):
@@ -431,7 +428,7 @@ class Simulation:
                     self.assists_in_flight -= 1
                     # res_mask -1: removed (bounced or invalidated) mid-flight
                     if entry.res_mask != -1:
-                        value = dot(entry.key[0], entry.key[1], entry.length)
+                        value = dot(entry.key[0], entry.key[1])
                         table.finish(entry, value, now)
                         stats.assists_executed += 1
                         if entry.kind == intra_mod.ASSIGNED:
@@ -513,8 +510,7 @@ class Simulation:
                                     heappush(blocked, (until, warp.age, warp))
                                     cost = 0
                     if execute:
-                        value = dot(op.input_vec_addr, op.weight_vec_addr,
-                                    op.length)
+                        value = dot(op.input_vec_addr, op.weight_vec_addr)
                         addr = op.output_addr
                         values[addr] = values.get(addr, 0) + value
                         out.adds += 1
@@ -532,8 +528,7 @@ class Simulation:
                                     assign_table.register((ib, wb), sm_id)
                         if speculate:
                             for pair in predict(op, geom):
-                                if insert_prediction(pair, op.length) \
-                                        == "accepted":
+                                if insert_prediction(pair) == "accepted":
                                     stats.predictions_made += 1
                     state = BUSY
                     if cost:

@@ -10,7 +10,6 @@ static block-pair reuse analysis.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -91,11 +90,10 @@ class LayerSpec:
     stride: int = 1
     padding: int = 0
     pass_kind: Pass = Pass.FORWARD
-    word_size: int = WORD_SIZE
 
     def __post_init__(self):
         for f in ("in_channels", "out_channels", "in_height", "in_width",
-                  "filter_h", "filter_w", "stride", "word_size"):
+                  "filter_h", "filter_w", "stride"):
             if getattr(self, f) < 1:
                 raise ConfigError(f"{self.name}: {f} must be positive")
         if self.padding < 0:
@@ -125,9 +123,6 @@ class LayerSpec:
     def op_count(self):
         return self.out_h * self.out_w * self.out_channels * self.in_channels * self.filter_h
 
-    def mac_count(self):
-        return self.op_count() * self.filter_w
-
 
 @dataclass(frozen=True)
 class TensorLayout:
@@ -153,7 +148,7 @@ class LayerGeometry:
 
     def input_vec_addr(self, ic, prow, pcol):
         return (self.input.base_address + ic * self.input.channel_stride
-                + prow * self.input.row_stride + pcol * self.layer.word_size)
+                + prow * self.input.row_stride + pcol * WORD_SIZE)
 
     def weight_vec_addr(self, oc, ic, fr):
         return (self.weight.base_address + oc * self.weight_filter_stride
@@ -161,7 +156,7 @@ class LayerGeometry:
 
     def output_addr(self, oc, oy, ox):
         return (self.output.base_address + oc * self.output.channel_stride
-                + oy * self.output.row_stride + ox * self.layer.word_size)
+                + oy * self.output.row_stride + ox * WORD_SIZE)
 
     def input_extent(self):
         return self.layer.in_channels * self.input.channel_stride
@@ -182,8 +177,7 @@ def make_layouts(layer, row_pitch=0, input_base=INPUT_BASE,
     of that pitch, mirroring pitched device allocations where every row starts
     a fixed power-of-two distance apart.
     """
-    word = layer.word_size
-    packed_row = layer.padded_w * word
+    packed_row = layer.padded_w * WORD_SIZE
     if row_pitch < 0:
         raise ConfigError("row_pitch must be >= 0")
     if row_pitch:
@@ -191,10 +185,10 @@ def make_layouts(layer, row_pitch=0, input_base=INPUT_BASE,
     else:
         row_stride = packed_row
     inp = TensorLayout(input_base, row_stride, layer.padded_h * row_stride)
-    w_row = layer.filter_w * word
+    w_row = layer.filter_w * WORD_SIZE
     wgt = TensorLayout(weight_base, w_row, layer.filter_h * w_row)
-    out = TensorLayout(output_base, layer.out_w * word,
-                       layer.out_h * layer.out_w * word)
+    out = TensorLayout(output_base, layer.out_w * WORD_SIZE,
+                       layer.out_h * layer.out_w * WORD_SIZE)
     geom = LayerGeometry(layer, inp, wgt, out)
     if geom.input_extent() > weight_base - input_base or \
        geom.weight_extent() > output_base - weight_base or \
@@ -205,14 +199,12 @@ def make_layouts(layer, row_pitch=0, input_base=INPUT_BASE,
 
 @dataclass(slots=True)
 class VectorMacOp:
-    """One row-vector dot product: input row slice x filter row -> one output add."""
+    """One row-vector dot product: input row slice x filter row -> one output
+    add.  The vector length is the layer's filter_w."""
 
     input_vec_addr: int
     weight_vec_addr: int
-    length: int
     output_addr: int
-    warp_id: int = -1
-    lane_id: int = -1
 
 
 def enumerate_ops(layer, geom):
@@ -226,7 +218,6 @@ def enumerate_ops(layer, geom):
     if geom.layer != layer:
         raise ConfigError("geometry was built for a different layer")
     s = layer.stride
-    word = layer.word_size
     for oc in range(layer.out_channels):
         for oy in range(layer.out_h):
             for ox in range(layer.out_w):
@@ -237,55 +228,47 @@ def enumerate_ops(layer, geom):
                     for fr in range(layer.filter_h):
                         yield VectorMacOp(base + fr * geom.input.row_stride,
                                           waddr + fr * geom.weight.row_stride,
-                                          layer.filter_w, out_addr)
+                                          out_addr)
 
 
 @dataclass
 class WarpProgram:
-    """Up to warp_size lanes, one output element per lane.
+    """The ops of up to warp_size output elements, one per lane, as one flat
+    list in issue order.
 
-    Ops issue one at a time in lane order, so a warp walks its windows
-    left to right and then down, exactly the sliding-window traversal.
+    Ops issue one at a time, element after element, so a warp walks its
+    windows left to right and then down, exactly the sliding-window
+    traversal.  The simulator reads `ops` without copying it and never
+    changes it.
     """
 
     warp_id: int
     sm_id: int
-    lanes: list = field(default_factory=list)
-
-    @property
-    def ops(self):
-        flat = []
-        for lane in self.lanes:
-            flat.extend(lane)
-        return flat
-
-    def op_count(self):
-        return sum(len(lane) for lane in self.lanes)
+    ops: list = field(default_factory=list)
 
 
 def map_to_warps(ops, warp_size, n_sms):
     """Pack an op stream into warps and deal warps round-robin over SMs.
 
-    Consecutive output elements (runs of ops sharing output_addr) become
-    consecutive lanes; every warp_size lanes start a new warp.
+    Each run of ops sharing output_addr is one output element; every
+    warp_size elements start a new warp.
     """
     if warp_size < 1 or n_sms < 1:
         raise ConfigError("warp_size and n_sms must be positive")
     programs = []
     cur = None
     cur_out = None
+    elements = 0
     for op in ops:
-        if cur is None or (op.output_addr != cur_out and len(cur.lanes) == warp_size):
-            wid = len(programs)
-            cur = WarpProgram(wid, wid % n_sms)
-            programs.append(cur)
-            cur_out = None
         if op.output_addr != cur_out:
-            cur.lanes.append([])
+            if cur is None or elements == warp_size:
+                wid = len(programs)
+                cur = WarpProgram(wid, wid % n_sms)
+                programs.append(cur)
+                elements = 0
+            elements += 1
             cur_out = op.output_addr
-        op.warp_id = cur.warp_id
-        op.lane_id = len(cur.lanes) - 1
-        cur.lanes[-1].append(op)
+        cur.ops.append(op)
     return programs
 
 
@@ -316,18 +299,6 @@ def reuse_histogram(ops, block_size, edges=(100, 800)):
     return counts, buckets
 
 
-def write_ops_csv(programs, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["warp_id", "lane_id", "input_addr", "weight_addr", "len", "output_addr"])
-        for prog in programs:
-            for lane in prog.lanes:
-                for op in lane:
-                    w.writerow([op.warp_id, op.lane_id, f"0x{op.input_vec_addr:x}",
-                                f"0x{op.weight_vec_addr:x}", op.length,
-                                f"0x{op.output_addr:x}"])
-
-
 def shrink_layer(layer, factor):
     """Scale spatial dimensions down by ~factor, keeping the spec valid.
 
@@ -352,7 +323,7 @@ def shrink_layer(layer, factor):
     return LayerSpec(layer.name, layer.in_channels, layer.out_channels,
                      fix(layer.in_height), fix(layer.in_width),
                      layer.filter_h, layer.filter_w, layer.stride,
-                     layer.padding, layer.pass_kind, layer.word_size)
+                     layer.padding, layer.pass_kind)
 
 
 def lenet5_layers(shrink=1):
@@ -397,9 +368,8 @@ def backward_specs(layer):
     gw = (layer.out_w - 1) * s + 1
     bw_in = LayerSpec(layer.name + "_bwd_in", layer.out_channels, layer.in_channels,
                       gh, gw, layer.filter_h, layer.filter_w, 1,
-                      layer.filter_h - 1, Pass.BACKWARD_INPUT, layer.word_size)
+                      layer.filter_h - 1, Pass.BACKWARD_INPUT)
     bw_w = LayerSpec(layer.name + "_bwd_w", layer.in_channels, layer.out_channels,
                      layer.in_height, layer.in_width, layer.filter_h,
-                     layer.filter_w, s, layer.padding, Pass.BACKWARD_WEIGHT,
-                     layer.word_size)
+                     layer.filter_w, s, layer.padding, Pass.BACKWARD_WEIGHT)
     return [bw_in, bw_w]

@@ -43,7 +43,7 @@ def _inputs(layer, sm_count=56):
     key = (layer.name, sm_count)
     if key not in _INPUTS:
         geom = make_layouts(layer, ROW_PITCH)
-        image = MemoryImage(geom, SEED, "int32")
+        image = MemoryImage(geom, SEED)
         programs = map_to_warps(list(enumerate_ops(layer, geom)), 32, sm_count)
         expected = reference_convolution(geom, image)
         _INPUTS[key] = (geom, image, programs, expected)
@@ -76,7 +76,7 @@ def test_01_functional_equivalence():
         for scheme in ("baseline", "intra", "inter", "both"):
             stats, out, expected = _run(layer, scheme)
             n += 1
-            res = compare(out.values, expected, "int32")
+            res = compare(out.values, expected)
             if not res.ok:
                 bad.append(f"{layer.name}/{scheme}: {res.message()}")
     elapsed = time.monotonic() - start
@@ -170,12 +170,12 @@ def test_08_table_integrity_and_exactly_once():
     for scheme in ("baseline", "intra", "inter", "both"):
         stats, out, expected = _run(TOY, scheme, pc=8, at=8, sm_count=4,
                                     clusters=2, debug_invariants=True)
-        assert compare(out.values, expected, "int32").ok
+        assert compare(out.values, expected).ok
 
     # forwarding under eviction pressure: every handoff retires exactly once
     stats, out, expected = _run(LENET["C1"], "inter", at=64, sm_count=8,
                                 clusters=2)
-    sim_ok = (compare(out.values, expected, "int32").ok
+    sim_ok = (compare(out.values, expected).ok
               and stats.forwards == stats.assigned_done + stats.bounces
               and stats.bounces > 0)
 
@@ -193,7 +193,7 @@ def test_08_table_integrity_and_exactly_once():
             key = (rng.choice(blocks), rng.choice(wblocks))
             if key not in table.entries:
                 status, _payload = table.stage_assigned(
-                    key, VectorMacOp(key[0], key[1], 3, 0x8000_0000), 0)
+                    key, VectorMacOp(key[0], key[1], 0x8000_0000), 0)
                 if status == "staged":
                     staged += 1
         elif roll < 0.55:

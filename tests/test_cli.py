@@ -59,8 +59,9 @@ def test_parse_config_file(tmp_path):
     path.write_text("# comment\n\nsm.count = 8   # trailing\nrun.seed=3\n")
     assert cli.parse_config_file(path) == {"sm.count": 8, "run.seed": 3}
 
-    # a misspelt key, and a key that has been deleted
-    for line in ("sm.cores = 8", "metrics.probe_availability = true"):
+    # a misspelt key, and keys that have been deleted
+    for line in ("sm.cores = 8", "metrics.probe_availability = true",
+                 "run.arith = float32"):
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match=r"a\.cfg:1: unknown key"):
             cli.parse_config_file(path)
@@ -106,7 +107,6 @@ def test_validate_config_rejections():
         broken(**{"workload.name": "resnet"}),
         broken(**{"workload.name": "custom"}),        # no file given
         broken(**{"workload.passes": "sideways"}),
-        broken(**{"run.arith": "int8"}),
         broken(**{"run.schemes": "baseline,warp"}),
     ):
         with pytest.raises(ConfigError):

@@ -68,8 +68,8 @@ def key_of(i):
     return (0x1000 + i * 128, 0x4000_0000 + i * 128)
 
 
-def make_op(key, length=3):
-    return VectorMacOp(key[0], key[1], length, 0x8000_0000)
+def make_op(key):
+    return VectorMacOp(key[0], key[1], 0x8000_0000)
 
 
 def always_resident(_block):
@@ -79,13 +79,13 @@ def always_resident(_block):
 def test_insert_lookup_consume_cycle():
     t = PrecomputeTable(8, 128, always_resident)
     k = key_of(0)
-    assert t.insert_prediction(k, 3) == "accepted"
-    assert t.insert_prediction(k, 3) == "duplicate"
+    assert t.insert_prediction(k) == "accepted"
+    assert t.insert_prediction(k) == "duplicate"
     # decoding the pair while still pending invalidates the prediction
     assert t.lookup(k) == ("pending", None)
     assert t.lookup(k) == ("absent", None)
 
-    assert t.insert_prediction(k, 3) == "accepted"
+    assert t.insert_prediction(k) == "accepted"
     entry = t.next_assist()
     assert entry.key == k and entry.kind == SPECULATIVE
     t.finish(entry, -2, now=5)
@@ -98,7 +98,7 @@ def test_insert_lookup_consume_cycle():
 def test_capacity_evicts_oldest_speculative():
     t = PrecomputeTable(4, 128, always_resident)
     for i in range(5):
-        assert t.insert_prediction(key_of(i), 3) == "accepted"
+        assert t.insert_prediction(key_of(i)) == "accepted"
     assert len(t) == 4
     assert t.evictions == 1
     assert t.lookup(key_of(0)) == ("absent", None)   # FIFO victim
@@ -109,20 +109,20 @@ def test_assigned_work_cannot_be_displaced():
     t = PrecomputeTable(2, 128, always_resident)
     assert t.stage_assigned(key_of(0), make_op(key_of(0)), 1)[0] == "staged"
     assert t.stage_assigned(key_of(1), make_op(key_of(1)), 1)[0] == "staged"
-    assert t.insert_prediction(key_of(2), 3) == "rejected"
+    assert t.insert_prediction(key_of(2)) == "rejected"
     assert t.stage_assigned(key_of(2), make_op(key_of(2)), 1) == ("full", None)
 
 
 def test_stage_assigned_memo_and_replacement():
     t = PrecomputeTable(8, 128, always_resident)
     k = key_of(3)
-    t.insert_prediction(k, 3)
+    t.insert_prediction(k)
     t.finish(t.next_assist(), 41, 2)
     status, result = t.stage_assigned(k, make_op(k), src_sm=2)
     assert (status, result) == ("memo", 41)          # already computed here
     assert t.lookup(k) == ("absent", None)
 
-    t.insert_prediction(k, 3)                        # pending this time
+    t.insert_prediction(k)                        # pending this time
     status, entry = t.stage_assigned(k, make_op(k), src_sm=2)
     assert status == "staged" and entry.kind == ASSIGNED
     assert entry.src_sm == 2 and entry.res_mask == 3
@@ -134,8 +134,8 @@ def test_next_assist_prefers_assigned_then_oldest():
     t = PrecomputeTable(8, 128, resident.__contains__)
     k0, k1, ka = key_of(0), key_of(1), key_of(7)
     resident.update(key_of(1))                        # only k1 runnable
-    t.insert_prediction(k0, 3)
-    t.insert_prediction(k1, 3)
+    t.insert_prediction(k0)
+    t.insert_prediction(k1)
     t.stage_assigned(ka, make_op(ka), 4)
     picked = t.next_assist()
     assert picked.kind == ASSIGNED and picked.key == ka
@@ -151,7 +151,7 @@ def test_next_assist_prefers_assigned_then_oldest():
 def test_block_eviction_disables_and_bounces():
     resident = set(key_of(0)) | set(key_of(1))
     t = PrecomputeTable(8, 128, resident.__contains__)
-    t.insert_prediction(key_of(0), 3)
+    t.insert_prediction(key_of(0))
 
     assert t.block_evicted(key_of(0)[0]) == []        # speculative: just parked
     assert t.next_assist() is None
@@ -167,8 +167,8 @@ def test_block_eviction_disables_and_bounces():
 
 def test_stale_heap_entries_are_skipped():
     t = PrecomputeTable(8, 128, always_resident)
-    t.insert_prediction(key_of(0), 3)
-    t.insert_prediction(key_of(1), 3)
+    t.insert_prediction(key_of(0))
+    t.insert_prediction(key_of(1))
     assert t.lookup(key_of(0)) == ("pending", None)   # kills the older entry
     assert t.next_assist().key == key_of(1)
 
@@ -176,7 +176,7 @@ def test_stale_heap_entries_are_skipped():
 def test_purge_drops_oldest_fraction():
     t = PrecomputeTable(200, 128, always_resident)
     for i in range(100):
-        t.insert_prediction(key_of(i), 3)
+        t.insert_prediction(key_of(i))
     assert t.purge(now=100, fraction=0.25) == 25
     assert t.purged == 25 and len(t) == 75
     assert t.lookup(key_of(24)) == ("absent", None)
@@ -185,7 +185,7 @@ def test_purge_drops_oldest_fraction():
 
 def test_flush_requires_drained_assigned_work():
     t = PrecomputeTable(8, 128, always_resident)
-    t.insert_prediction(key_of(0), 3)
+    t.insert_prediction(key_of(0))
     t.stage_assigned(key_of(1), make_op(key_of(1)), 3)
     with pytest.raises(AssertionError):
         t.flush()

@@ -4,6 +4,8 @@ reference_convolution is itself checked against a second, numpy-based route
 so the arithmetic ground truth does not rest on a single implementation.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,9 @@ from opconv.oracle import MemoryImage, compare, reference_convolution
 from opconv.workload import ConfigError, LayerSpec, enumerate_ops, make_layouts
 
 
-def build(layer, row_pitch=0, seed=0, mode="int32"):
+def build(layer, row_pitch=0, seed=0):
     geom = make_layouts(layer, row_pitch)
-    return geom, MemoryImage(geom, seed, mode)
+    return geom, MemoryImage(geom, seed)
 
 
 # --------------------------------------------------------------------- image
@@ -26,6 +28,19 @@ def test_image_is_deterministic_per_seed():
     assert img_a.input_words == img_b.input_words
     assert img_a.weight_words == img_b.weight_words
     assert img_a.input_words != img_c.input_words
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (0, "87d65347c6403e4e39e210f7982023980a5032c374a42e486db0ecc72aa754cc"),
+    (1, "196d9ebadececbaf22ba819a099671743b3a0e5e9c5ca714251b044ca9d28778"),
+], ids=["seed0", "seed1"])
+def test_operand_values_are_pinned(seed, digest):
+    # the operand stream of a seed is part of every recorded result: the
+    # rng seed string, the draw range and the draw order must not change
+    layer = LayerSpec("pad", 2, 2, 6, 6, 3, 3, padding=1)
+    _, img = build(layer, seed=seed)
+    words = ",".join(map(str, img.input_words + img.weight_words))
+    assert hashlib.sha256(words.encode()).hexdigest() == digest
 
 
 def test_int_values_stay_small():
@@ -55,7 +70,7 @@ def test_reads_outside_region_rejected():
     with pytest.raises(ConfigError):
         img.weight_vec(geom.weight.base_address - 4, 3)
     with pytest.raises(ConfigError):
-        MemoryImage(geom, 0, "int64")
+        img.dot(geom.input_vec_addr(0, 3, 2), geom.weight.base_address)
 
 
 def test_dot_on_planted_vectors():
@@ -73,9 +88,9 @@ def test_dot_on_planted_vectors():
     w0 = geom.weight_vec_addr(0, 0, 0)
     w1 = geom.weight_vec_addr(0, 0, 1)
     assert (r1, r2) == (0x1000, 0x2000)
-    assert img.dot(r1, w0, 3) == -2
-    assert img.dot(r2, w1, 3) == -4
-    assert img.dot(r2, w0, 3) == 0
+    assert img.dot(r1, w0) == -2
+    assert img.dot(r2, w1) == -4
+    assert img.dot(r2, w0) == 0
 
 
 # ----------------------------------------------------------------- reference
@@ -83,14 +98,13 @@ def test_dot_on_planted_vectors():
 def numpy_convolution(geom, image):
     """Second opinion: materialize dense arrays and slide the window."""
     layer = geom.layer
-    dtype = np.int64 if image.mode == "int32" else np.float64
-    inp = np.zeros((layer.in_channels, layer.padded_h, layer.padded_w), dtype)
+    inp = np.zeros((layer.in_channels, layer.padded_h, layer.padded_w), np.int64)
     for ic in range(layer.in_channels):
         for r in range(layer.padded_h):
             inp[ic, r] = image.input_vec(geom.input_vec_addr(ic, r, 0),
                                          layer.padded_w)
     wgt = np.zeros((layer.out_channels, layer.in_channels,
-                    layer.filter_h, layer.filter_w), dtype)
+                    layer.filter_h, layer.filter_w), np.int64)
     for oc in range(layer.out_channels):
         for ic in range(layer.in_channels):
             for fr in range(layer.filter_h):
@@ -104,34 +118,29 @@ def numpy_convolution(geom, image):
                 patch = inp[:, oy * s:oy * s + layer.filter_h,
                             ox * s:ox * s + layer.filter_w]
                 val = (patch * wgt[oc]).sum()
-                out[geom.output_addr(oc, oy, ox)] = \
-                    int(val) if image.mode == "int32" else float(val)
+                out[geom.output_addr(oc, oy, ox)] = int(val)
     return out
 
 
-@pytest.mark.parametrize("layer,mode", [
-    (LayerSpec("plain", 2, 3, 6, 6, 3, 3), "int32"),
-    (LayerSpec("padded", 2, 2, 6, 6, 3, 3, padding=1), "int32"),
-    (LayerSpec("strided", 1, 2, 9, 9, 3, 3, stride=2), "int32"),
-    (LayerSpec("floaty", 2, 2, 6, 6, 3, 3, padding=1), "float32"),
-])
-def test_reference_agrees_with_numpy(layer, mode):
-    geom, img = build(layer, mode=mode)
+# each id names the layer and the arithmetic both routes compute in
+@pytest.mark.parametrize("layer", [
+    LayerSpec("plain", 2, 3, 6, 6, 3, 3),
+    LayerSpec("padded", 2, 2, 6, 6, 3, 3, padding=1),
+    LayerSpec("strided", 1, 2, 9, 9, 3, 3, stride=2),
+], ids=["layer0-int32", "layer1-int32", "layer2-int32"])
+def test_reference_agrees_with_numpy(layer):
+    geom, img = build(layer)
     ref = reference_convolution(geom, img)
     alt = numpy_convolution(geom, img)
     assert ref.keys() == alt.keys()
-    if mode == "int32":
-        assert ref == alt
-    else:
-        for addr in ref:
-            assert ref[addr] == pytest.approx(alt[addr], rel=1e-9)
+    assert ref == alt
 
 
 def test_reference_single_window_by_hand():
     layer = LayerSpec("tiny", 1, 1, 3, 3, 3, 3)
     geom, img = build(layer)
     want = sum(img.dot(geom.input_vec_addr(0, r, 0),
-                       geom.weight_vec_addr(0, 0, r), 3) for r in range(3))
+                       geom.weight_vec_addr(0, 0, r)) for r in range(3))
     assert reference_convolution(geom, img) == {geom.output_addr(0, 0, 0): want}
 
 
@@ -143,7 +152,7 @@ def test_reference_covers_op_stream_accumulation():
     acc = {}
     for op in enumerate_ops(layer, geom):
         acc[op.output_addr] = acc.get(op.output_addr, 0) + \
-            img.dot(op.input_vec_addr, op.weight_vec_addr, op.length)
+            img.dot(op.input_vec_addr, op.weight_vec_addr)
     assert acc == reference_convolution(geom, img)
 
 
@@ -180,11 +189,3 @@ def test_compare_missing_and_extra():
     assert not res.ok
     assert any("missing" in m for m in res.mismatches)
     assert any("not produced" in m for m in res.mismatches)
-
-
-def test_compare_float_tolerance():
-    expected = {0: 100.0}
-    assert compare({0: 100.0005}, expected, mode="float32", rel_tol=1e-4).ok
-    assert not compare({0: 100.05}, expected, mode="float32", rel_tol=1e-4).ok
-    # zero-vs-zero must not divide by zero
-    assert compare({0: 0.0}, {0: 0.0}, mode="float32").ok

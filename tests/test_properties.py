@@ -1,0 +1,79 @@
+"""Property tests: random tiny layers on random tiny machines.
+
+Every scheme must reproduce the reference convolution bit for bit, retire
+each op exactly once, account for every forwarded op, and give the same
+counters when run twice on the same warp programs.  The example count is
+fixed and the search derandomized, so the suite runs the same examples
+every time.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opconv.cachehier import CacheGeometry
+from opconv.oracle import MemoryImage, compare, reference_convolution
+from opconv.smcore import SCHEMES, SimParams, run_simulation
+from opconv.workload import LayerSpec, enumerate_ops, make_layouts, map_to_warps
+
+SMALL_L1 = CacheGeometry(1024, 4, 2)
+
+
+@st.composite
+def layers(draw):
+    """Stride 1-2, filters 1-3, padding 0-1, 1-3 channels each way."""
+    stride = draw(st.integers(1, 2))
+    padding = draw(st.integers(0, 1))
+    fh, fw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # padded extent = filter + stride * steps, with at least one unpadded row
+    h = fh + stride * draw(st.integers(0, 4)) - 2 * padding
+    w = fw + stride * draw(st.integers(0, 4)) - 2 * padding
+    if h < 1:
+        h += 2 * stride
+    if w < 1:
+        w += 2 * stride
+    return LayerSpec("prop", draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                     h, w, fh, fw, stride, padding)
+
+
+def _cluster_counts(sm_count):
+    """Cluster counts that leave no cluster empty and hold at most 8 SMs."""
+    return [c for c in range(1, sm_count + 1)
+            if -(-sm_count // -(-sm_count // c)) == c and -(-sm_count // c) <= 8]
+
+
+@st.composite
+def machines(draw):
+    sm_count = draw(st.integers(1, 16))
+    return dict(sm_count=sm_count,
+                clusters=draw(st.sampled_from(_cluster_counts(sm_count))),
+                warp_size=draw(st.sampled_from([8, 32])),
+                pc_entries=draw(st.integers(1, 64)),
+                at_entries=draw(st.integers(1, 64)),
+                evict_scope=draw(st.sampled_from(["owner", "cluster"])),
+                lat_l1=draw(st.integers(0, 2)),
+                assist_latency=draw(st.integers(0, 9)),
+                forward_latency=draw(st.integers(0, 9)),
+                purge_period=draw(st.integers(1, 60)),
+                l1=draw(st.sampled_from([SMALL_L1, SimParams().l1])))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(layer=layers(), row_pitch=st.sampled_from([0, 4096]), hw=machines(),
+       seed=st.integers(0, 3))
+def test_every_scheme_is_exact_and_conserving(layer, row_pitch, hw, seed):
+    geom = make_layouts(layer, row_pitch)
+    image = MemoryImage(geom, seed)
+    expected = reference_convolution(geom, image)
+    for scheme in SCHEMES:
+        params = SimParams(scheme=scheme, debug_invariants=True, **hw)
+        programs = map_to_warps(list(enumerate_ops(layer, geom)),
+                                params.warp_size, params.sm_count)
+        issued = [list(p.ops) for p in programs]
+        stats, out = run_simulation(params, programs, image, geom)
+        assert compare(out.values, expected).ok, scheme
+        assert stats.retired() == stats.total_ops == layer.op_count()
+        assert stats.forwards == stats.assigned_done + stats.bounces
+        # the simulation shares the programs' op lists and must not change them
+        again, _ = run_simulation(params, programs, image, geom)
+        assert again.to_dict() == stats.to_dict()
+        assert [p.ops for p in programs] == issued

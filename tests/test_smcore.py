@@ -74,7 +74,7 @@ def test_simparams_validation():
 # ----------------------------------------------------------------- scheduler
 
 def test_gto_sticks_to_last_issued_then_oldest():
-    a, b, c = (WarpContext(i, i, [None]) for i in range(3))
+    a, b, c = (WarpContext(i, [None]) for i in range(3))
     ready = [a, b, c]
     assert gto_select(ready, None) is a     # oldest first
     assert gto_select(ready, b) is b        # greedy on the running warp
@@ -88,7 +88,7 @@ def test_gto_selection_properties():
     # the SM loop's bookkeeping: ready warps in a list, blocked ones in a
     # heap of (wake, age, warp), finished ones dropped
     rng = random.Random(41)
-    warps = [WarpContext(i, i, [None] * rng.randint(1, 6)) for i in range(8)]
+    warps = [WarpContext(i, [None] * rng.randint(1, 6)) for i in range(8)]
     ready = list(warps)
     blocked = []
     last = None

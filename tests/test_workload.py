@@ -19,7 +19,6 @@ from opconv.workload import (
     map_to_warps,
     reuse_histogram,
     shrink_layer,
-    write_ops_csv,
 )
 
 INPUT_BASE = 0x0
@@ -170,7 +169,6 @@ def independent_ops(layer, input_base=INPUT_BASE, weight_base=WEIGHT_BASE,
                         out.append((
                             input_base + ic * ch + prow * row + pcol * w,
                             weight_base + oc * w_filt + ic * w_ch + fr * w_row,
-                            layer.filter_w,
                             output_base + oc * o_ch + oy * o_row + ox * w,
                         ))
     return out
@@ -184,7 +182,7 @@ def independent_ops(layer, input_base=INPUT_BASE, weight_base=WEIGHT_BASE,
 ])
 def test_enumeration_matches_independent_loop(layer):
     geom = make_layouts(layer, 0)
-    got = [(op.input_vec_addr, op.weight_vec_addr, op.length, op.output_addr)
+    got = [(op.input_vec_addr, op.weight_vec_addr, op.output_addr)
            for op in enumerate_ops(layer, geom)]
     want = independent_ops(layer)
     assert len(got) == layer.op_count()
@@ -211,12 +209,12 @@ def test_single_warp_mapping():
     assert len(progs) == 1
     prog = progs[0]
     assert prog.warp_id == 0 and prog.sm_id == 0
-    assert len(prog.lanes) == 4
-    assert all(len(lane) == 3 for lane in prog.lanes)
-    assert prog.op_count() == 12
-    for lane_id, lane in enumerate(prog.lanes):
-        assert {op.lane_id for op in lane} == {lane_id}
-        assert len({op.output_addr for op in lane}) == 1
+    assert len(prog.ops) == 12
+    # one lane per output element: four consecutive runs of three ops
+    outs = [op.output_addr for op in prog.ops]
+    lanes = list(dict.fromkeys(outs))
+    assert len(lanes) == 4
+    assert outs == [addr for addr in lanes for _ in range(3)]
 
 
 def test_round_robin_warp_distribution():
@@ -225,8 +223,8 @@ def test_round_robin_warp_distribution():
     progs = map_to_warps(list(enumerate_ops(layer, geom)), 32, 2)
     assert [p.warp_id for p in progs] == [0, 1]
     assert [p.sm_id for p in progs] == [0, 1]
-    assert [len(p.lanes) for p in progs] == [32, 32]
-    assert [p.op_count() for p in progs] == [96, 96]
+    assert [len({op.output_addr for op in p.ops}) for p in progs] == [32, 32]
+    assert [len(p.ops) for p in progs] == [96, 96]
 
     # more warps than SMs wraps around
     many = map_to_warps(list(enumerate_ops(layer, geom)), 8, 3)
@@ -279,15 +277,3 @@ def test_histogram_conserves_ops_and_pairs():
     assert sum(counts.values()) == len(ops)
     assert sum(buckets.values()) == len(counts)
     assert set(buckets) == {"1-100", "101-800", ">800"}
-
-
-def test_write_ops_csv(tmp_path):
-    layer = LayerSpec("t44", 1, 1, 4, 4, 3, 3)
-    geom = make_layouts(layer, 0)
-    progs = map_to_warps(list(enumerate_ops(layer, geom)), 32, 1)
-    path = tmp_path / "ops.csv"
-    write_ops_csv(progs, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "warp_id,lane_id,input_addr,weight_addr,len,output_addr"
-    assert len(lines) == 1 + 12
-    assert lines[1].startswith("0,0,0x0,0x40000000,3,0x80000000")
