@@ -47,7 +47,7 @@ def main():
     print(f"{'layer':>8} {'ops':>9} {'pairs':>7} {'1-100':>7} {'101-800':>8} {'>800':>6}")
     for layer in layers:
         geom = make_layouts(layer, row_pitch=4096)
-        ops = list(enumerate_ops(layer, geom))
+        ops = enumerate_ops(layer, geom)
         counts, buckets = reuse_histogram(ops, 128)
         print(f"{layer.name:>8} {len(ops):>9} {len(counts):>7} "
               f"{buckets['1-100']:>7} {buckets['101-800']:>8} {buckets['>800']:>6}")
@@ -61,7 +61,7 @@ def main():
             continue  # fully-connected layers stream with no cross-SM reuse
         geom = make_layouts(layer, row_pitch=4096)
         image = MemoryImage(geom, seed=0)
-        progs = map_to_warps(list(enumerate_ops(layer, geom)),
+        progs = map_to_warps(enumerate_ops(layer, geom),
                              params.warp_size, params.sm_count)
         stats, _ = run_simulation(params, progs, image, geom)
         avail = inter_sm_availability(stats)

@@ -34,7 +34,7 @@ def main():
     layer = layers[args.layer]
     geom = make_layouts(layer, row_pitch=4096)
     image = MemoryImage(geom, seed=0)
-    progs = map_to_warps(list(enumerate_ops(layer, geom)), 32, args.sms)
+    progs = map_to_warps(enumerate_ops(layer, geom), 32, args.sms)
     expected = reference_convolution(geom, image)
 
     print(f"layer {layer.name}: {layer.op_count()} vector-MAC ops "

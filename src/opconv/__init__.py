@@ -13,9 +13,9 @@ from .workload import (
     ConfigError,
     LayerGeometry,
     LayerSpec,
+    OpStream,
     Pass,
     TensorLayout,
-    VectorMacOp,
     WarpProgram,
     alexnet_conv_layers,
     backward_specs,
@@ -61,9 +61,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AssignTable", "CacheGeometry", "ConfigError", "DEFAULTS",
     "EnergyWeights", "LayerGeometry", "LayerSpec", "LruCache",
-    "MemoryHierarchy", "MemoryImage", "NocModel", "OutputBuffer", "PRESETS",
+    "MemoryHierarchy", "MemoryImage", "NocModel", "OpStream", "OutputBuffer",
+    "PRESETS",
     "Pass", "PrecomputeTable", "SimParams", "SimStats",
-    "Simulation", "SimulationError", "TensorLayout", "VectorMacOp",
+    "Simulation", "SimulationError", "TensorLayout",
     "WarpProgram", "alexnet_conv_layers", "backward_specs", "block_pair_of",
     "build_layers", "cluster_map", "compare", "computation_distribution",
     "energy", "enumerate_ops", "inter_sm_availability", "ipc",

@@ -238,10 +238,9 @@ class LayerRun:
     def __init__(self, cfg, layer):
         self.layer = layer
         self.geom = workload.make_layouts(layer, cfg["layout.row_pitch"])
-        ops = list(workload.enumerate_ops(layer, self.geom))
-        self.programs = workload.map_to_warps(ops, cfg["sm.warp_size"],
+        self.ops = workload.enumerate_ops(layer, self.geom)
+        self.programs = workload.map_to_warps(self.ops, cfg["sm.warp_size"],
                                               cfg["sm.count"])
-        self.ops = ops
         self.image = MemoryImage(self.geom, cfg["run.seed"])
         self.expected = (reference_convolution(self.geom, self.image)
                          if cfg["run.verify"] else None)

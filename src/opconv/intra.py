@@ -22,8 +22,9 @@ SPECULATIVE = 0
 ASSIGNED = 1
 
 
-def predict(op, geom):
-    """Future pairs this op's input row participates in as its window moves down.
+def predict(input_addr, weight_addr, geom):
+    """Future pairs of the input row at input_addr as its window moves down,
+    for the op that just multiplied it with the filter row at weight_addr.
 
     Every downward move of the window by one output row drops the row's
     position inside the window by `stride`, so the input vector meets the
@@ -34,9 +35,9 @@ def predict(op, geom):
     layer = geom.layer
     s = layer.stride
     row_stride = geom.weight.row_stride
-    w_off = op.weight_vec_addr - geom.weight.base_address
+    w_off = weight_addr - geom.weight.base_address
     j = (w_off // row_stride) % layer.filter_h
-    i_off = op.input_vec_addr - geom.input.base_address
+    i_off = input_addr - geom.input.base_address
     r = (i_off % geom.input.channel_stride) // geom.input.row_stride
     base_row = r - j
     if j < s or base_row % s:
@@ -44,7 +45,7 @@ def predict(op, geom):
     # k = 1, 2, ... while the weight row j - k*s exists and the output row
     # base_row/s + k is still in the layer
     moves = min(j // s, layer.out_h - 1 - base_row // s)
-    return [(op.input_vec_addr, op.weight_vec_addr - k * s * row_stride)
+    return [(input_addr, weight_addr - k * s * row_stride)
             for k in range(1, moves + 1)]
 
 
@@ -57,7 +58,7 @@ class PrecomputeEntry:
     complete: bool = False
     result: object = None
     res_mask: int = 0    # bit 0 / bit 1: operand block resident
-    op: object = None    # forwarded VectorMacOp (assigned entries only)
+    op: int = -1         # forwarded op's stream index (assigned entries only)
     src_sm: int = -1     # requesting SM     (assigned entries only)
     completed_at: int = -1
 
@@ -172,7 +173,7 @@ class PrecomputeTable:
         return "accepted"
 
     def stage_assigned(self, key, op, src_sm):
-        """Stage a computation forwarded from src_sm.
+        """Stage op `op` (its stream index), forwarded from src_sm.
 
         Returns (status, payload): ("memo", result) when a completed
         speculative entry already holds the answer, ("staged", entry) when a

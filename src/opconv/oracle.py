@@ -15,6 +15,8 @@ from operator import mul
 
 from .workload import WORD_SIZE, ConfigError
 
+INT32_MIN, INT32_MAX = -2**31, 2**31 - 1
+
 
 class MemoryImage:
     """Operand values addressed exactly like the simulated tensor regions.
@@ -68,7 +70,9 @@ def reference_convolution(geom, image):
     """Naive loop-nest convolution over the image; returns {output_addr: value}.
 
     Accumulation walks channels then filter rows then columns, matching the
-    enumeration order of the op stream.
+    enumeration order of the op stream.  An output outside the int32 range
+    raises ConfigError: the simulated machine computes in 32-bit integers,
+    which Python's unbounded ints would otherwise not show.
     """
     layer = geom.layer
     out = {}
@@ -82,7 +86,12 @@ def reference_convolution(geom, image):
                         iaddr = geom.input_vec_addr(ic, oy * s + fr, ox * s)
                         waddr = geom.weight_vec_addr(oc, ic, fr)
                         acc += image.dot(iaddr, waddr)
-                out[geom.output_addr(oc, oy, ox)] = acc
+                addr = geom.output_addr(oc, oy, ox)
+                if not INT32_MIN <= acc <= INT32_MAX:
+                    raise ConfigError(
+                        f"{layer.name}: reference output at 0x{addr:x} is "
+                        f"{acc}, outside int32")
+                out[addr] = acc
     return out
 
 

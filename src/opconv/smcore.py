@@ -6,6 +6,10 @@ scheduling.  A warp blocks on its own L1 miss; once a fill is requested the
 data is delivered to the warp at the ready cycle even if the block is
 evicted again meanwhile, so execution never replays the access.
 
+A warp is a range of the layer's OpStream and issues its ops in index
+order; an op is named by its stream index wherever it goes, including the
+payloads of forwarded and bounced computations.
+
 Scheme hooks sit on the decode path, in this order: a precompute lookup may
 retire the instruction from a memoized result (1 cycle), an L1 miss may hand
 the whole computation to the SM that owns the data (fire and forget,
@@ -48,7 +52,7 @@ from . import intra as intra_mod
 from . import inter as inter_mod
 from .cachehier import CacheGeometry, MemoryHierarchy, NocModel
 from .metrics import SimStats
-from .workload import ConfigError, check_knobs, knob
+from .workload import ConfigError, OpStream, check_knobs, knob
 
 INF = float("inf")
 
@@ -76,8 +80,8 @@ class OutputBuffer:
 @dataclass(slots=True, eq=False)
 class WarpContext:
     age: int                 # launch stamp (the warp id); smaller is older
-    ops: list                # the WarpProgram's own list; never changed here
-    pc: int = 0
+    pc: int                  # stream index of the next op to issue
+    end: int                 # one past the warp's last op
     exec_pending: bool = False  # operands delivered, execute on next issue
     saw_miss: bool = False      # current op went through the miss path
 
@@ -136,6 +140,11 @@ class SimParams:
 
     def __post_init__(self):
         check_knobs(self)
+        if self.sm_count + self.mc_count > self.mesh_w * self.mesh_h:
+            raise ConfigError(
+                f"sm.count = {self.sm_count} plus mem.mcs = {self.mc_count} "
+                f"nodes do not fit the noc.mesh_w/h = {self.mesh_w}x"
+                f"{self.mesh_h} mesh")
         if self.warp_size % self.simt_width:
             raise ConfigError("warp_size must be a multiple of simt_width")
         if self.scheme in ("inter", "both"):
@@ -168,13 +177,24 @@ class Simulation:
         self.block_mask = ~(self.block_size - 1)
 
         self.warps = [[] for _ in range(p.sm_count)]
+        ops = None            # the one stream every warp indexes
         total_ops = 0
         for prog in programs:
             if not 0 <= prog.sm_id < p.sm_count:
                 raise ConfigError(f"warp {prog.warp_id} targets SM {prog.sm_id}")
-            total_ops += len(prog.ops)
-            if prog.ops:
-                self.warps[prog.sm_id].append(WarpContext(prog.warp_id, prog.ops))
+            if not 0 <= prog.start <= prog.end <= len(prog.stream):
+                raise ConfigError(f"warp {prog.warp_id} ops {prog.start}.."
+                                  f"{prog.end} lie outside its op stream")
+            if prog.end == prog.start:
+                continue
+            if ops is None:
+                ops = prog.stream
+            elif prog.stream is not ops:
+                raise ConfigError(f"warp {prog.warp_id} indexes another op stream")
+            total_ops += prog.end - prog.start
+            self.warps[prog.sm_id].append(
+                WarpContext(prog.warp_id, prog.start, prog.end))
+        self.ops = ops if ops is not None else OpStream()
 
         self.stats = SimStats(scheme=p.scheme, total_ops=total_ops,
                               stall_cycles_per_sm=[0] * p.sm_count)
@@ -261,8 +281,8 @@ class Simulation:
                 armed[dest] = key
                 heapq.heappush(self.wakeups, key)
 
-    def _forward(self, sm_id, owner, op, n_missing, now):
-        """Hand the op to the SM that owns its block pair."""
+    def _forward(self, sm_id, owner, i, n_missing, now):
+        """Hand op i to the SM that owns its block pair."""
         stats = self.stats
         stats.forwards += 1
         stats.instructions_issued += 1
@@ -270,43 +290,43 @@ class Simulation:
         self.pending_assigned += 1
         self.hier.charge_message(sm_id, owner)
         self._schedule(now + self.params.forward_latency, "forward",
-                       owner, (op, sm_id))
+                       owner, (i, sm_id))
 
     def _forward_arrival(self, owner, msg, now):
-        op, src = msg
+        i, src = msg
         self.pending_assigned -= 1
-        key = (op.input_vec_addr, op.weight_vec_addr)
+        key = (self.ops.inp[i], self.ops.wgt[i])
         table = self.tables[owner]
         hier = self.hier
-        ib = op.input_vec_addr & self.block_mask
-        wb = op.weight_vec_addr & self.block_mask
+        ib = key[0] & self.block_mask
+        wb = key[1] & self.block_mask
         if not (hier.resident_for_compute(owner, ib, now)
                 and hier.resident_for_compute(owner, wb, now)):
-            self._bounce(op, src, owner, now)
+            self._bounce(i, src, owner, now)
             return
-        status, payload = table.stage_assigned(key, op, src)
+        status, payload = table.stage_assigned(key, i, src)
         if status == "memo":
-            self.out.add(op.output_addr, payload)
+            self.out.add(self.ops.out[i], payload)
             self.stats.assigned_done += 1
             self.stats.forward_memo_hits += 1
             self.retired += 1
             if self.speculate:
-                self._insert_predictions(table, op)
+                self._insert_predictions(table, key)
         elif status == "staged":
             self.pending_assigned += 1
         else:  # full
-            self._bounce(op, src, owner, now)
+            self._bounce(i, src, owner, now)
 
-    def _bounce(self, op, src, owner, now):
+    def _bounce(self, i, src, owner, now):
         self.stats.bounces += 1
         self.hier.charge_message(owner, src)
-        self._schedule(now + self.params.forward_latency, "bounce", src, op)
+        self._schedule(now + self.params.forward_latency, "bounce", src, i)
 
-    def _bounce_arrival(self, src, op, now):
+    def _bounce_arrival(self, src, i, now):
         """Returned computation: the source fetches what is missing and
         executes out of band (its warp already moved on)."""
         ready = now + self.params.lat_l1
-        for addr in (op.input_vec_addr, op.weight_vec_addr):
+        for addr in (self.ops.inp[i], self.ops.wgt[i]):
             block = addr & self.block_mask
             hit, wait = self.hier.l1_lookup(src, block, now)
             if hit:
@@ -315,39 +335,40 @@ class Simulation:
             else:
                 ready = max(ready, self.hier.fill(src, block, now))
         self.pending_bounce_exec += 1
-        self._schedule(ready, "bounce_fin", src, op)
+        self._schedule(ready, "bounce_fin", src, i)
 
-    def _bounce_finish(self, src, op, now):
+    def _bounce_finish(self, src, i, now):
         self.pending_bounce_exec -= 1
-        value = self.image.dot(op.input_vec_addr, op.weight_vec_addr)
-        self.out.add(op.output_addr, value)
+        ops = self.ops
+        value = self.image.dot(ops.inp[i], ops.wgt[i])
+        self.out.add(ops.out[i], value)
         self.stats.normal_done += 1
         self.retired += 1
         if self.forwarding:
-            self._register_pair(src, op)
+            self._register_pair(src, i)
 
-    def _register_pair(self, sm_id, op):
-        """Name sm_id the owner of the op's block pair if it still holds both."""
-        ib = op.input_vec_addr & self.block_mask
-        wb = op.weight_vec_addr & self.block_mask
+    def _register_pair(self, sm_id, i):
+        """Name sm_id the owner of op i's block pair if it still holds both."""
+        ib = self.ops.inp[i] & self.block_mask
+        wb = self.ops.wgt[i] & self.block_mask
         if self.hier.probe_sm(sm_id, ib) and self.hier.probe_sm(sm_id, wb):
             self.assign_tables[self.cluster_of[sm_id]].register((ib, wb), sm_id)
 
     # ---- table work off the common path ----------------------------------
 
-    def _insert_predictions(self, table, op):
-        for pair in intra_mod.predict(op, self.geom):
+    def _insert_predictions(self, table, key):
+        for pair in intra_mod.predict(key[0], key[1], self.geom):
             if table.insert_prediction(pair) == "accepted":
                 self.stats.predictions_made += 1
 
     def _assigned_done(self, table, entry, value):
         """An assist finished a computation forwarded by another SM."""
-        self.out.add(entry.op.output_addr, value)
+        self.out.add(self.ops.out[entry.op], value)
         self.stats.assigned_done += 1
         self.pending_assigned -= 1
         self.retired += 1
         if self.speculate:
-            self._insert_predictions(table, entry.op)
+            self._insert_predictions(table, entry.key)
 
     def _check_invariants(self, sm_id, table):
         if table is not None and len(table) > table.capacity:
@@ -375,6 +396,7 @@ class Simulation:
         probe_sm = hier.probe_sm
         present_elsewhere = hier.present_elsewhere
         dot = self.image.dot
+        inp, wgt, out_addr = self.ops.inp, self.ops.wgt, self.ops.out
         p = self.params
         issue_cost = p.issue_cost
         lat_l1 = p.lat_l1
@@ -450,7 +472,9 @@ class Simulation:
                     nxt = busy_until
                 elif ready:
                     warp = ready[0] if len(ready) == 1 else gto_select(ready, last)
-                    op = warp.ops[warp.pc]
+                    i = warp.pc
+                    ia = inp[i]
+                    wa = wgt[i]
                     cost = issue_cost
                     if warp.exec_pending:
                         warp.exec_pending = False
@@ -458,12 +482,11 @@ class Simulation:
                     else:
                         execute = False
                         if speculate:
-                            status, result = lookup((op.input_vec_addr,
-                                                     op.weight_vec_addr))
+                            status, result = lookup((ia, wa))
                         else:
                             status = None
                         if status == "hit":
-                            addr = op.output_addr
+                            addr = out_addr[i]
                             values[addr] = values.get(addr, 0) + result
                             out.adds += 1
                             stats.predicted_used += 1
@@ -473,8 +496,8 @@ class Simulation:
                         else:
                             if status == "pending":
                                 stats.predictions_invalidated += 1
-                            ib = op.input_vec_addr & block_mask
-                            wb = op.weight_vec_addr & block_mask
+                            ib = ia & block_mask
+                            wb = wa & block_mask
                             missing, wait = lookup_pair(sm_id, ib, wb, now)
                             if not missing and not wait:
                                 execute = True
@@ -492,7 +515,7 @@ class Simulation:
                                             or cluster_of[owner] != cluster):
                                         owner = None
                                 if owner is not None:
-                                    self._forward(sm_id, owner, op,
+                                    self._forward(sm_id, owner, i,
                                                   len(missing), now)
                                     cost = 1
                                 else:
@@ -510,8 +533,8 @@ class Simulation:
                                     heappush(blocked, (until, warp.age, warp))
                                     cost = 0
                     if execute:
-                        value = dot(op.input_vec_addr, op.weight_vec_addr)
-                        addr = op.output_addr
+                        value = dot(ia, wa)
+                        addr = out_addr[i]
                         values[addr] = values.get(addr, 0) + value
                         out.adds += 1
                         stats.normal_done += 1
@@ -522,19 +545,20 @@ class Simulation:
                             if forwarding:
                                 # registration requires the pair to still be
                                 # fully resident
-                                ib = op.input_vec_addr & block_mask
-                                wb = op.weight_vec_addr & block_mask
+                                ib = ia & block_mask
+                                wb = wa & block_mask
                                 if probe_sm(sm_id, ib) and probe_sm(sm_id, wb):
                                     assign_table.register((ib, wb), sm_id)
                         if speculate:
-                            for pair in predict(op, geom):
+                            for pair in predict(ia, wa, geom):
                                 if insert_prediction(pair) == "accepted":
                                     stats.predictions_made += 1
                     state = BUSY
                     if cost:
                         # the op retired: memoized, forwarded or executed
-                        warp.pc += 1
-                        if warp.pc >= len(warp.ops):
+                        i += 1
+                        warp.pc = i
+                        if i == warp.end:
                             ready.remove(warp)
                             self.live_warps -= 1
                         last = warp

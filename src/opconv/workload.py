@@ -10,9 +10,12 @@ static block-pair reuse analysis.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import compress, count, islice, repeat
+from operator import ne
 
 WORD_SIZE = 4
 
@@ -197,87 +200,101 @@ def make_layouts(layer, row_pitch=0, input_base=INPUT_BASE,
     return geom
 
 
-@dataclass(slots=True)
-class VectorMacOp:
-    """One row-vector dot product: input row slice x filter row -> one output
-    add.  The vector length is the layer's filter_w."""
+@dataclass(slots=True, eq=False)
+class OpStream:
+    """A layer's row-vector MAC ops as three parallel address columns.
 
-    input_vec_addr: int
-    weight_vec_addr: int
-    output_addr: int
+    Op i multiplies the input row at inp[i] with the filter row at wgt[i]
+    and adds the dot product to the output word at out[i]; both vectors are
+    the layer's filter_w words long.  Each column is an array('q') of byte
+    addresses, so an op costs 24 bytes and no Python object; everything
+    downstream names an op by its index.  Nothing changes the columns once
+    they are enumerated.
+    """
+
+    inp: array = field(default_factory=lambda: array("q"))
+    wgt: array = field(default_factory=lambda: array("q"))
+    out: array = field(default_factory=lambda: array("q"))
+
+    def __len__(self):
+        return len(self.out)
 
 
 def enumerate_ops(layer, geom):
-    """Yield every VectorMacOp of a layer.
+    """Every op of a layer, as an OpStream.
 
     Windows are walked row-major per output channel (sliding horizontally,
     then down); within one window the in_channels * filter_h row products are
-    emitted in channel-then-row order, so all ops of one output element are
+    in channel-then-row order, so all ops of one output element are
     consecutive.
     """
     if geom.layer != layer:
         raise ConfigError("geometry was built for a different layer")
     s = layer.stride
+    rows = [(ic, fr) for ic in range(layer.in_channels)
+            for fr in range(layer.filter_h)]
+    # an output element's input rows, as offsets from its window's first row
+    offsets = [geom.input_vec_addr(ic, fr, 0) - geom.input_vec_addr(0, 0, 0)
+               for ic, fr in rows]
+    ops = OpStream()
     for oc in range(layer.out_channels):
+        filt = array("q", [geom.weight_vec_addr(oc, ic, fr) for ic, fr in rows])
         for oy in range(layer.out_h):
             for ox in range(layer.out_w):
-                out_addr = geom.output_addr(oc, oy, ox)
-                for ic in range(layer.in_channels):
-                    base = geom.input_vec_addr(ic, oy * s, ox * s)
-                    waddr = geom.weight_vec_addr(oc, ic, 0)
-                    for fr in range(layer.filter_h):
-                        yield VectorMacOp(base + fr * geom.input.row_stride,
-                                          waddr + fr * geom.weight.row_stride,
-                                          out_addr)
+                first = geom.input_vec_addr(0, oy * s, ox * s)
+                ops.inp.extend(map(first.__add__, offsets))
+                ops.wgt.extend(filt)
+                ops.out.extend(repeat(geom.output_addr(oc, oy, ox), len(rows)))
+    return ops
 
 
-@dataclass
+@dataclass(slots=True)
 class WarpProgram:
-    """The ops of up to warp_size output elements, one per lane, as one flat
-    list in issue order.
+    """One warp: ops start..end-1 of `stream`, the ops of up to warp_size
+    consecutive output elements (one per lane) in issue order.
 
     Ops issue one at a time, element after element, so a warp walks its
     windows left to right and then down, exactly the sliding-window
-    traversal.  The simulator reads `ops` without copying it and never
-    changes it.
+    traversal.  Every warp of a layer indexes the same stream, which the
+    simulator reads and never changes.
     """
 
     warp_id: int
     sm_id: int
-    ops: list = field(default_factory=list)
+    start: int
+    end: int
+    stream: OpStream = field(repr=False)
 
 
 def map_to_warps(ops, warp_size, n_sms):
-    """Pack an op stream into warps and deal warps round-robin over SMs.
+    """Cut an OpStream into warps and deal warps round-robin over SMs.
 
-    Each run of ops sharing output_addr is one output element; every
+    Each run of ops sharing an output address is one output element; every
     warp_size elements start a new warp.
     """
     if warp_size < 1 or n_sms < 1:
         raise ConfigError("warp_size and n_sms must be positive")
-    programs = []
-    cur = None
-    cur_out = None
-    elements = 0
-    for op in ops:
-        if op.output_addr != cur_out:
-            if cur is None or elements == warp_size:
-                wid = len(programs)
-                cur = WarpProgram(wid, wid % n_sms)
-                programs.append(cur)
-                elements = 0
-            elements += 1
-            cur_out = op.output_addr
-        cur.ops.append(op)
-    return programs
+    out = ops.out
+    if not out:
+        return []
+    # the first op of every element: where the output address changes
+    firsts = [0, *compress(count(1), map(ne, out, islice(out, 1, None)))]
+    starts = firsts[::warp_size]
+    ends = starts[1:] + [len(out)]
+    return [WarpProgram(w, w % n_sms, start, end, ops)
+            for w, (start, end) in enumerate(zip(starts, ends))]
 
 
-def block_pair_of(op, block_size):
-    """The (input block, weight block) pair holding this op's operands."""
+def _block_mask(block_size):
     if block_size < 1 or block_size & (block_size - 1):
         raise ConfigError("block_size must be a power of two")
-    mask = ~(block_size - 1)
-    return (op.input_vec_addr & mask, op.weight_vec_addr & mask)
+    return ~(block_size - 1)
+
+
+def block_pair_of(ops, i, block_size):
+    """The (input block, weight block) pair holding op i's operands."""
+    mask = _block_mask(block_size)
+    return (ops.inp[i] & mask, ops.wgt[i] & mask)
 
 
 def reuse_histogram(ops, block_size, edges=(100, 800)):
@@ -286,7 +303,8 @@ def reuse_histogram(ops, block_size, edges=(100, 800)):
     Returns (pair_counts, buckets) where buckets splits pairs at the given
     edges, e.g. edges (100, 800) gives "1-100", "101-800" and ">800".
     """
-    counts = Counter(block_pair_of(op, block_size) for op in ops)
+    mask = _block_mask(block_size)
+    counts = Counter(zip(map(mask.__and__, ops.inp), map(mask.__and__, ops.wgt)))
     lo, hi = edges
     buckets = {f"1-{lo}": 0, f"{lo + 1}-{hi}": 0, f">{hi}": 0}
     for n in counts.values():

@@ -19,7 +19,6 @@ from opconv.oracle import MemoryImage, compare, reference_convolution
 from opconv.smcore import SimParams, run_simulation
 from opconv.workload import (
     LayerSpec,
-    VectorMacOp,
     enumerate_ops,
     lenet5_layers,
     alexnet_conv_layers,
@@ -44,7 +43,7 @@ def _inputs(layer, sm_count=56):
     if key not in _INPUTS:
         geom = make_layouts(layer, ROW_PITCH)
         image = MemoryImage(geom, SEED)
-        programs = map_to_warps(list(enumerate_ops(layer, geom)), 32, sm_count)
+        programs = map_to_warps(enumerate_ops(layer, geom), 32, sm_count)
         expected = reference_convolution(geom, image)
         _INPUTS[key] = (geom, image, programs, expected)
     return _INPUTS[key]
@@ -104,7 +103,7 @@ def test_03_reuse_concentration():
     """On the full-size first layer most block pairs cover many computations."""
     layer = lenet5_layers(1)[0]
     geom = make_layouts(layer, ROW_PITCH)
-    counts, buckets = reuse_histogram(list(enumerate_ops(layer, geom)), 128)
+    counts, buckets = reuse_histogram(enumerate_ops(layer, geom), 128)
     heavy = sum(1 for c in counts.values() if c > 100)
     frac = heavy / len(counts)
     ok = frac >= 0.80
@@ -192,8 +191,7 @@ def test_08_table_integrity_and_exactly_once():
         if roll < 0.35:
             key = (rng.choice(blocks), rng.choice(wblocks))
             if key not in table.entries:
-                status, _payload = table.stage_assigned(
-                    key, VectorMacOp(key[0], key[1], 0x8000_0000), 0)
+                status, _payload = table.stage_assigned(key, 0, 0)
                 if status == "staged":
                     staged += 1
         elif roll < 0.55:

@@ -111,6 +111,15 @@ def test_validate_config_rejections():
     ):
         with pytest.raises(ConfigError):
             cli.validate_config(bad)
+    # 60 SMs and 8 MCs need 68 nodes of the 8x8 mesh: rejected before any
+    # layer is enumerated, naming the keys that size it
+    for bad in (broken(**{"sm.count": 60}),
+                broken(**{"mem.mcs": 9}),
+                broken(**{"noc.mesh_w": 7})):
+        with pytest.raises(ConfigError,
+                           match="sm.count.*mem.mcs.*noc.mesh_w/h"):
+            cli.validate_config(bad)
+    cli.validate_config(broken(**{"sm.count": 56, "mem.mcs": 8}))
     cli.validate_config(dict(cli.DEFAULTS))
 
 

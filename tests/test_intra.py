@@ -3,12 +3,14 @@
 import pytest
 
 from opconv.intra import ASSIGNED, SPECULATIVE, PrecomputeTable, predict
-from opconv.workload import LayerSpec, VectorMacOp, enumerate_ops, make_layouts
+from opconv.workload import LayerSpec, enumerate_ops, make_layouts
 
 
 def pitched_ops(layer, pitch=4096):
+    """The layer's geometry and its ops as (input, weight) address pairs."""
     geom = make_layouts(layer, pitch)
-    return geom, list(enumerate_ops(layer, geom))
+    ops = enumerate_ops(layer, geom)
+    return geom, list(zip(ops.inp, ops.wgt))
 
 
 # ------------------------------------------------------------------- predict
@@ -18,29 +20,29 @@ def test_predict_rows_meet_higher_weight_rows():
     w = geom.weight.row_stride
     w0 = geom.weight_vec_addr(0, 0, 0)
     # first output window: ops 0..2 are filter rows 0..2 on input rows 0..2
-    assert predict(ops[0], geom) == []
-    assert predict(ops[1], geom) == [(0x1000, w0)]
-    assert predict(ops[2], geom) == [(0x2000, w0 + w), (0x2000, w0)]
+    assert predict(*ops[0], geom) == []
+    assert predict(*ops[1], geom) == [(0x1000, w0)]
+    assert predict(*ops[2], geom) == [(0x2000, w0 + w), (0x2000, w0)]
     # the union is exactly the work of the next two windows that reuses
     # already-touched input rows
-    union = set(predict(ops[0], geom)) | set(predict(ops[1], geom)) \
-        | set(predict(ops[2], geom))
+    union = set(predict(*ops[0], geom)) | set(predict(*ops[1], geom)) \
+        | set(predict(*ops[2], geom))
     assert union == {(0x1000, w0), (0x2000, w0 + w), (0x2000, w0)}
 
 
 def test_predicted_pairs_are_future_ops():
     layer = LayerSpec("t", 2, 2, 8, 8, 3, 3)
     geom, ops = pitched_ops(layer)
-    all_pairs = {(op.input_vec_addr, op.weight_vec_addr) for op in ops}
+    all_pairs = set(ops)
     seen = set()
     for op in ops:
-        for pair in predict(op, geom):
+        for pair in predict(*op, geom):
             assert pair in all_pairs       # never invents work
-            assert pair != (op.input_vec_addr, op.weight_vec_addr)
-        seen.add((op.input_vec_addr, op.weight_vec_addr))
+            assert pair != op
+        seen.add(op)
     # every predicted pair of the first window's ops is still in the future
     for op in ops[:3]:
-        for pair in predict(op, geom):
+        for pair in predict(*op, geom):
             assert pair not in seen or pair in all_pairs
 
 
@@ -49,16 +51,16 @@ def test_predict_steps_by_stride():
     w0 = geom.weight_vec_addr(0, 0, 0)
     first = ops[:3]
     # row 2 drops straight to weight row 0 (one output row = two filter rows)
-    assert predict(first[2], geom) == [(first[2].input_vec_addr, w0)]
+    assert predict(*first[2], geom) == [(first[2][0], w0)]
     # row 1 would land between weight rows: nothing to predict
-    assert predict(first[1], geom) == []
+    assert predict(*first[1], geom) == []
     # bottom window predicts nothing past the last output row
-    assert predict(ops[-1], geom) == []
+    assert predict(*ops[-1], geom) == []
 
 
 def test_predict_empty_for_single_output_row():
     geom, ops = pitched_ops(LayerSpec("one", 1, 1, 3, 3, 3, 3))
-    assert all(predict(op, geom) == [] for op in ops)
+    assert all(predict(*op, geom) == [] for op in ops)
 
 
 # ----------------------------------------------------------------- the table
@@ -66,10 +68,6 @@ def test_predict_empty_for_single_output_row():
 def key_of(i):
     # distinct 128B operand blocks per i
     return (0x1000 + i * 128, 0x4000_0000 + i * 128)
-
-
-def make_op(key):
-    return VectorMacOp(key[0], key[1], 0x8000_0000)
 
 
 def always_resident(_block):
@@ -107,10 +105,10 @@ def test_capacity_evicts_oldest_speculative():
 
 def test_assigned_work_cannot_be_displaced():
     t = PrecomputeTable(2, 128, always_resident)
-    assert t.stage_assigned(key_of(0), make_op(key_of(0)), 1)[0] == "staged"
-    assert t.stage_assigned(key_of(1), make_op(key_of(1)), 1)[0] == "staged"
+    assert t.stage_assigned(key_of(0), 0, 1)[0] == "staged"
+    assert t.stage_assigned(key_of(1), 0, 1)[0] == "staged"
     assert t.insert_prediction(key_of(2)) == "rejected"
-    assert t.stage_assigned(key_of(2), make_op(key_of(2)), 1) == ("full", None)
+    assert t.stage_assigned(key_of(2), 0, 1) == ("full", None)
 
 
 def test_stage_assigned_memo_and_replacement():
@@ -118,14 +116,14 @@ def test_stage_assigned_memo_and_replacement():
     k = key_of(3)
     t.insert_prediction(k)
     t.finish(t.next_assist(), 41, 2)
-    status, result = t.stage_assigned(k, make_op(k), src_sm=2)
+    status, result = t.stage_assigned(k, 0, src_sm=2)
     assert (status, result) == ("memo", 41)          # already computed here
     assert t.lookup(k) == ("absent", None)
 
     t.insert_prediction(k)                        # pending this time
-    status, entry = t.stage_assigned(k, make_op(k), src_sm=2)
+    status, entry = t.stage_assigned(k, 5, src_sm=2)
     assert status == "staged" and entry.kind == ASSIGNED
-    assert entry.src_sm == 2 and entry.res_mask == 3
+    assert entry.op == 5 and entry.src_sm == 2 and entry.res_mask == 3
     assert t.lookup(k) == ("absent", None)           # assigned never matched
 
 
@@ -136,7 +134,7 @@ def test_next_assist_prefers_assigned_then_oldest():
     resident.update(key_of(1))                        # only k1 runnable
     t.insert_prediction(k0)
     t.insert_prediction(k1)
-    t.stage_assigned(ka, make_op(ka), 4)
+    t.stage_assigned(ka, 0, 4)
     picked = t.next_assist()
     assert picked.kind == ASSIGNED and picked.key == ka
     t.finish(picked, 7, 2)
@@ -158,7 +156,7 @@ def test_block_eviction_disables_and_bounces():
     t.block_installed(key_of(0)[0])
     assert t.next_assist().key == key_of(0)           # eligible again
 
-    t.stage_assigned(key_of(1), make_op(key_of(1)), 5)
+    t.stage_assigned(key_of(1), 0, 5)
     bounced = t.block_evicted(key_of(1)[1])
     assert [e.key for e in bounced] == [key_of(1)]
     assert bounced[0].res_mask == -1                  # removed marker
@@ -186,7 +184,7 @@ def test_purge_drops_oldest_fraction():
 def test_flush_requires_drained_assigned_work():
     t = PrecomputeTable(8, 128, always_resident)
     t.insert_prediction(key_of(0))
-    t.stage_assigned(key_of(1), make_op(key_of(1)), 3)
+    t.stage_assigned(key_of(1), 0, 3)
     with pytest.raises(AssertionError):
         t.flush()
     t.finish(t.next_assist(), 9, 1)                   # drains the assignment

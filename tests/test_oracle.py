@@ -150,10 +150,36 @@ def test_reference_covers_op_stream_accumulation():
     layer = LayerSpec("toy", 2, 3, 8, 8, 3, 3)
     geom, img = build(layer)
     acc = {}
-    for op in enumerate_ops(layer, geom):
-        acc[op.output_addr] = acc.get(op.output_addr, 0) + \
-            img.dot(op.input_vec_addr, op.weight_vec_addr)
+    ops = enumerate_ops(layer, geom)
+    for ia, wa, addr in zip(ops.inp, ops.wgt, ops.out):
+        acc[addr] = acc.get(addr, 0) + img.dot(ia, wa)
     assert acc == reference_convolution(geom, img)
+
+
+@pytest.mark.parametrize("value,fits", [
+    (2**31 - 1, True), (-2**31, True), (2**31, False), (-2**31 - 1, False),
+])
+def test_reference_rejects_outputs_outside_int32(value, fits):
+    # one 1x1 op: the output is input word x weight word
+    layer = LayerSpec("one", 1, 1, 1, 1, 1, 1)
+    geom, img = build(layer)
+    img.input_words[0], img.weight_words[0] = value, 1
+    addr = geom.output_addr(0, 0, 0)
+    if fits:
+        assert reference_convolution(geom, img) == {addr: value}
+    else:
+        with pytest.raises(ConfigError, match=f"one: .*0x{addr:x}.*int32"):
+            reference_convolution(geom, img)
+
+
+def test_reference_rejects_int32_overflow_of_a_sum():
+    # nine products of 2**30 each fit a Python int but not an int32 sum
+    layer = LayerSpec("big", 1, 1, 3, 3, 3, 3)
+    geom, img = build(layer)
+    img.input_words[:] = [2**15] * len(img.input_words)
+    img.weight_words[:] = [2**15] * len(img.weight_words)
+    with pytest.raises(ConfigError, match=f"big: .*0x{geom.output_addr(0, 0, 0):x}"):
+        reference_convolution(geom, img)
 
 
 def test_reference_is_linear_in_inputs():

@@ -19,6 +19,7 @@ from opconv.smcore import SimParams, Simulation, WarpContext, gto_select, run_si
 from opconv.workload import (
     ConfigError,
     LayerSpec,
+    OpStream,
     WarpProgram,
     enumerate_ops,
     lenet5_layers,
@@ -30,7 +31,7 @@ from opconv.workload import (
 def build_run(layer, params, row_pitch=0, seed=0):
     geom = make_layouts(layer, row_pitch)
     image = MemoryImage(geom, seed)
-    progs = map_to_warps(list(enumerate_ops(layer, geom)),
+    progs = map_to_warps(enumerate_ops(layer, geom),
                          params.warp_size, params.sm_count)
     return geom, image, progs
 
@@ -74,7 +75,7 @@ def test_simparams_validation():
 # ----------------------------------------------------------------- scheduler
 
 def test_gto_sticks_to_last_issued_then_oldest():
-    a, b, c = (WarpContext(i, [None]) for i in range(3))
+    a, b, c = (WarpContext(i, 0, 1) for i in range(3))
     ready = [a, b, c]
     assert gto_select(ready, None) is a     # oldest first
     assert gto_select(ready, b) is b        # greedy on the running warp
@@ -88,7 +89,7 @@ def test_gto_selection_properties():
     # the SM loop's bookkeeping: ready warps in a list, blocked ones in a
     # heap of (wake, age, warp), finished ones dropped
     rng = random.Random(41)
-    warps = [WarpContext(i, [None] * rng.randint(1, 6)) for i in range(8)]
+    warps = [WarpContext(i, 0, rng.randint(1, 6)) for i in range(8)]
     ready = list(warps)
     blocked = []
     last = None
@@ -113,11 +114,11 @@ def test_gto_selection_properties():
             last = pick
             pick.pc += 1
             issued += 1
-            if pick.pc == len(pick.ops):
+            if pick.pc == pick.end:
                 ready.remove(pick)
         now += 1
-    assert issued == sum(len(w.ops) for w in warps)
-    assert all(w.pc == len(w.ops) for w in warps)
+    assert issued == sum(w.end for w in warps)
+    assert all(w.pc == w.end for w in warps)
 
 
 # ------------------------------------------------------------- issue timing
@@ -126,10 +127,10 @@ def test_warm_run_is_pure_issue_occupancy():
     params = SimParams(sm_count=1)
     geom, image, progs = build_run(T44, params)
     sim = Simulation(params, progs, image, geom)
-    blocks = set()
-    for op in progs[0].ops:
-        blocks.add(sim.hier.block_of(op.input_vec_addr))
-        blocks.add(sim.hier.block_of(op.weight_vec_addr))
+    ops, blocks = progs[0].stream, set()
+    for i in range(progs[0].start, progs[0].end):
+        blocks.add(sim.hier.block_of(ops.inp[i]))
+        blocks.add(sim.hier.block_of(ops.wgt[i]))
     sim.hier.warm(0, blocks)
     stats, out = sim.run()
     # 12 ops x 4 cycles each, including the last op's occupancy tail
@@ -162,9 +163,21 @@ def test_cold_miss_blocks_once_then_streams():
 def test_warp_on_unknown_sm_rejected():
     params = SimParams(sm_count=1)
     geom, image, _ = build_run(T44, params)
-    prog = WarpProgram(0, 5)
-    with pytest.raises(ConfigError):
+    prog = WarpProgram(0, 5, 0, 0, OpStream())
+    with pytest.raises(ConfigError, match="targets SM 5"):
         Simulation(params, [prog], image, geom)
+
+
+def test_warp_ranges_index_one_stream():
+    params = SimParams(sm_count=1)
+    geom, image, progs = build_run(T44, params)
+    ops = progs[0].stream
+    for start, end in ((-1, 3), (3, 2), (0, len(ops) + 1)):
+        with pytest.raises(ConfigError, match="outside its op stream"):
+            Simulation(params, [WarpProgram(0, 0, start, end, ops)], image, geom)
+    other = enumerate_ops(T44, geom)
+    with pytest.raises(ConfigError, match="another op stream"):
+        Simulation(params, [progs[0], WarpProgram(1, 0, 0, 3, other)], image, geom)
 
 
 # ----------------------------------------------------- schemes: equivalence
@@ -274,7 +287,7 @@ def test_forwarding_improves_cluster_locality():
     c1 = lenet5_layers(2)[0]
     geom = make_layouts(c1, 4096)
     image = MemoryImage(geom, 0)
-    progs = map_to_warps(list(enumerate_ops(c1, geom)), 32, 8)
+    progs = map_to_warps(enumerate_ops(c1, geom), 32, 8)
     base, _ = run_simulation(SimParams(sm_count=8, clusters=2), progs, image, geom)
     fwd, _ = run_simulation(SimParams(sm_count=8, scheme="inter", clusters=2,
                                       at_entries=512), progs, image, geom)

@@ -4,11 +4,15 @@ The enumeration tests recompute every operand address with inline arithmetic
 (no geometry helpers) so a layout bug cannot hide behind its own accessors.
 """
 
+import tracemalloc
+from collections import Counter
+
 import pytest
 
 from opconv.workload import (
     ConfigError,
     LayerSpec,
+    OpStream,
     Pass,
     alexnet_conv_layers,
     backward_specs,
@@ -182,20 +186,19 @@ def independent_ops(layer, input_base=INPUT_BASE, weight_base=WEIGHT_BASE,
 ])
 def test_enumeration_matches_independent_loop(layer):
     geom = make_layouts(layer, 0)
-    got = [(op.input_vec_addr, op.weight_vec_addr, op.output_addr)
-           for op in enumerate_ops(layer, geom)]
+    ops = enumerate_ops(layer, geom)
     want = independent_ops(layer)
-    assert len(got) == layer.op_count()
-    assert got == want
+    assert len(ops) == layer.op_count()
+    assert list(zip(ops.inp, ops.wgt, ops.out)) == want
 
 
 def test_ops_grouped_by_output_element():
     layer = LayerSpec("toy", 2, 2, 6, 6, 3, 3)
     geom = make_layouts(layer, 0)
     seen = []
-    for op in enumerate_ops(layer, geom):
-        if not seen or seen[-1] != op.output_addr:
-            seen.append(op.output_addr)
+    for addr in enumerate_ops(layer, geom).out:
+        if not seen or seen[-1] != addr:
+            seen.append(addr)
     # each output address appears as exactly one consecutive run
     assert len(seen) == len(set(seen)) == layer.out_h * layer.out_w * layer.out_channels
 
@@ -205,13 +208,14 @@ def test_ops_grouped_by_output_element():
 def test_single_warp_mapping():
     layer = LayerSpec("t44", 1, 1, 4, 4, 3, 3)  # 4 outputs x 3 ops
     geom = make_layouts(layer, 0)
-    progs = map_to_warps(list(enumerate_ops(layer, geom)), 32, 4)
+    ops = enumerate_ops(layer, geom)
+    progs = map_to_warps(ops, 32, 4)
     assert len(progs) == 1
     prog = progs[0]
     assert prog.warp_id == 0 and prog.sm_id == 0
-    assert len(prog.ops) == 12
+    assert (prog.start, prog.end) == (0, 12) and prog.stream is ops
     # one lane per output element: four consecutive runs of three ops
-    outs = [op.output_addr for op in prog.ops]
+    outs = list(ops.out[prog.start:prog.end])
     lanes = list(dict.fromkeys(outs))
     assert len(lanes) == 4
     assert outs == [addr for addr in lanes for _ in range(3)]
@@ -220,28 +224,52 @@ def test_single_warp_mapping():
 def test_round_robin_warp_distribution():
     layer = LayerSpec("t1010", 1, 1, 10, 10, 3, 3)  # 64 output elements
     geom = make_layouts(layer, 0)
-    progs = map_to_warps(list(enumerate_ops(layer, geom)), 32, 2)
+    ops = enumerate_ops(layer, geom)
+    progs = map_to_warps(ops, 32, 2)
     assert [p.warp_id for p in progs] == [0, 1]
     assert [p.sm_id for p in progs] == [0, 1]
-    assert [len({op.output_addr for op in p.ops}) for p in progs] == [32, 32]
-    assert [len(p.ops) for p in progs] == [96, 96]
+    assert [len(set(ops.out[p.start:p.end])) for p in progs] == [32, 32]
+    assert [p.end - p.start for p in progs] == [96, 96]
 
     # more warps than SMs wraps around
-    many = map_to_warps(list(enumerate_ops(layer, geom)), 8, 3)
+    many = map_to_warps(ops, 8, 3)
     assert [p.sm_id for p in many] == [w % 3 for w in range(len(many))]
+    assert map_to_warps(OpStream(), 32, 1) == []
     with pytest.raises(ConfigError):
-        map_to_warps([], 0, 1)
+        map_to_warps(OpStream(), 0, 1)
 
 
 @pytest.mark.parametrize("warp_size,n_sms", [(32, 1), (8, 3), (4, 7)])
 def test_warp_mapping_partitions_op_stream(warp_size, n_sms):
     layer = LayerSpec("toy", 2, 2, 6, 6, 3, 3, padding=1)
     geom = make_layouts(layer, 0)
-    ops = list(enumerate_ops(layer, geom))
+    ops = enumerate_ops(layer, geom)
     progs = map_to_warps(ops, warp_size, n_sms)
-    flat = [op for prog in progs for op in prog.ops]
-    # no op lost, none duplicated, original order preserved
-    assert [id(op) for op in flat] == [id(op) for op in ops]
+    # the ranges tile the stream in order: no op lost, none duplicated
+    assert [p.start for p in progs] == [0] + [p.end for p in progs[:-1]]
+    assert progs[-1].end == len(ops)
+    assert all(p.stream is ops for p in progs)
+    # no output element is split between two warps
+    assert all(ops.out[p.end - 1] != ops.out[p.end] for p in progs[:-1])
+
+
+def test_op_stream_memory_per_op():
+    # three 8-byte address columns per op, where one object per op took
+    # about 134 bytes; the warp ranges add a few bytes per thousand ops
+    layer = alexnet_conv_layers(8)[0]
+    geom = make_layouts(layer, 4096)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ops = enumerate_ops(layer, geom)
+        programs = map_to_warps(ops, 32, 56)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(ops)
+    assert n == layer.op_count() == 114_048 and len(programs) == 108
+    assert (held - before) / n <= 32
+    assert (peak - before) / n <= 32
 
 
 # ---------------------------------------------------------------- reuse stats
@@ -249,31 +277,33 @@ def test_warp_mapping_partitions_op_stream(warp_size, n_sms):
 def test_block_pair_masks_addresses():
     layer = LayerSpec("t44", 1, 1, 4, 4, 3, 3)
     geom = make_layouts(layer, 0)
-    op = next(iter(enumerate_ops(layer, geom)))
-    ib, wb = block_pair_of(op, 128)
-    assert ib == op.input_vec_addr & ~127
-    assert wb == op.weight_vec_addr & ~127
+    ops = enumerate_ops(layer, geom)
+    ib, wb = block_pair_of(ops, 0, 128)
+    assert ib == ops.inp[0] & ~127
+    assert wb == ops.wgt[0] & ~127
     with pytest.raises(ConfigError):
-        block_pair_of(op, 100)
+        block_pair_of(ops, 0, 100)
 
 
 def test_block_masking_properties():
     layer = LayerSpec("toy", 2, 3, 8, 8, 3, 3)
     geom = make_layouts(layer, 0)
-    for op in enumerate_ops(layer, geom):
-        ib, wb = block_pair_of(op, 128)
+    ops = enumerate_ops(layer, geom)
+    for i in range(len(ops)):
+        ib, wb = block_pair_of(ops, i, 128)
         # idempotent: a block address is its own block
         assert ib & ~127 == ib and wb & ~127 == wb
         # order-preserving: addresses never precede their block base
-        assert ib <= op.input_vec_addr < ib + 128
-        assert wb <= op.weight_vec_addr < wb + 128
+        assert ib <= ops.inp[i] < ib + 128
+        assert wb <= ops.wgt[i] < wb + 128
 
 
 def test_histogram_conserves_ops_and_pairs():
     layer = LayerSpec("toy", 2, 3, 8, 8, 3, 3)
     geom = make_layouts(layer, 0)
-    ops = list(enumerate_ops(layer, geom))
+    ops = enumerate_ops(layer, geom)
     counts, buckets = reuse_histogram(ops, 128)
     assert sum(counts.values()) == len(ops)
+    assert counts == Counter(block_pair_of(ops, i, 128) for i in range(len(ops)))
     assert sum(buckets.values()) == len(counts)
     assert set(buckets) == {"1-100", "101-800", ">800"}
