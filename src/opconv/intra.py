@@ -60,7 +60,6 @@ class PrecomputeEntry:
     res_mask: int = 0    # bit 0 / bit 1: operand block resident
     op: int = -1         # forwarded op's stream index (assigned entries only)
     src_sm: int = -1     # requesting SM     (assigned entries only)
-    completed_at: int = -1
 
 
 class PrecomputeTable:
@@ -221,10 +220,9 @@ class PrecomputeTable:
             return entry
         return None
 
-    def finish(self, entry, result, now):
+    def finish(self, entry, result):
         """Assistant completion."""
         self.accesses += 1
-        entry.completed_at = now
         if entry.kind == ASSIGNED:
             self._remove(entry)
             return

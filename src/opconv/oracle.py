@@ -4,7 +4,8 @@ reference convolution, and bit-exact output comparison.
 The simulator only reorders and relocates computations; it must never change
 their values, and its timing never depends on them.  Every experiment can
 therefore be checked against the plain loop-nest convolution computed here,
-element for element.
+element for element.  The reference reads the operand words by index and
+shares no code with MemoryImage.dot, the product the simulator computes with.
 """
 
 from __future__ import annotations
@@ -69,29 +70,60 @@ class MemoryImage:
 def reference_convolution(geom, image):
     """Naive loop-nest convolution over the image; returns {output_addr: value}.
 
-    Accumulation walks channels then filter rows then columns, matching the
-    enumeration order of the op stream.  An output outside the int32 range
+    It reads image.input_words and image.weight_words by word index, with
+    its own stride arithmetic, and shares no code with MemoryImage.dot or
+    the op stream: a fault there shows as a mismatch instead of corrupting
+    the expected outputs too.  Accumulation walks channels then filter rows
+    then columns, matching the enumeration order of the op stream.  A read
+    past the end of either word list, or an output outside the int32 range,
     raises ConfigError: the simulated machine computes in 32-bit integers,
     which Python's unbounded ints would otherwise not show.
     """
     layer = geom.layer
+    s, fw = layer.stride, layer.filter_w
+    inp, wgt = image.input_words, image.weight_words
+    in_row = geom.input.row_stride // WORD_SIZE
+    in_ch = geom.input.channel_stride // WORD_SIZE
+    w_row = geom.weight.row_stride // WORD_SIZE
+    w_ch = geom.weight.channel_stride // WORD_SIZE
+    w_filter = geom.weight_filter_stride // WORD_SIZE
+    out_row = geom.output.row_stride
+    out_ch = geom.output.channel_stride
+    out_base = geom.output.base_address
+    # (input, weight) word offsets of the filter rows, in accumulation order
+    rows = [(ic * in_ch + fr * in_row, ic * w_ch + fr * w_row)
+            for ic in range(layer.in_channels) for fr in range(layer.filter_h)]
+
+    # slices truncate silently, so the furthest word each side reads is
+    # checked once here
+    last_in = rows[-1][0] + (layer.out_h - 1) * s * in_row \
+        + (layer.out_w - 1) * s + fw
+    last_w = (layer.out_channels - 1) * w_filter + rows[-1][1] + fw
+    for side, last, words in (("input", last_in, inp), ("weight", last_w, wgt)):
+        if last > len(words):
+            raise ConfigError(
+                f"{layer.name}: reference reads {side} word {last - 1}, past "
+                f"the image's {len(words)} {side} words")
+
     out = {}
-    s = layer.stride
     for oc in range(layer.out_channels):
+        w0 = oc * w_filter
+        filt = [(i_off, wgt[w0 + w_off:w0 + w_off + fw]) for i_off, w_off in rows]
         for oy in range(layer.out_h):
+            row_base = oy * s * in_row
+            addr = out_base + oc * out_ch + oy * out_row
             for ox in range(layer.out_w):
+                base = row_base + ox * s
                 acc = 0
-                for ic in range(layer.in_channels):
-                    for fr in range(layer.filter_h):
-                        iaddr = geom.input_vec_addr(ic, oy * s + fr, ox * s)
-                        waddr = geom.weight_vec_addr(oc, ic, fr)
-                        acc += image.dot(iaddr, waddr)
-                addr = geom.output_addr(oc, oy, ox)
+                for i_off, w in filt:
+                    i = base + i_off
+                    acc += sum(map(mul, inp[i:i + fw], w))
                 if not INT32_MIN <= acc <= INT32_MAX:
                     raise ConfigError(
                         f"{layer.name}: reference output at 0x{addr:x} is "
                         f"{acc}, outside int32")
                 out[addr] = acc
+                addr += WORD_SIZE
     return out
 
 

@@ -451,7 +451,7 @@ class Simulation:
                     # res_mask -1: removed (bounced or invalidated) mid-flight
                     if entry.res_mask != -1:
                         value = dot(entry.key[0], entry.key[1])
-                        table.finish(entry, value, now)
+                        table.finish(entry, value)
                         stats.assists_executed += 1
                         if entry.kind == intra_mod.ASSIGNED:
                             self._assigned_done(table, entry, value)

@@ -205,7 +205,7 @@ def test_08_table_integrity_and_exactly_once():
         else:
             entry = table.next_assist()
             if entry is not None and entry.kind == ASSIGNED:
-                table.finish(entry, 0, 0)
+                table.finish(entry, 0)
                 finished += 1
         if len(table) > table.capacity:
             over_capacity += 1

@@ -3,12 +3,13 @@
 import argparse
 import json
 import re
+from operator import mul
 
 import pytest
 
 from opconv import cli
 from opconv.metrics import EnergyWeights
-from opconv.oracle import CompareResult
+from opconv.oracle import CompareResult, MemoryImage
 from opconv.smcore import SimParams
 from opconv.workload import ConfigError, Pass
 
@@ -360,3 +361,20 @@ def test_main_reports_verification_failures(tmp_path, capsys, monkeypatch):
     code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_verification_catches_a_faulty_dot(tmp_path, monkeypatch):
+    # the simulator's dot drops its last product; the reference reads the
+    # operand words itself, so every scheme's outputs must fail the check
+    def dot_without_last_product(self, input_addr, weight_addr):
+        a = self.input_vec(input_addr, self.length)
+        b = self.weight_vec(weight_addr, self.length)
+        return sum(map(mul, a[:-1], b[:-1]))
+
+    monkeypatch.setattr(MemoryImage, "dot", dot_without_last_product)
+    lines = []
+    _, _, failures = cli.run_experiment(experiment_cfg(tmp_path), None,
+                                        log=lines.append)
+    assert [f.split(":")[0] for f in failures] == [
+        "t1/baseline", "t1/intra", "t1/inter", "t1/both"]
+    assert all("verify=FAIL" in line for line in lines)

@@ -86,8 +86,8 @@ def test_insert_lookup_consume_cycle():
     assert t.insert_prediction(k) == "accepted"
     entry = t.next_assist()
     assert entry.key == k and entry.kind == SPECULATIVE
-    t.finish(entry, -2, now=5)
-    assert entry.complete and entry.completed_at == 5
+    t.finish(entry, -2)
+    assert entry.complete
     assert t.lookup(k) == ("hit", -2)       # consumed
     assert t.lookup(k) == ("absent", None)
     assert (t.lookups, t.hits, t.pendings, t.inserts, t.duplicates) == (4, 1, 1, 2, 1)
@@ -115,7 +115,7 @@ def test_stage_assigned_memo_and_replacement():
     t = PrecomputeTable(8, 128, always_resident)
     k = key_of(3)
     t.insert_prediction(k)
-    t.finish(t.next_assist(), 41, 2)
+    t.finish(t.next_assist(), 41)
     status, result = t.stage_assigned(k, 0, src_sm=2)
     assert (status, result) == ("memo", 41)          # already computed here
     assert t.lookup(k) == ("absent", None)
@@ -137,7 +137,7 @@ def test_next_assist_prefers_assigned_then_oldest():
     t.stage_assigned(ka, 0, 4)
     picked = t.next_assist()
     assert picked.kind == ASSIGNED and picked.key == ka
-    t.finish(picked, 7, 2)
+    t.finish(picked, 7)
 
     assert t.next_assist().key == k1                  # k0 not resident
     resident.update(k0)
@@ -187,6 +187,6 @@ def test_flush_requires_drained_assigned_work():
     t.stage_assigned(key_of(1), 0, 3)
     with pytest.raises(AssertionError):
         t.flush()
-    t.finish(t.next_assist(), 9, 1)                   # drains the assignment
+    t.finish(t.next_assist(), 9)                # drains the assignment
     t.flush()
     assert len(t) == 0 and t.next_assist() is None

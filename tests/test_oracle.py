@@ -122,14 +122,23 @@ def numpy_convolution(geom, image):
     return out
 
 
-# each id names the layer and the arithmetic both routes compute in
-@pytest.mark.parametrize("layer", [
-    LayerSpec("plain", 2, 3, 6, 6, 3, 3),
-    LayerSpec("padded", 2, 2, 6, 6, 3, 3, padding=1),
-    LayerSpec("strided", 1, 2, 9, 9, 3, 3, stride=2),
-], ids=["layer0-int32", "layer1-int32", "layer2-int32"])
-def test_reference_agrees_with_numpy(layer):
-    geom, img = build(layer)
+# each id names the layer and the arithmetic both routes compute in.  The
+# reference does its own stride arithmetic, so the last two cover padding,
+# stride, several channels and a non-square filter together, packed and with
+# input rows pitched 4096 bytes apart
+MIXED = LayerSpec("mixed", 3, 2, 7, 7, 3, 5, stride=2, padding=1)
+
+
+@pytest.mark.parametrize("layer,row_pitch", [
+    (LayerSpec("plain", 2, 3, 6, 6, 3, 3), 0),
+    (LayerSpec("padded", 2, 2, 6, 6, 3, 3, padding=1), 0),
+    (LayerSpec("strided", 1, 2, 9, 9, 3, 3, stride=2), 0),
+    (MIXED, 0),
+    (MIXED, 4096),
+], ids=["layer0-int32", "layer1-int32", "layer2-int32", "layer3-int32",
+        "layer3-pitched-int32"])
+def test_reference_agrees_with_numpy(layer, row_pitch):
+    geom, img = build(layer, row_pitch)
     ref = reference_convolution(geom, img)
     alt = numpy_convolution(geom, img)
     assert ref.keys() == alt.keys()
@@ -179,6 +188,16 @@ def test_reference_rejects_int32_overflow_of_a_sum():
     img.input_words[:] = [2**15] * len(img.input_words)
     img.weight_words[:] = [2**15] * len(img.weight_words)
     with pytest.raises(ConfigError, match=f"big: .*0x{geom.output_addr(0, 0, 0):x}"):
+        reference_convolution(geom, img)
+
+
+@pytest.mark.parametrize("side", ["input", "weight"])
+def test_reference_rejects_an_image_one_word_short(side):
+    # slices truncate silently, so a short image must fail the bounds check
+    # and not give a shorter dot product
+    geom, img = build(MIXED)
+    getattr(img, f"{side}_words").pop()
+    with pytest.raises(ConfigError, match=f"^mixed: reference reads {side} word"):
         reference_convolution(geom, img)
 
 
