@@ -24,7 +24,8 @@ from . import metrics, workload
 from .cachehier import CacheGeometry
 from .metrics import EnergyWeights
 from .oracle import MemoryImage, compare, reference_convolution
-from .smcore import SCHEMES, SimParams, SimulationError, run_simulation
+from .smcore import (DEFAULT_L1, DEFAULT_L2, SCHEMES, SimParams,
+                     SimulationError, run_simulation)
 from .workload import ConfigError, Knob, knobs
 
 AUTO_SHRINK = {"lenet5": 2, "alexnet": 8, "custom": 1}
@@ -32,11 +33,11 @@ AUTO_SHRINK = {"lenet5": 2, "alexnet": 8, "custom": 1}
 # the keys cli reads itself; every other key is declared by the SimParams or
 # EnergyWeights field it sets
 CLI_KNOBS = (
-    Knob("l1.kb", 16, lo=1),
-    Knob("l1.sets", 32, lo=1),
-    Knob("l1.ways", 4, lo=1),
-    Knob("l2.kb", 64, lo=1),          # per memory controller slice
-    Knob("l2.ways", 8, lo=1),
+    Knob("l1.kb", DEFAULT_L1.capacity_bytes // 1024, lo=1),
+    Knob("l1.sets", DEFAULT_L1.sets, lo=1),
+    Knob("l1.ways", DEFAULT_L1.ways, lo=1),
+    Knob("l2.kb", DEFAULT_L2.capacity_bytes // 1024, lo=1),  # per MC slice
+    Knob("l2.ways", DEFAULT_L2.ways, lo=1),
     Knob("layout.row_pitch", 4096, lo=0),  # pitched input rows; 0 packs them
     Knob("workload.name", "lenet5", choices=tuple(AUTO_SHRINK)),
     Knob("workload.shrink", 0, lo=0),      # 0 = pick a sensible factor per workload

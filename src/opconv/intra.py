@@ -261,7 +261,7 @@ class PrecomputeTable:
             self._remove(entry)
         return bounced
 
-    def purge(self, now, fraction):
+    def purge(self, fraction):
         """Drop the oldest fraction of speculative entries, pending or complete.
 
         Keeps mispredictions from pinning the table between layer phases."""

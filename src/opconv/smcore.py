@@ -45,7 +45,7 @@ An SM is not woken when its step could change nothing:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 from . import intra as intra_mod
@@ -66,7 +66,8 @@ class SimulationError(RuntimeError):
 
 class OutputBuffer:
     """Global accumulation buffer; adds are atomic in the modeled machine,
-    so arrival order never changes an integer result."""
+    so arrival order never changes an integer result.  Every op retires
+    with exactly one add, so `adds` is the count of retired ops."""
 
     def __init__(self):
         self.values = {}
@@ -79,11 +80,13 @@ class OutputBuffer:
 
 @dataclass(slots=True, eq=False)
 class WarpContext:
+    """A warp's place in its op range.  `exec_pending` is set exactly while
+    the op at `pc` has blocked on the miss path and not yet executed."""
+
     age: int                 # launch stamp (the warp id); smaller is older
     pc: int                  # stream index of the next op to issue
     end: int                 # one past the warp's last op
     exec_pending: bool = False  # operands delivered, execute on next issue
-    saw_miss: bool = False      # current op went through the miss path
 
 
 _age = attrgetter("age")
@@ -101,6 +104,10 @@ def gto_select(ready, last):
 
 SCHEMES = ("baseline", "intra", "inter", "both")
 
+# the cli's l1.* and l2.* keys take their defaults from these
+DEFAULT_L1 = CacheGeometry(16 * 1024, 32, 4)
+DEFAULT_L2 = CacheGeometry(64 * 1024, 64, 8)
+
 
 @dataclass
 class SimParams:
@@ -112,9 +119,8 @@ class SimParams:
     sm_count: int = knob("sm.count", 56, lo=1)
     warp_size: int = knob("sm.warp_size", 32, lo=1)
     simt_width: int = knob("sm.simt_width", 8, lo=1)
-    # written again as cli's l1.* / l2.* keys, which make_params turns into these
-    l1: CacheGeometry = field(default_factory=lambda: CacheGeometry(16 * 1024, 32, 4))
-    l2: CacheGeometry = field(default_factory=lambda: CacheGeometry(64 * 1024, 64, 8))
+    l1: CacheGeometry = DEFAULT_L1
+    l2: CacheGeometry = DEFAULT_L2
     mc_count: int = knob("mem.mcs", 8, lo=1)
     mesh_w: int = knob("noc.mesh_w", 8, lo=1)
     mesh_h: int = knob("noc.mesh_h", 8, lo=1)
@@ -146,15 +152,15 @@ class SimParams:
                 f"nodes do not fit the noc.mesh_w/h = {self.mesh_w}x"
                 f"{self.mesh_h} mesh")
         if self.warp_size % self.simt_width:
-            raise ConfigError("warp_size must be a multiple of simt_width")
+            raise ConfigError("sm.warp_size must be a multiple of sm.simt_width")
         if self.scheme in ("inter", "both"):
             # a cluster that cluster_map leaves without SMs would still be
             # charged as a table
             used = len(set(inter_mod.cluster_map(self.sm_count, self.clusters)))
             if used < self.clusters:
                 raise ConfigError(
-                    f"clusters = {self.clusters} on {self.sm_count} SMs leaves "
-                    f"{self.clusters - used} of them empty")
+                    f"inter.clusters = {self.clusters} on {self.sm_count} SMs "
+                    f"leaves {self.clusters - used} of them empty")
 
     @property
     def issue_cost(self):
@@ -224,7 +230,7 @@ class Simulation:
             self.hier.add_evict_listener(self._on_evict)
             self.hier.add_install_listener(self._on_install)
 
-        self.events = []     # (cycle, seq, kind, dest_sm, payload)
+        self.events = []     # (cycle, seq, handler, dest_sm, payload)
         self.event_seq = 0
         # heap of cycle << sm_bits | sm_id: one int per (cycle, SM), ordered
         # by cycle, then SM id.  armed[sm_id] is the key the SM is due at;
@@ -233,8 +239,6 @@ class Simulation:
         self.sm_bits = p.sm_count.bit_length()
         self.armed = list(range(p.sm_count))  # every SM steps at cycle 0
         self.pending_assigned = 0
-        self.pending_bounce_exec = 0
-        self.retired = 0
         self.now = 0
         # kept current so that the run loop's liveness test scans no SM
         self.live_warps = sum(len(w) for w in self.warps)
@@ -260,8 +264,9 @@ class Simulation:
 
     # ---- events ----------------------------------------------------------
 
-    def _schedule(self, cycle, kind, dest, payload):
-        heapq.heappush(self.events, (cycle, self.event_seq, kind, dest, payload))
+    def _schedule(self, cycle, handler, dest, payload):
+        """Call handler(dest, payload, cycle) at `cycle`, then wake SM dest."""
+        heapq.heappush(self.events, (cycle, self.event_seq, handler, dest, payload))
         self.event_seq += 1
 
     def _deliver_due(self, now):
@@ -269,13 +274,8 @@ class Simulation:
         armed = self.armed
         bits = self.sm_bits
         while events and events[0][0] <= now:
-            _, _, kind, dest, payload = heapq.heappop(events)
-            if kind == "forward":
-                self._forward_arrival(dest, payload, now)
-            elif kind == "bounce":
-                self._bounce_arrival(dest, payload, now)
-            elif kind == "bounce_fin":
-                self._bounce_finish(dest, payload, now)
+            _, _, handler, dest, payload = heapq.heappop(events)
+            handler(dest, payload, now)
             key = now << bits | dest
             if armed[dest] != key:
                 armed[dest] = key
@@ -289,8 +289,8 @@ class Simulation:
         stats.fills_avoided += n_missing
         self.pending_assigned += 1
         self.hier.charge_message(sm_id, owner)
-        self._schedule(now + self.params.forward_latency, "forward",
-                       owner, (i, sm_id))
+        self._schedule(now + self.params.forward_latency,
+                       self._forward_arrival, owner, (i, sm_id))
 
     def _forward_arrival(self, owner, msg, now):
         i, src = msg
@@ -309,7 +309,6 @@ class Simulation:
             self.out.add(self.ops.out[i], payload)
             self.stats.assigned_done += 1
             self.stats.forward_memo_hits += 1
-            self.retired += 1
             if self.speculate:
                 self._insert_predictions(table, key)
         elif status == "staged":
@@ -320,7 +319,8 @@ class Simulation:
     def _bounce(self, i, src, owner, now):
         self.stats.bounces += 1
         self.hier.charge_message(owner, src)
-        self._schedule(now + self.params.forward_latency, "bounce", src, i)
+        self._schedule(now + self.params.forward_latency,
+                       self._bounce_arrival, src, i)
 
     def _bounce_arrival(self, src, i, now):
         """Returned computation: the source fetches what is missing and
@@ -334,16 +334,13 @@ class Simulation:
                     ready = max(ready, wait)
             else:
                 ready = max(ready, self.hier.fill(src, block, now))
-        self.pending_bounce_exec += 1
-        self._schedule(ready, "bounce_fin", src, i)
+        self._schedule(ready, self._bounce_finish, src, i)
 
     def _bounce_finish(self, src, i, now):
-        self.pending_bounce_exec -= 1
         ops = self.ops
         value = self.image.dot(ops.inp[i], ops.wgt[i])
         self.out.add(ops.out[i], value)
         self.stats.normal_done += 1
-        self.retired += 1
         if self.forwarding:
             self._register_pair(src, i)
 
@@ -366,7 +363,6 @@ class Simulation:
         self.out.add(self.ops.out[entry.op], value)
         self.stats.assigned_done += 1
         self.pending_assigned -= 1
-        self.retired += 1
         if self.speculate:
             self._insert_predictions(table, entry.key)
 
@@ -388,12 +384,10 @@ class Simulation:
         table = self.tables[sm_id]
         stats = self.stats
         stall = stats.stall_cycles_per_sm
-        out = self.out
-        values = out.values
+        add = self.out.add
         hier = self.hier
         lookup_pair = hier.l1_lookup_pair
         fill = hier.fill
-        probe_sm = hier.probe_sm
         present_elsewhere = hier.present_elsewhere
         dot = self.image.dot
         inp, wgt, out_addr = self.ops.inp, self.ops.wgt, self.ops.out
@@ -406,13 +400,11 @@ class Simulation:
         debug_invariants = p.debug_invariants
         block_mask = self.block_mask
         speculate = self.speculate
-        predict = intra_mod.predict
-        geom = self.geom
+        insert_predictions = self._insert_predictions
         heappush = heapq.heappush
         heappop = heapq.heappop
         if table is not None:
             lookup = table.lookup
-            insert_prediction = table.insert_prediction
             next_assist = table.next_assist
             spec_order = table.spec_order
         else:
@@ -458,7 +450,7 @@ class Simulation:
                         else:
                             stats.predictions_completed += 1
                 if now >= next_purge:
-                    stats.predictions_purged += table.purge(now, purge_fraction)
+                    stats.predictions_purged += table.purge(purge_fraction)
                     while next_purge <= now:
                         next_purge += purge_period
                 while blocked and blocked[0][0] <= now:
@@ -476,22 +468,19 @@ class Simulation:
                     ia = inp[i]
                     wa = wgt[i]
                     cost = issue_cost
-                    if warp.exec_pending:
+                    # an op that blocked on the miss path executes now
+                    missed = execute = warp.exec_pending
+                    if missed:
                         warp.exec_pending = False
-                        execute = True
                     else:
-                        execute = False
                         if speculate:
                             status, result = lookup((ia, wa))
                         else:
                             status = None
                         if status == "hit":
-                            addr = out_addr[i]
-                            values[addr] = values.get(addr, 0) + result
-                            out.adds += 1
+                            add(out_addr[i], result)
                             stats.predicted_used += 1
                             stats.instructions_issued += 1
-                            self.retired += 1
                             cost = 1
                         else:
                             if status == "pending":
@@ -527,32 +516,18 @@ class Simulation:
                                             until = filled
                                     if wait > until:
                                         until = wait
-                                    warp.saw_miss = True
                                     warp.exec_pending = True
                                     ready.remove(warp)
                                     heappush(blocked, (until, warp.age, warp))
                                     cost = 0
                     if execute:
-                        value = dot(ia, wa)
-                        addr = out_addr[i]
-                        values[addr] = values.get(addr, 0) + value
-                        out.adds += 1
+                        add(out_addr[i], dot(ia, wa))
                         stats.normal_done += 1
                         stats.instructions_issued += 1
-                        self.retired += 1
-                        if warp.saw_miss:
-                            warp.saw_miss = False
-                            if forwarding:
-                                # registration requires the pair to still be
-                                # fully resident
-                                ib = ia & block_mask
-                                wb = wa & block_mask
-                                if probe_sm(sm_id, ib) and probe_sm(sm_id, wb):
-                                    assign_table.register((ib, wb), sm_id)
+                        if missed and forwarding:
+                            self._register_pair(sm_id, i)
                         if speculate:
-                            for pair in predict(ia, wa, geom):
-                                if insert_prediction(pair) == "accepted":
-                                    stats.predictions_made += 1
+                            insert_predictions(table, (ia, wa))
                     state = BUSY
                     if cost:
                         # the op retired: memoized, forwarded or executed
@@ -619,6 +594,7 @@ class Simulation:
         sm_mask = (1 << bits) - 1
         heappop = heapq.heappop
         heappush = heapq.heappush
+        out = self.out
         max_idle = self.params.max_idle_cycles
         sms = [self._sm(sm_id) for sm_id in range(self.params.sm_count)]
         steps = []
@@ -654,22 +630,21 @@ class Simulation:
             if events and events[0][0] < next_t:
                 next_t = events[0][0]
             if not (self.live_warps or events or self.pending_assigned
-                    or self.pending_bounce_exec or self.assists_in_flight
-                    or self.max_busy_until > now):
+                    or self.assists_in_flight or self.max_busy_until > now):
                 break
-            if self.retired != last_progress_count:
-                last_progress_count = self.retired
+            if out.adds != last_progress_count:
+                last_progress_count = out.adds
                 last_progress_cycle = now
             elif now - last_progress_cycle > max_idle:
                 raise SimulationError(
                     f"no progress since cycle {last_progress_cycle}: "
-                    f"{self.retired}/{stats.total_ops} ops retired, "
+                    f"{out.adds}/{stats.total_ops} ops retired, "
                     f"{self.pending_assigned} assigned pending, "
                     f"{len(events)} events queued")
             if next_t == INF:
                 raise SimulationError(
                     f"nothing runnable at cycle {now} with work outstanding "
-                    f"({self.retired}/{stats.total_ops} ops retired)")
+                    f"({out.adds}/{stats.total_ops} ops retired)")
             if next_t <= now:
                 next_t = now + 1
             now = next_t
@@ -684,7 +659,7 @@ class Simulation:
         for at in self.assign_tables:
             at.flush()
         stats.check_conservation()
-        return stats, self.out
+        return stats, out
 
     def _collect(self, stats):
         stats.l1_hits = self.hier.l1_hits()

@@ -2,8 +2,12 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -28,8 +32,8 @@ def write_workload(tmp_path, rows=("t1,forward,1,2,8,8,3,3,1,0",)):
     return path
 
 
-def write_config(tmp_path, workload_file, extra=()):
-    path = tmp_path / "run.cfg"
+def write_config(tmp_path, workload_file, extra=(), name="run.cfg"):
+    path = tmp_path / name
     lines = [
         "workload.name = custom",
         f"workload.file = {workload_file}",
@@ -124,18 +128,25 @@ def test_validate_config_rejections():
     cli.validate_config(dict(cli.DEFAULTS))
 
 
+def bad_values(knob):
+    """One value breaking each bound declared by `knob`, and NaN for a float."""
+    bad = []
+    if knob.lo is not None:
+        bad.append(knob.lo - 1)
+    if knob.hi is not None:
+        bad.append(knob.hi + 1)
+    if knob.choices:
+        bad.append("no-such-choice")
+    if isinstance(knob.default, float):
+        bad.append(float("nan"))
+    return bad
+
+
 def test_every_declared_bound_is_enforced():
     # driven by the declarations, so a knob added later is covered too
     checked = 0
     for key, knob in cli.KNOBS.items():
-        bad = []
-        if knob.lo is not None:
-            bad.append(knob.lo - 1)
-        if knob.hi is not None:
-            bad.append(knob.hi + 1)
-        if knob.choices:
-            bad.append("no-such-choice")
-        for value in bad:
+        for value in bad_values(knob):
             cfg = dict(cli.DEFAULTS)
             cfg[key] = value
             with pytest.raises(ConfigError, match=re.escape(key)):
@@ -340,6 +351,52 @@ def test_main_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: simulation stopped: no progress since cycle")
     assert err.count("\n") == 1
+
+
+# runs `opconv` once per argument list in one process; prints the exit
+# status and the standard error of each run as JSON
+_MAIN_LOOP = """
+import contextlib, io, json, sys
+from opconv import cli
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(argv)
+    results.append((status, err.getvalue()))
+json.dump(results, sys.stdout)
+"""
+
+
+def test_invalid_configs_exit_2_before_any_run(tmp_path):
+    # every declared bound, and the checks that relate several keys; the
+    # runs share one process, under a timeout so that a hang fails the test
+    cases = [(key, f"{key} = {value}") for key, knob in cli.KNOBS.items()
+             for value in bad_values(knob)]
+    cases += [("sm.warp_size", "sm.warp_size = 12"),    # SIMT width 8
+              ("sm.count", "sm.count = 60"),            # 60 + 8 MCs > 8x8 mesh
+              ("inter.clusters", "inter.clusters = 3")]  # 4 SMs: one left empty
+    workload_file = write_workload(tmp_path)
+    runs = [["--config", str(write_config(tmp_path, workload_file, (line,),
+                                          name=f"bad{i}.cfg")),
+             "--scheme", "all", "--out", str(tmp_path / f"out{i}")]
+            for i, (_, line) in enumerate(cases)]
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _MAIN_LOOP],
+                          input=json.dumps(runs), env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(cases) >= 40
+    for i, ((key, line), (status, err)) in enumerate(zip(cases, results)):
+        assert status == 2, line
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (line, err)
+        assert key in lines[0], (line, err)
+        assert not (tmp_path / f"out{i}" / "report.csv").exists(), line
 
 
 def test_cache_geometry_errors_name_their_keys(tmp_path, capsys):

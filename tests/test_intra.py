@@ -175,7 +175,7 @@ def test_purge_drops_oldest_fraction():
     t = PrecomputeTable(200, 128, always_resident)
     for i in range(100):
         t.insert_prediction(key_of(i))
-    assert t.purge(now=100, fraction=0.25) == 25
+    assert t.purge(fraction=0.25) == 25
     assert t.purged == 25 and len(t) == 75
     assert t.lookup(key_of(24)) == ("absent", None)
     assert t.lookup(key_of(25))[0] == "pending"

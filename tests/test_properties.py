@@ -72,7 +72,8 @@ def test_every_scheme_is_exact_and_conserving(layer, row_pitch, hw, seed):
         columns = (ops.inp.tobytes(), ops.wgt.tobytes(), ops.out.tobytes())
         stats, out = run_simulation(params, programs, image, geom)
         assert compare(out.values, expected).ok, scheme
-        assert stats.retired() == stats.total_ops == layer.op_count()
+        # out.adds is also the run loop's progress count
+        assert out.adds == stats.retired() == stats.total_ops == layer.op_count()
         assert stats.forwards == stats.assigned_done + stats.bounces
         # the simulation reads the programs' op stream and must not change it
         again, _ = run_simulation(params, programs, image, geom)
