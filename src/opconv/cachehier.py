@@ -230,10 +230,19 @@ class MemoryHierarchy:
             n -= 1
         return n > 0
 
-    def resident_for_compute(self, sm_id, block, now):
-        """Installed and landed by now; what an assistant may read."""
-        return (self.l1[sm_id].contains(block)
-                and block not in self._in_flight_at(sm_id, now))
+    def absent_for_compute(self, sm_id, blocks, now):
+        """Bit k set for each blocks[k] that an assistant may not read at
+        now: not installed in sm_id's L1, or installed by a fill that has
+        not landed.  0 when every block may be read; no recency update."""
+        contains = self.l1[sm_id].contains
+        inflight = self._in_flight_at(sm_id, now)
+        absent = 0
+        bit = 1
+        for b in blocks:
+            if not contains(b) or b in inflight:
+                absent |= bit
+            bit <<= 1
+        return absent
 
     def _note_install(self, sm_id, block):
         self.holders[block] = self.holders.get(block, 0) + 1
@@ -259,37 +268,25 @@ class MemoryHierarchy:
         # aligned so taking it modulo a power-of-two MC count would be constant
         return (block >> self.block_bits) % self.n_mcs
 
-    def l1_lookup(self, sm_id, block, now):
-        """Recency-updating L1 lookup at cycle now.
+    def lookup(self, sm_id, blocks, now):
+        """Recency-updating L1 lookups at cycle now of a tuple of blocks, in
+        order.  Every block is looked up before the caller fills any of the
+        misses, so a fill never evicts a block of the same tuple before it
+        is looked up.
 
-        Returns (hit, wait_until): a hit on a block whose fill is still in
-        flight reports the fill's ready cycle so the requester coalesces."""
-        hit = self.l1[sm_id].touch(block)
-        if hit:
-            return True, self._in_flight_at(sm_id, now).get(block)
-        return False, None
-
-    def l1_lookup_pair(self, sm_id, a, b, now):
-        """Recency-updating L1 lookups of an op's two operand blocks, a first.
-
-        Returns (missing, wait): the blocks that missed, in lookup order, and
+        Returns (misses, wait): the blocks that missed, in lookup order, and
         the latest ready cycle of a hit block whose fill is still in flight
         at now, or 0 if there is none (a fill is never ready before cycle 1)."""
-        l1 = self.l1[sm_id]
-        hit_a = l1.touch(a)
-        hit_b = l1.touch(b)
-        wait = 0
+        touch = self.l1[sm_id].touch
         inflight = self._in_flight_at(sm_id, now)
-        if inflight:
-            if hit_a:
-                wait = inflight.get(a, 0)
-            if hit_b:
-                w = inflight.get(b, 0)
-                if w > wait:
-                    wait = w
-        if hit_a:
-            return (() if hit_b else (b,)), wait
-        return ((a,) if hit_b else (a, b)), wait
+        misses = ()
+        wait = 0
+        for b in blocks:
+            if not touch(b):
+                misses += (b,)
+            elif b in inflight and inflight[b] > wait:
+                wait = inflight[b]
+        return misses, wait
 
     def fill(self, sm_id, block, now):
         """Start a fill of block into sm_id's L1 at cycle now, or join one

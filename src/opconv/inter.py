@@ -26,7 +26,9 @@ def cluster_map(n_sms, n_clusters):
         raise ConfigError("need at least one cluster")
     size = -(-n_sms // n_clusters)
     if size > 8:
-        raise ConfigError(f"cluster size {size} exceeds the 3-bit owner field")
+        raise ConfigError(f"inter.clusters = {n_clusters} on sm.count = {n_sms} "
+                          f"SMs makes clusters of {size}; the 3-bit owner field "
+                          f"names at most 8")
     return [min(sm // size, n_clusters - 1) for sm in range(n_sms)]
 
 

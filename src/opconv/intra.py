@@ -4,7 +4,7 @@ When a window row product completes, the rows it will meet again after the
 window slides down are known from pure address arithmetic; those future
 (input vector, weight vector) pairs are inserted as pending predictions.
 An assistant engine executes pending entries during stall cycles, but only
-when both operand blocks are already resident, so it never generates memory
+when every operand block is already resident, so it never generates memory
 traffic.  A later instruction that decodes a completed pair consumes the
 stored result instead of accessing the cache.
 
@@ -52,12 +52,12 @@ def predict(input_addr, weight_addr, geom):
 @dataclass(slots=True)
 class PrecomputeEntry:
     key: tuple           # (input_vec_addr, weight_vec_addr)
-    blocks: tuple        # operand cache blocks of the pair
+    blocks: tuple        # the pair's operand blocks (workload.operand_blocks)
     kind: int            # SPECULATIVE or ASSIGNED
     seq: int
     complete: bool = False
     result: object = None
-    res_mask: int = 0    # bit 0 / bit 1: operand block resident
+    absent: int = 0      # bit k: blocks[k] not resident; -1: entry removed
     op: int = -1         # forwarded op's stream index (assigned entries only)
     src_sm: int = -1     # requesting SM     (assigned entries only)
 
@@ -65,12 +65,11 @@ class PrecomputeEntry:
 class PrecomputeTable:
     """Fixed-capacity memo table, FIFO eviction by insertion order."""
 
-    def __init__(self, capacity, block_size, resident_fn):
+    def __init__(self, capacity, absent_fn):
         self.capacity = capacity
-        self.block_mask = ~(block_size - 1)
-        # block -> bool: installed and landed at the current cycle; no cache
-        # side effects
-        self.resident_fn = resident_fn
+        # blocks -> int, bit k set when blocks[k] is not installed and landed
+        # at the current cycle; no cache side effects
+        self.absent_fn = absent_fn
         self.entries = {}               # key -> entry
         self.spec_order = {}            # seq -> entry, insertion ordered
         self.assigned_order = {}        # seq -> entry, insertion ordered
@@ -91,9 +90,6 @@ class PrecomputeTable:
 
     def __len__(self):
         return len(self.entries)
-
-    def _blocks_of(self, key):
-        return (key[0] & self.block_mask, key[1] & self.block_mask)
 
     def _index(self, entry):
         for b in entry.blocks:
@@ -116,19 +112,7 @@ class PrecomputeTable:
         self.spec_order.pop(entry.seq, None)
         self.assigned_order.pop(entry.seq, None)
         self._unindex(entry)
-        entry.res_mask = -1  # invalidates any stale heap reference
-
-    def _mask_of(self, blocks):
-        m = 0
-        if self.resident_fn(blocks[0]):
-            m |= 1
-        if self.resident_fn(blocks[1]):
-            m |= 2
-        return m
-
-    def _push_eligible(self, entry):
-        if entry.res_mask == 3 and entry.kind == SPECULATIVE and not entry.complete:
-            heapq.heappush(self.eligible_heap, entry.seq)
+        entry.absent = -1  # invalidates any stale heap reference
 
     def lookup(self, key):
         """Decode-time lookup for the SM's own instruction.
@@ -152,27 +136,29 @@ class PrecomputeTable:
         self._remove(entry)
         return "pending", None
 
-    def insert_prediction(self, key):
-        """Queue a predicted pair.  Returns accepted | duplicate | rejected."""
+    def insert_prediction(self, key, blocks):
+        """Queue a predicted pair, which reads `blocks`.  Returns accepted |
+        duplicate | rejected."""
         self.accesses += 1
         if key in self.entries:
             self.duplicates += 1
             return "duplicate"
         if len(self.entries) >= self.capacity and not self._evict_oldest_spec():
             return "rejected"
-        blocks = self._blocks_of(key)
-        entry = PrecomputeEntry(key, blocks, SPECULATIVE, self.seq)
+        entry = PrecomputeEntry(key, blocks, SPECULATIVE, self.seq,
+                                absent=self.absent_fn(blocks))
         self.seq += 1
-        entry.res_mask = self._mask_of(blocks)
         self.entries[key] = entry
         self.spec_order[entry.seq] = entry
         self._index(entry)
-        self._push_eligible(entry)
+        if not entry.absent:
+            heapq.heappush(self.eligible_heap, entry.seq)
         self.inserts += 1
         return "accepted"
 
-    def stage_assigned(self, key, op, src_sm):
-        """Stage op `op` (its stream index), forwarded from src_sm.
+    def stage_assigned(self, key, blocks, op, src_sm):
+        """Stage op `op` (its stream index), which reads `blocks`, forwarded
+        from src_sm; the caller has checked that every block is resident.
 
         Returns (status, payload): ("memo", result) when a completed
         speculative entry already holds the answer, ("staged", entry) when a
@@ -188,11 +174,9 @@ class PrecomputeTable:
             self._remove(existing)  # replaced by the definite request
         if len(self.entries) >= self.capacity and not self._evict_oldest_spec():
             return "full", None
-        blocks = self._blocks_of(key)
         entry = PrecomputeEntry(key, blocks, ASSIGNED, self.seq,
                                 op=op, src_sm=src_sm)
         self.seq += 1
-        entry.res_mask = 3  # both operands were resident when forwarded here
         self.entries[key] = entry
         self.assigned_order[entry.seq] = entry
         self._index(entry)
@@ -214,7 +198,7 @@ class PrecomputeTable:
         while self.eligible_heap:
             seq = self.eligible_heap[0]
             entry = self.spec_order.get(seq)
-            if entry is None or entry.complete or entry.res_mask != 3:
+            if entry is None or entry.complete or entry.absent:
                 heapq.heappop(self.eligible_heap)
                 continue
             return entry
@@ -236,15 +220,14 @@ class PrecomputeTable:
         bucket = self.by_block.get(block)
         if not bucket:
             return
-        # runs once per L1 install, over every entry naming the block, so the
-        # eligibility push of _push_eligible is written out here
         heap = self.eligible_heap
         for entry in bucket.values():
-            bit = 1 if entry.blocks[0] == block else 2
-            mask = entry.res_mask
-            if not mask & bit:
-                entry.res_mask = mask = mask | bit
-                if mask == 3 and entry.kind == SPECULATIVE and not entry.complete:
+            bit = 1 << entry.blocks.index(block)
+            absent = entry.absent
+            if absent & bit:
+                entry.absent = absent = absent ^ bit
+                # a bucket never holds a complete entry (see finish)
+                if not absent and entry.kind == SPECULATIVE:
                     heapq.heappush(heap, entry.seq)
 
     def block_evicted(self, block):
@@ -254,7 +237,7 @@ class PrecomputeTable:
             return []
         bounced = []
         for entry in bucket.values():
-            entry.res_mask &= ~1 if entry.blocks[0] == block else ~2
+            entry.absent |= 1 << entry.blocks.index(block)
             if entry.kind == ASSIGNED:
                 bounced.append(entry)
         for entry in bounced:

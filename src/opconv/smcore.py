@@ -52,7 +52,7 @@ from . import intra as intra_mod
 from . import inter as inter_mod
 from .cachehier import CacheGeometry, MemoryHierarchy, NocModel
 from .metrics import SimStats
-from .workload import ConfigError, OpStream, check_knobs, knob
+from .workload import ConfigError, OpStream, check_knobs, knob, operand_blocks
 
 INF = float("inf")
 
@@ -80,13 +80,14 @@ class OutputBuffer:
 
 @dataclass(slots=True, eq=False)
 class WarpContext:
-    """A warp's place in its op range.  `exec_pending` is set exactly while
-    the op at `pc` has blocked on the miss path and not yet executed."""
+    """A warp's place in its op range.  `pending_blocks` holds the operand
+    blocks of the op at `pc` exactly while that op has blocked on the miss
+    path and not yet executed, and is None otherwise."""
 
     age: int                 # launch stamp (the warp id); smaller is older
     pc: int                  # stream index of the next op to issue
     end: int                 # one past the warp's last op
-    exec_pending: bool = False  # operands delivered, execute on next issue
+    pending_blocks: tuple | None = None  # execute on next issue
 
 
 _age = attrgetter("age")
@@ -154,8 +155,8 @@ class SimParams:
         if self.warp_size % self.simt_width:
             raise ConfigError("sm.warp_size must be a multiple of sm.simt_width")
         if self.scheme in ("inter", "both"):
-            # a cluster that cluster_map leaves without SMs would still be
-            # charged as a table
+            # cluster_map rejects clusters of more than eight SMs; a cluster
+            # that it leaves without SMs would still be charged as a table
             used = len(set(inter_mod.cluster_map(self.sm_count, self.clusters)))
             if used < self.clusters:
                 raise ConfigError(
@@ -179,8 +180,7 @@ class Simulation:
                        p.pipeline_stages)
         self.hier = MemoryHierarchy(p.sm_count, p.l1, p.l2, p.mc_count, noc,
                                     (p.lat_l1, p.lat_l2, p.lat_dram))
-        self.block_size = p.l1.block_size
-        self.block_mask = ~(self.block_size - 1)
+        self.block_mask = ~(p.l1.block_size - 1)
 
         self.warps = [[] for _ in range(p.sm_count)]
         ops = None            # the one stream every warp indexes
@@ -209,7 +209,7 @@ class Simulation:
         use_tables = self.speculate or self.forwarding
         if use_tables:
             self.tables = [intra_mod.PrecomputeTable(
-                p.pc_entries, self.block_size, self._resident_fn(sm_id))
+                p.pc_entries, self._absent_fn(sm_id))
                 for sm_id in range(p.sm_count)]
         else:
             self.tables = [None] * p.sm_count
@@ -238,25 +238,21 @@ class Simulation:
         self.wakeups = []
         self.sm_bits = p.sm_count.bit_length()
         self.armed = list(range(p.sm_count))  # every SM steps at cycle 0
-        self.pending_assigned = 0
         self.now = 0
-        # kept current so that the run loop's liveness test scans no SM
-        self.live_warps = sum(len(w) for w in self.warps)
         self.assists_in_flight = 0
         self.max_busy_until = 0
 
     # ---- listeners -------------------------------------------------------
 
-    def _resident_fn(self, sm_id):
-        resident = self.hier.resident_for_compute
-        return lambda block: resident(sm_id, block, self.now)
+    def _absent_fn(self, sm_id):
+        absent = self.hier.absent_for_compute
+        return lambda blocks: absent(sm_id, blocks, self.now)
 
     def _on_install(self, sm_id, block):
         self.tables[sm_id].block_installed(block)
 
     def _on_evict(self, sm_id, block):
         for entry in self.tables[sm_id].block_evicted(block):
-            self.pending_assigned -= 1
             self._bounce(entry.op, entry.src_sm, sm_id, self.now)
         if self.forwarding:
             at = self.assign_tables[self.cluster_of[sm_id]]
@@ -282,38 +278,31 @@ class Simulation:
                 heapq.heappush(self.wakeups, key)
 
     def _forward(self, sm_id, owner, i, n_missing, now):
-        """Hand op i to the SM that owns its block pair."""
+        """Hand op i to the SM that owns its operand blocks."""
         stats = self.stats
         stats.forwards += 1
         stats.instructions_issued += 1
         stats.fills_avoided += n_missing
-        self.pending_assigned += 1
         self.hier.charge_message(sm_id, owner)
         self._schedule(now + self.params.forward_latency,
                        self._forward_arrival, owner, (i, sm_id))
 
     def _forward_arrival(self, owner, msg, now):
         i, src = msg
-        self.pending_assigned -= 1
         key = (self.ops.inp[i], self.ops.wgt[i])
-        table = self.tables[owner]
-        hier = self.hier
-        ib = key[0] & self.block_mask
-        wb = key[1] & self.block_mask
-        if not (hier.resident_for_compute(owner, ib, now)
-                and hier.resident_for_compute(owner, wb, now)):
+        blocks = operand_blocks(key[0], key[1], self.block_mask)
+        if self.hier.absent_for_compute(owner, blocks, now):
             self._bounce(i, src, owner, now)
             return
-        status, payload = table.stage_assigned(key, i, src)
+        table = self.tables[owner]
+        status, payload = table.stage_assigned(key, blocks, i, src)
         if status == "memo":
             self.out.add(self.ops.out[i], payload)
             self.stats.assigned_done += 1
             self.stats.forward_memo_hits += 1
             if self.speculate:
                 self._insert_predictions(table, key)
-        elif status == "staged":
-            self.pending_assigned += 1
-        else:  # full
+        elif status == "full":
             self._bounce(i, src, owner, now)
 
     def _bounce(self, i, src, owner, now):
@@ -325,15 +314,17 @@ class Simulation:
     def _bounce_arrival(self, src, i, now):
         """Returned computation: the source fetches what is missing and
         executes out of band (its warp already moved on)."""
+        hier = self.hier
         ready = now + self.params.lat_l1
-        for addr in (self.ops.inp[i], self.ops.wgt[i]):
-            block = addr & self.block_mask
-            hit, wait = self.hier.l1_lookup(src, block, now)
-            if hit:
-                if wait is not None:
-                    ready = max(ready, wait)
-            else:
-                ready = max(ready, self.hier.fill(src, block, now))
+        # block by block, each miss filled before the next lookup, unlike the
+        # issue path; tests/counter_fingerprints.json pins this order
+        for block in operand_blocks(self.ops.inp[i], self.ops.wgt[i],
+                                    self.block_mask):
+            missing, wait = hier.lookup(src, (block,), now)
+            if missing:
+                wait = hier.fill(src, block, now)
+            if wait > ready:
+                ready = wait
         self._schedule(ready, self._bounce_finish, src, i)
 
     def _bounce_finish(self, src, i, now):
@@ -342,27 +333,31 @@ class Simulation:
         self.out.add(ops.out[i], value)
         self.stats.normal_done += 1
         if self.forwarding:
-            self._register_pair(src, i)
+            self._register_pair(
+                src, operand_blocks(ops.inp[i], ops.wgt[i], self.block_mask))
 
-    def _register_pair(self, sm_id, i):
-        """Name sm_id the owner of op i's block pair if it still holds both."""
-        ib = self.ops.inp[i] & self.block_mask
-        wb = self.ops.wgt[i] & self.block_mask
-        if self.hier.probe_sm(sm_id, ib) and self.hier.probe_sm(sm_id, wb):
-            self.assign_tables[self.cluster_of[sm_id]].register((ib, wb), sm_id)
+    def _register_pair(self, sm_id, blocks):
+        """Name sm_id the owner of an op's operand blocks if it still holds
+        them all."""
+        probe = self.hier.probe_sm
+        for b in blocks:
+            if not probe(sm_id, b):
+                return
+        self.assign_tables[self.cluster_of[sm_id]].register(blocks, sm_id)
 
     # ---- table work off the common path ----------------------------------
 
     def _insert_predictions(self, table, key):
+        mask = self.block_mask
         for pair in intra_mod.predict(key[0], key[1], self.geom):
-            if table.insert_prediction(pair) == "accepted":
+            blocks = operand_blocks(pair[0], pair[1], mask)
+            if table.insert_prediction(pair, blocks) == "accepted":
                 self.stats.predictions_made += 1
 
     def _assigned_done(self, table, entry, value):
         """An assist finished a computation forwarded by another SM."""
         self.out.add(self.ops.out[entry.op], value)
         self.stats.assigned_done += 1
-        self.pending_assigned -= 1
         if self.speculate:
             self._insert_predictions(table, entry.key)
 
@@ -386,7 +381,7 @@ class Simulation:
         stall = stats.stall_cycles_per_sm
         add = self.out.add
         hier = self.hier
-        lookup_pair = hier.l1_lookup_pair
+        lookup_blocks = hier.lookup
         fill = hier.fill
         present_elsewhere = hier.present_elsewhere
         dot = self.image.dot
@@ -440,8 +435,8 @@ class Simulation:
                     assist_entry = None
                     assist_until = INF
                     self.assists_in_flight -= 1
-                    # res_mask -1: removed (bounced or invalidated) mid-flight
-                    if entry.res_mask != -1:
+                    # absent -1: removed (bounced or invalidated) mid-flight
+                    if entry.absent != -1:
                         value = dot(entry.key[0], entry.key[1])
                         table.finish(entry, value)
                         stats.assists_executed += 1
@@ -469,9 +464,10 @@ class Simulation:
                     wa = wgt[i]
                     cost = issue_cost
                     # an op that blocked on the miss path executes now
-                    missed = execute = warp.exec_pending
-                    if missed:
-                        warp.exec_pending = False
+                    missed = warp.pending_blocks
+                    execute = missed is not None
+                    if execute:
+                        warp.pending_blocks = None
                     else:
                         if speculate:
                             status, result = lookup((ia, wa))
@@ -485,9 +481,8 @@ class Simulation:
                         else:
                             if status == "pending":
                                 stats.predictions_invalidated += 1
-                            ib = ia & block_mask
-                            wb = wa & block_mask
-                            missing, wait = lookup_pair(sm_id, ib, wb, now)
+                            blocks = operand_blocks(ia, wa, block_mask)
+                            missing, wait = lookup_blocks(sm_id, blocks, now)
                             if not missing and not wait:
                                 execute = True
                             else:
@@ -498,7 +493,7 @@ class Simulation:
                                             stats.probe_found_elsewhere += 1
                                 owner = None
                                 if missing and forwarding:
-                                    owner = assign_table.lookup((ib, wb))
+                                    owner = assign_table.lookup(blocks)
                                     if owner is not None and (
                                             owner == sm_id
                                             or cluster_of[owner] != cluster):
@@ -516,7 +511,7 @@ class Simulation:
                                             until = filled
                                     if wait > until:
                                         until = wait
-                                    warp.exec_pending = True
+                                    warp.pending_blocks = blocks
                                     ready.remove(warp)
                                     heappush(blocked, (until, warp.age, warp))
                                     cost = 0
@@ -525,7 +520,7 @@ class Simulation:
                         stats.normal_done += 1
                         stats.instructions_issued += 1
                         if missed and forwarding:
-                            self._register_pair(sm_id, i)
+                            self._register_pair(sm_id, missed)
                         if speculate:
                             insert_predictions(table, (ia, wa))
                     state = BUSY
@@ -535,7 +530,6 @@ class Simulation:
                         warp.pc = i
                         if i == warp.end:
                             ready.remove(warp)
-                            self.live_warps -= 1
                         last = warp
                         busy_until = nxt = now + cost
                     else:
@@ -595,6 +589,7 @@ class Simulation:
         heappop = heapq.heappop
         heappush = heapq.heappush
         out = self.out
+        total_ops = stats.total_ops
         max_idle = self.params.max_idle_cycles
         sms = [self._sm(sm_id) for sm_id in range(self.params.sm_count)]
         steps = []
@@ -629,8 +624,9 @@ class Simulation:
             next_t = wakeups[0] >> bits if wakeups else INF
             if events and events[0][0] < next_t:
                 next_t = events[0][0]
-            if not (self.live_warps or events or self.pending_assigned
-                    or self.assists_in_flight or self.max_busy_until > now):
+            # an op not yet retired is on a warp, in an event or in a table
+            if not (out.adds < total_ops or self.assists_in_flight
+                    or self.max_busy_until > now):
                 break
             if out.adds != last_progress_count:
                 last_progress_count = out.adds
@@ -639,7 +635,6 @@ class Simulation:
                 raise SimulationError(
                     f"no progress since cycle {last_progress_cycle}: "
                     f"{out.adds}/{stats.total_ops} ops retired, "
-                    f"{self.pending_assigned} assigned pending, "
                     f"{len(events)} events queued")
             if next_t == INF:
                 raise SimulationError(

@@ -291,10 +291,20 @@ def _block_mask(block_size):
     return ~(block_size - 1)
 
 
+def operand_blocks(input_addr, weight_addr, block_mask):
+    """The cache blocks an op reads, as a tuple of distinct blocks: the
+    block holding the first word of its input vector, then the one holding
+    the first word of its weight vector.
+
+    This is the one place an operand address becomes a block; the issue
+    path, the precompute and assign tables and bounced work all take their
+    blocks from here.  `block_mask` is ~(block size - 1)."""
+    return (input_addr & block_mask, weight_addr & block_mask)
+
+
 def block_pair_of(ops, i, block_size):
     """The (input block, weight block) pair holding op i's operands."""
-    mask = _block_mask(block_size)
-    return (ops.inp[i] & mask, ops.wgt[i] & mask)
+    return operand_blocks(ops.inp[i], ops.wgt[i], _block_mask(block_size))
 
 
 def reuse_histogram(ops, block_size, edges=(100, 800)):
@@ -304,7 +314,7 @@ def reuse_histogram(ops, block_size, edges=(100, 800)):
     edges, e.g. edges (100, 800) gives "1-100", "101-800" and ">800".
     """
     mask = _block_mask(block_size)
-    counts = Counter(zip(map(mask.__and__, ops.inp), map(mask.__and__, ops.wgt)))
+    counts = Counter(map(operand_blocks, ops.inp, ops.wgt, repeat(mask)))
     lo, hi = edges
     buckets = {f"1-{lo}": 0, f"{lo + 1}-{hi}": 0, f">{hi}": 0}
     for n in counts.values():

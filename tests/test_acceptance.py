@@ -181,7 +181,8 @@ def test_08_table_integrity_and_exactly_once():
     # randomized table stress: stage/evict/install/assist, 10^4 events
     rng = random.Random(20260814)
     resident = set()
-    table = PrecomputeTable(32, 128, resident.__contains__)
+    table = PrecomputeTable(32, lambda pair: sum(
+        1 << k for k, b in enumerate(pair) if b not in resident))
     blocks = [i * 128 for i in range(24)]
     wblocks = [0x4000_0000 + i * 128 for i in range(8)]
     staged = bounced = finished = 0
@@ -191,7 +192,8 @@ def test_08_table_integrity_and_exactly_once():
         if roll < 0.35:
             key = (rng.choice(blocks), rng.choice(wblocks))
             if key not in table.entries:
-                status, _payload = table.stage_assigned(key, 0, 0)
+                # both addresses are block aligned: the key is its own blocks
+                status, _payload = table.stage_assigned(key, key, 0, 0)
                 if status == "staged":
                     staged += 1
         elif roll < 0.55:

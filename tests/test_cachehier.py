@@ -176,11 +176,11 @@ def test_fills_coalesce_and_expire():
     r1 = hier.fill(0, 0, now=0)
     assert hier.fill(0, 0, now=3) == r1       # joins the in-flight fill
     assert hier.l2_misses == 1                # charged only once
-    hit, wait = hier.l1_lookup(0, 0, now=3)
-    assert hit and wait == r1                 # installed, data not landed yet
-    assert not hier.resident_for_compute(0, 0, r1 - 1)
-    assert hier.l1_lookup(0, 0, r1) == (True, None)
-    assert hier.resident_for_compute(0, 0, r1)
+    misses, wait = hier.lookup(0, (0,), now=3)
+    assert not misses and wait == r1          # installed, data not landed yet
+    assert hier.absent_for_compute(0, (0,), r1 - 1) == 1
+    assert hier.lookup(0, (0,), r1) == ((), 0)
+    assert hier.absent_for_compute(0, (0,), r1) == 0
 
 
 def test_landed_fill_is_not_joined():
@@ -201,20 +201,37 @@ def test_landed_fill_is_not_joined():
     assert (hier.l2_hits, hier.noc_flit_hops) == (l2_hits + 1, hops + 9)
 
     other = 4 * 32 * 128                      # still resident, landed at r1
-    assert hier.resident_for_compute(0, other, r2 - 1)
-    assert not hier.resident_for_compute(0, 0, r2 - 1)
-    assert hier.l1_lookup_pair(0, other, 0, r2 - 1) == ((), r2)
-    assert hier.resident_for_compute(0, 0, r2)
-    assert hier.l1_lookup_pair(0, 0, other, r2) == ((), 0)
+    assert hier.absent_for_compute(0, (other, 0), r2 - 1) == 0b10
+    assert hier.lookup(0, (other, 0), r2 - 1) == ((), r2)
+    assert hier.absent_for_compute(0, (0, other), r2) == 0
+    assert hier.lookup(0, (0, other), r2) == ((), 0)
 
 
 def test_lookup_counts_and_block_of():
     hier = one_sm_hier()
     assert hier.block_of(0x1234) == 0x1200
-    assert hier.l1_lookup(0, 0, 0) == (False, None)
+    assert hier.lookup(0, (0,), 0) == ((0,), 0)
     hier.fill(0, 0, 0)
-    hier.l1_lookup(0, 0, 1000)
+    hier.lookup(0, (0,), 1000)
     assert (hier.l1_hits(), hier.l1_misses()) == (1, 1)
+
+
+def test_lookup_touches_a_whole_tuple_before_any_fill():
+    """A tuple's blocks are all looked up, in order, before the caller fills
+    a miss: misses come back in lookup order, the wait is the latest ready
+    cycle of a hit still in flight, and a fill evicts none of the tuple."""
+    hier = one_sm_hier()
+    a, c, d, b, x, y, z = (i * 32 * 128 for i in range(7))  # one L1 set
+    for blk in (a, c, d):
+        assert hier.fill(0, blk, 0) == 165
+    assert hier.fill(0, b, 20) == 185         # LRU order a, c, d, b
+    assert hier.lookup(0, (b, x, a), 20) == ((x,), 185)
+    assert (hier.l1_hits(), hier.l1_misses()) == (2, 1)
+    hier.fill(0, x, 20)                       # a and b were touched: c goes
+    assert [hier.probe_sm(0, blk) for blk in (a, b, c, d, x)] == \
+        [True, True, False, True, True]
+    assert hier.lookup(0, (y, a, z), 170) == ((y, z), 0)  # a has landed
+    assert hier.lookup(0, (y, b, z), 184) == ((y, z), 185)
 
 
 def test_home_mc_interleaves_block_index():

@@ -375,7 +375,9 @@ def test_invalid_configs_exit_2_before_any_run(tmp_path):
              for value in bad_values(knob)]
     cases += [("sm.warp_size", "sm.warp_size = 12"),    # SIMT width 8
               ("sm.count", "sm.count = 60"),            # 60 + 8 MCs > 8x8 mesh
-              ("inter.clusters", "inter.clusters = 3")]  # 4 SMs: one left empty
+              ("inter.clusters", "inter.clusters = 3"),  # 4 SMs: one left empty
+              # nine SMs in one cluster overflow the 3-bit owner field
+              ("inter.clusters", "sm.count = 9\ninter.clusters = 1")]
     workload_file = write_workload(tmp_path)
     runs = [["--config", str(write_config(tmp_path, workload_file, (line,),
                                           name=f"bad{i}.cfg")),

@@ -3,12 +3,11 @@
 Every scheme must reproduce the reference convolution bit for bit, retire
 each op exactly once, account for every forwarded op, and give the same
 counters when run twice on the same warp programs, whose op stream it
-must leave unchanged.  The example count is
-fixed and the search derandomized, so the suite runs the same examples
-every time.
+must leave unchanged.  The example count and the derandomized search come
+from the hypothesis profile in conftest.py.
 """
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from opconv.cachehier import CacheGeometry
@@ -58,7 +57,6 @@ def machines(draw):
                 l1=draw(st.sampled_from([SMALL_L1, SimParams().l1])))
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(layer=layers(), row_pitch=st.sampled_from([0, 4096]), hw=machines(),
        seed=st.integers(0, 3))
 def test_every_scheme_is_exact_and_conserving(layer, row_pitch, hw, seed):
