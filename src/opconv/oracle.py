@@ -30,6 +30,7 @@ class MemoryImage:
 
     def __init__(self, geom, seed=0):
         layer = geom.layer
+        self.name = layer.name
         self.length = layer.filter_w
         self.input_base = geom.input.base_address
         self.weight_base = geom.weight.base_address
@@ -60,11 +61,29 @@ class MemoryImage:
             raise ConfigError(f"weight read outside region: 0x{addr:x}")
         return self.weight_words[idx:idx + length]
 
+    def check_reads(self, ops):
+        """Raise ConfigError unless every op of the OpStream `ops` reads both
+        its vectors inside the image.  `dot` checks nothing itself, since
+        slices truncate silently, so a simulation calls this once up front."""
+        for side, addrs, base, words in (
+                ("input", ops.inp, self.input_base, self.input_words),
+                ("weight", ops.wgt, self.weight_base, self.weight_words)):
+            if not addrs:
+                continue
+            first = (min(addrs) - base) // WORD_SIZE
+            last = (max(addrs) - base) // WORD_SIZE + self.length
+            if first < 0 or last > len(words):
+                raise ConfigError(
+                    f"{self.name}: op stream reads {side} words {first}.."
+                    f"{last - 1}, outside the image's {len(words)} {side} words")
+
     def dot(self, input_addr, weight_addr):
-        """Dot product of the operand vectors at the two addresses."""
-        a = self.input_vec(input_addr, self.length)
-        b = self.weight_vec(weight_addr, self.length)
-        return sum(map(mul, a, b))
+        """Dot product of the operand vectors at the two addresses, which
+        `check_reads` has found inside the image."""
+        i = (input_addr - self.input_base) // WORD_SIZE
+        w = (weight_addr - self.weight_base) // WORD_SIZE
+        n = self.length
+        return sum(map(mul, self.input_words[i:i + n], self.weight_words[w:w + n]))
 
 
 def reference_convolution(geom, image):

@@ -201,6 +201,7 @@ class Simulation:
             self.warps[prog.sm_id].append(
                 WarpContext(prog.warp_id, prog.start, prog.end))
         self.ops = ops if ops is not None else OpStream()
+        image.check_reads(self.ops)
 
         self.stats = SimStats(scheme=p.scheme, total_ops=total_ops,
                               stall_cycles_per_sm=[0] * p.sm_count)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from opconv import cli
 from opconv.metrics import EnergyWeights
 from opconv.oracle import CompareResult, MemoryImage
-from opconv.smcore import SimParams
+from opconv.smcore import SimParams, Simulation
 from opconv.workload import ConfigError, Pass
 
 
@@ -283,6 +284,134 @@ def test_report_header_reproduces_run(tmp_path):
     assert (second / "report.csv").read_text() == report
 
 
+# ----------------------------------------------------------- worker processes
+
+@pytest.fixture
+def workers(monkeypatch):
+    """workers(n) makes the next experiments run on n worker processes
+    (n = 1: serially) and returns the list of worker pids they fork."""
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda _pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        forked.clear()
+        return forked
+    return use
+
+
+def src_env():
+    """The environment, with this checkout's sources first on the path."""
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def assert_no_child_process():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):   # none running, none unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count_caps_at_cpus_and_runs(workers):
+    workers(2)
+    assert [cli.worker_count(n) for n in (1, 2, 20)] == [1, 2, 2]
+    workers(1)
+    assert cli.worker_count(20) == 1
+
+
+# runs `opconv` with one usable CPU, as under `taskset -c 0`
+_SERIAL_MAIN = """
+import os, sys
+from opconv import cli
+os.sched_getaffinity = lambda _pid: {0}
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_default_run_is_byte_identical_serial_and_parallel(
+        tmp_path, capsys, workers):
+    # the serial run is a child process that runs while this one simulates
+    # on two workers, so that the test costs about one run
+    argv = ["--scheme", "all", "--characterize", "--out"]
+    serial = subprocess.Popen(
+        [sys.executable, "-c", _SERIAL_MAIN, *argv, str(tmp_path / "serial")],
+        env=src_env(), cwd=tmp_path, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    try:
+        forked = workers(2)
+        assert cli.main([*argv, str(tmp_path / "parallel")]) == 0
+        assert len(forked) == 2
+    finally:
+        serial_log, serial_err = serial.communicate(timeout=60)
+    assert serial.returncode == 0, serial_err
+    assert_no_child_process()
+    log = capsys.readouterr().out
+    assert len(log.splitlines()) == 20
+    assert log == serial_log
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert {"report.csv", "counters.json", "config.echo", "availability.csv",
+            "reuse_C1.csv"} <= set(names)
+    assert sorted(p.name for p in (tmp_path / "parallel").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "parallel" / name).read_bytes() == \
+            (tmp_path / "serial" / name).read_bytes(), name
+
+
+def test_parallel_run_exits_3_with_the_serial_message(tmp_path, capsys, workers):
+    # every run stops on the watchdog; the error is the first in serial order
+    idle_cfg = write_config(tmp_path, write_workload(tmp_path),
+                            extra=("run.max_idle = 1",))
+    errors = []
+    for n in (1, 2):
+        forked = workers(n)
+        assert cli.main(["--config", str(idle_cfg), "--scheme", "all",
+                         "--out", str(tmp_path / f"idle{n}")]) == 3
+        assert len(forked) == (n if n > 1 else 0)
+        assert_no_child_process()
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: simulation stopped: no progress since cycle")
+    assert errors[1] == errors[0]
+
+
+def test_parallel_run_ends_its_workers(tmp_path, monkeypatch, workers):
+    cfg = experiment_cfg(tmp_path)
+    forked = workers(2)
+    lines = []
+    cli.run_experiment(cfg, None, log=lines.append)
+    assert len(forked) == 2 and len(lines) == 4
+    assert_no_child_process()
+
+    # a ConfigError raised inside the inter run, while the runs after it in
+    # serial order may still be simulating
+    run = Simulation.run
+
+    def run_or_refuse(self):
+        if self.params.scheme == "inter":
+            raise ConfigError("planted in the inter run")
+        return run(self)
+
+    monkeypatch.setattr(Simulation, "run", run_or_refuse)
+    for n in (1, 2):
+        forked = workers(n)
+        lines = []
+        with pytest.raises(ConfigError, match="planted in the inter run"):
+            cli.run_experiment(cfg, None, log=lines.append)
+        assert len(forked) == (n if n > 1 else 0)
+        assert [line.split()[1] for line in lines] == ["baseline", "intra"]
+        assert_no_child_process()
+
+
 # --------------------------------------------------------------------- sweep
 
 def test_sweep_pairs_table_variants(tmp_path):
@@ -383,12 +512,8 @@ def test_invalid_configs_exit_2_before_any_run(tmp_path):
                                           name=f"bad{i}.cfg")),
              "--scheme", "all", "--out", str(tmp_path / f"out{i}")]
             for i, (_, line) in enumerate(cases)]
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", _MAIN_LOOP],
-                          input=json.dumps(runs), env=env, cwd=tmp_path,
+                          input=json.dumps(runs), env=src_env(), cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)

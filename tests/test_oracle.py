@@ -5,12 +5,14 @@ so the arithmetic ground truth does not rest on a single implementation.
 """
 
 import hashlib
+from array import array
 
 import numpy as np
 import pytest
 
 from opconv.oracle import MemoryImage, compare, reference_convolution
-from opconv.workload import ConfigError, LayerSpec, enumerate_ops, make_layouts
+from opconv.workload import (ConfigError, LayerSpec, OpStream, enumerate_ops,
+                             make_layouts)
 
 
 def build(layer, row_pitch=0, seed=0):
@@ -69,8 +71,12 @@ def test_reads_outside_region_rejected():
         img.input_vec(geom.input_vec_addr(0, 3, 3), 4)  # runs past the end
     with pytest.raises(ConfigError):
         img.weight_vec(geom.weight.base_address - 4, 3)
-    with pytest.raises(ConfigError):
-        img.dot(geom.input_vec_addr(0, 3, 2), geom.weight.base_address)
+    # dot checks nothing; check_reads rejects a stream with that read
+    reads_past_end = OpStream(array("q", [geom.input_vec_addr(0, 3, 2)]),
+                              array("q", [geom.weight.base_address]),
+                              array("q", [geom.output_addr(0, 0, 0)]))
+    with pytest.raises(ConfigError, match="toy: op stream reads input"):
+        img.check_reads(reads_past_end)
 
 
 def test_dot_on_planted_vectors():

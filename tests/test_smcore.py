@@ -180,6 +180,21 @@ def test_warp_ranges_index_one_stream():
         Simulation(params, [progs[0], WarpProgram(1, 0, 0, 3, other)], image, geom)
 
 
+def test_op_stream_reaching_past_the_image_rejected():
+    # dot checks no bounds, so a simulation checks its op stream's reads
+    # once, when it is built and before any step
+    params = SimParams(sm_count=1)
+    geom, image, progs = build_run(T44, params)
+    ops = progs[0].stream
+    for side, column in (("input", ops.inp), ("weight", ops.wgt)):
+        for i, shift in ((0, -4), (-1, 4)):
+            column[i] += shift
+            with pytest.raises(ConfigError, match=f"t44: op stream reads {side}"):
+                Simulation(params, progs, image, geom)
+            column[i] -= shift
+    Simulation(params, progs, image, geom)
+
+
 # ----------------------------------------------------- schemes: equivalence
 
 TOY = LayerSpec("toy", 2, 3, 8, 8, 3, 3)
