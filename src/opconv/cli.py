@@ -345,11 +345,11 @@ class _Worker:
                 answers.flush()
 
     def simulate(self, index, params):
-        pickle.dump((index, params), self.requests)
-        self.requests.flush()
         try:
+            pickle.dump((index, params), self.requests)
+            self.requests.flush()
             ok, value = pickle.load(self.answers)
-        except EOFError:
+        except (BrokenPipeError, EOFError):
             raise SimulationError(
                 f"simulation worker {self.pid} ended without an answer") from None
         if not ok:
@@ -361,8 +361,11 @@ class _Worker:
 
     def reap(self):
         os.waitpid(self.pid, 0)
-        self.requests.close()
         self.answers.close()
+        try:
+            self.requests.close()
+        except BrokenPipeError:   # a request the worker ended before reading
+            pass
 
 
 # the order a layer's runs are handed to the workers; with the largest layer

@@ -15,7 +15,7 @@ import pytest
 from opconv import cli
 from opconv.metrics import EnergyWeights
 from opconv.oracle import CompareResult, MemoryImage
-from opconv.smcore import SimParams, Simulation
+from opconv.smcore import SimParams, Simulation, SimulationError
 from opconv.workload import ConfigError, Pass
 
 
@@ -410,6 +410,24 @@ def test_parallel_run_ends_its_workers(tmp_path, monkeypatch, workers):
         assert len(forked) == (n if n > 1 else 0)
         assert [line.split()[1] for line in lines] == ["baseline", "intra"]
         assert_no_child_process()
+
+
+def test_a_worker_that_dies_stops_the_run(tmp_path, monkeypatch, workers):
+    cfg = experiment_cfg(tmp_path)
+    run = Simulation.run
+
+    def run_or_die(self):
+        if self.params.scheme == "inter":
+            os._exit(1)
+        return run(self)
+
+    monkeypatch.setattr(Simulation, "run", run_or_die)
+    forked = workers(2)
+    assert cli.worker_count(4) == 2   # so that only a worker can die here
+    with pytest.raises(SimulationError, match="ended without an answer"):
+        cli.run_experiment(cfg, None, log=lambda _line: None)
+    assert len(forked) == 2
+    assert_no_child_process()
 
 
 # --------------------------------------------------------------------- sweep
