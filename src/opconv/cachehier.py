@@ -49,7 +49,9 @@ class LruCache:
     """Set-associative LRU cache over aligned block addresses.
 
     Each set is a dict kept in recency order, least recently used first: a
-    hit moves its block to the end and the victim is the first block."""
+    hit moves its block to the end and the victim is the first block.
+    `hits` and `misses` count `touch` calls; `MemoryHierarchy` applies the
+    same rule to the sets in line and keeps its own counters."""
 
     def __init__(self, geometry):
         self.block_bits = geometry.block_size.bit_length() - 1
@@ -59,9 +61,6 @@ class LruCache:
         self.sets = [dict() for _ in range(geometry.sets)]  # block -> None
         self.hits = 0
         self.misses = 0
-
-    # The set index is computed inline in each of the three hot methods below
-    # rather than through a helper: they run several times per simulated op.
 
     def contains(self, block):
         """Pure presence probe; never touches recency."""
@@ -171,7 +170,15 @@ INF = float("inf")
 
 
 class MemoryHierarchy:
-    """All cache and interconnect state for one simulation."""
+    """All cache and interconnect state for one simulation.
+
+    The L1s and L2 slices are `LruCache`s.  The methods the engine calls
+    for every op (`lookup`, `fill`, `absent_for_compute`, `present_elsewhere`
+    and `probe_sm`) work on their set dicts directly and apply the LRU rule
+    of `LruCache.touch` and `install` in line: a hit moves its block to the
+    end of its set, and a full set evicts its first block.  `warm` goes
+    through the `LruCache` methods, which tests also use as the reference
+    model.  The L1 and L2 hit and miss counters are the hierarchy's own."""
 
     def __init__(self, n_sms, l1_geom, l2_geom, n_mcs, noc, latencies,
                  sm_nodes=None, mc_nodes=None):
@@ -180,6 +187,11 @@ class MemoryHierarchy:
             raise ConfigError("L1 and L2 block sizes must match")
         self.l1 = [LruCache(l1_geom) for _ in range(n_sms)]
         self.l2 = [LruCache(l2_geom) for _ in range(n_mcs)]
+        self._l1_sets = [c.sets for c in self.l1]
+        self._l2_sets = [c.sets for c in self.l2]
+        self._l1_n_sets, self._l1_ways = l1_geom.sets, l1_geom.ways
+        self._l2_n_sets, self._l2_ways = l2_geom.sets, l2_geom.ways
+        self._offset_mask = self.block_size - 1
         self.n_mcs = n_mcs
         self.noc = noc
         self.lat_l1, self.lat_l2, self.lat_dram = latencies
@@ -195,15 +207,21 @@ class MemoryHierarchy:
         self.rt_flit_hops = [[noc.flit_hops(s, m, REQUEST_BYTES)
                               + noc.flit_hops(m, s, self.block_size)
                               for m in mc_nodes] for s in sm_nodes]
+        # (src SM, dst SM) -> flit-hops of a control message, as first sent
+        self._message_flit_hops = {}
         # block -> count of SMs with an installed copy, for O(1) probing
         self.holders = {}
         # per SM, fills not yet seen to land (block -> ready cycle) and the
-        # earliest of their ready cycles; read through _in_flight_at
+        # earliest of their ready cycles; _land drops the landed ones, and a
+        # reader calls it first whenever now >= _next_landing[sm_id]
         self._in_flight = [dict() for _ in range(n_sms)]
         self._next_landing = [INF] * n_sms
-        self.evict_listeners = []
-        self.install_listeners = []
+        # per SM, fn(block) or None
+        self._on_install = [None] * n_sms
+        self._on_evict = [None] * n_sms
         # counters
+        self.l1_hits = 0
+        self.l1_misses = 0
         self.l2_hits = 0
         self.l2_misses = 0
         self.dram_accesses = 0
@@ -212,56 +230,63 @@ class MemoryHierarchy:
     def block_of(self, addr):
         return addr & ~(self.block_size - 1)
 
-    def add_evict_listener(self, fn):
-        """fn(sm_id, block) is called immediately when sm_id evicts block."""
-        self.evict_listeners.append(fn)
+    def set_listeners(self, sm_id, on_install, on_evict):
+        """on_install(block) is called when a block is installed in sm_id's
+        L1 and on_evict(block) as soon as sm_id's L1 evicts one; either may
+        be None."""
+        self._on_install[sm_id] = on_install
+        self._on_evict[sm_id] = on_evict
 
-    def add_install_listener(self, fn):
-        """fn(sm_id, block) is called when a block lands in sm_id's L1."""
-        self.install_listeners.append(fn)
-
-    def probe_sm(self, sm_id, block):
-        """Presence query against an SM's L1; no recency update."""
-        return self.l1[sm_id].contains(block)
+    def probe_sm(self, sm_id, blocks):
+        """Whether sm_id's L1 holds every one of blocks, landed or not; no
+        recency update."""
+        sets = self._l1_sets[sm_id]
+        off, bits, n_sets = self._offset_mask, self.block_bits, self._l1_n_sets
+        for b in blocks:
+            if b & off:
+                raise _unaligned(b)
+            if b not in sets[(b >> bits) % n_sets]:
+                return False
+        return True
 
     def present_elsewhere(self, sm_id, block):
+        """Whether an L1 other than sm_id's holds block."""
+        if block & self._offset_mask:
+            raise _unaligned(block)
         n = self.holders.get(block, 0)
-        if self.l1[sm_id].contains(block):
-            n -= 1
-        return n > 0
+        if n != 1:
+            return n > 1
+        # the one copy: is it ours?
+        s = self._l1_sets[sm_id][(block >> self.block_bits) % self._l1_n_sets]
+        return block not in s
 
     def absent_for_compute(self, sm_id, blocks, now):
         """Bit k set for each blocks[k] that an assistant may not read at
         now: not installed in sm_id's L1, or installed by a fill that has
         not landed.  0 when every block may be read; no recency update."""
-        contains = self.l1[sm_id].contains
-        inflight = self._in_flight_at(sm_id, now)
+        if now >= self._next_landing[sm_id]:
+            self._land(sm_id, now)
+        inflight = self._in_flight[sm_id]
+        sets = self._l1_sets[sm_id]
+        off, bits, n_sets = self._offset_mask, self.block_bits, self._l1_n_sets
         absent = 0
         bit = 1
         for b in blocks:
-            if not contains(b) or b in inflight:
+            if b & off:
+                raise _unaligned(b)
+            if b not in sets[(b >> bits) % n_sets] or b in inflight:
                 absent |= bit
             bit <<= 1
         return absent
 
-    def _note_install(self, sm_id, block):
-        self.holders[block] = self.holders.get(block, 0) + 1
-        for fn in self.install_listeners:
-            fn(sm_id, block)
-
-    def _note_evict(self, sm_id, block):
-        n = self.holders.get(block, 0) - 1
-        if n > 0:
-            self.holders[block] = n
-        else:
-            self.holders.pop(block, None)
-        for fn in self.evict_listeners:
-            fn(sm_id, block)
-
     def charge_message(self, src_sm, dst_sm):
         """Control message between two SMs: one request-sized NoC transfer."""
-        self.noc_flit_hops += self.noc.flit_hops(
-            self.sm_nodes[src_sm], self.sm_nodes[dst_sm], REQUEST_BYTES)
+        route = (src_sm, dst_sm)
+        hops = self._message_flit_hops.get(route)
+        if hops is None:
+            hops = self._message_flit_hops[route] = self.noc.flit_hops(
+                self.sm_nodes[src_sm], self.sm_nodes[dst_sm], REQUEST_BYTES)
+        self.noc_flit_hops += hops
 
     def home_mc(self, block):
         # interleave at block-index granularity; the raw address is block
@@ -277,38 +302,82 @@ class MemoryHierarchy:
         Returns (misses, wait): the blocks that missed, in lookup order, and
         the latest ready cycle of a hit block whose fill is still in flight
         at now, or 0 if there is none (a fill is never ready before cycle 1)."""
-        touch = self.l1[sm_id].touch
-        inflight = self._in_flight_at(sm_id, now)
+        if now >= self._next_landing[sm_id]:
+            self._land(sm_id, now)
+        inflight = self._in_flight[sm_id]
+        sets = self._l1_sets[sm_id]
+        off, bits, n_sets = self._offset_mask, self.block_bits, self._l1_n_sets
         misses = ()
         wait = 0
         for b in blocks:
-            if not touch(b):
+            if b & off:
+                raise _unaligned(b)
+            s = sets[(b >> bits) % n_sets]
+            if b in s:
+                del s[b]
+                s[b] = None
+                if b in inflight and inflight[b] > wait:
+                    wait = inflight[b]
+            else:
                 misses += (b,)
-            elif b in inflight and inflight[b] > wait:
-                wait = inflight[b]
+        n = len(misses)
+        self.l1_misses += n
+        self.l1_hits += len(blocks) - n
         return misses, wait
 
     def fill(self, sm_id, block, now):
         """Start a fill of block into sm_id's L1 at cycle now, or join one
-        still in flight.
+        still in flight.  Filling a block that the L1 holds and that has
+        landed is an error: the caller looks blocks up first.
 
         Installs the block immediately, charges L2/NoC/DRAM counters, and
         returns the cycle at which the data is usable: a round trip to the
         block's home L2 slice, and to DRAM beyond it on an L2 miss."""
-        inflight = self._in_flight_at(sm_id, now)
+        bits = self.block_bits
+        if block & self._offset_mask:
+            raise _unaligned(block)
+        if now >= self._next_landing[sm_id]:
+            self._land(sm_id, now)
+        inflight = self._in_flight[sm_id]
         pending = inflight.get(block)
         if pending is not None:
             return pending
-        victim = self.l1[sm_id].install(block)
-        self._note_install(sm_id, block)
+        s = self._l1_sets[sm_id][(block >> bits) % self._l1_n_sets]
+        if block in s:
+            raise ValueError(f"fill of block 0x{block:x}, which SM {sm_id}'s "
+                             f"L1 holds and which has landed")
+        victim = None
+        if len(s) >= self._l1_ways:
+            victim = next(iter(s))
+            del s[victim]
+        s[block] = None
+        holders = self.holders
+        holders[block] = holders.get(block, 0) + 1
+        listener = self._on_install[sm_id]
+        if listener is not None:
+            listener(block)
         if victim is not None:
-            self._note_evict(sm_id, victim)
-        mc = self.home_mc(block)
+            n = holders[victim] - 1
+            if n:
+                holders[victim] = n
+            else:
+                del holders[victim]
+            listener = self._on_evict[sm_id]
+            if listener is not None:
+                listener(victim)
+        # the block's home L2 slice
+        mc = (block >> bits) % self.n_mcs
         self.noc_flit_hops += self.rt_flit_hops[sm_id][mc]
         ready = now + self.rt_latency[sm_id][mc] + self.lat_l2
-        if self.l2[mc].access(block)[0]:
+        s = self._l2_sets[mc][(block >> bits) % self._l2_n_sets]
+        if block in s:
+            del s[block]
+            s[block] = None
             self.l2_hits += 1
         else:
+            if len(s) >= self._l2_ways:
+                del s[next(iter(s))]
+            s[block] = None
             self.l2_misses += 1
             self.dram_accesses += 1
             ready += self.lat_dram
@@ -317,32 +386,34 @@ class MemoryHierarchy:
             self._next_landing[sm_id] = ready
         return ready
 
-    def _in_flight_at(self, sm_id, now):
-        """The SM's fills still in flight at now, block -> ready cycle; the
-        fills that have landed by now are dropped first."""
+    def _land(self, sm_id, now):
+        """Drop the SM's fills that have landed by now and note the earliest
+        ready cycle of those still in flight."""
         inflight = self._in_flight[sm_id]
-        if now >= self._next_landing[sm_id]:
-            pending = INF
-            for b, ready in list(inflight.items()):
-                if ready <= now:
-                    del inflight[b]
-                elif ready < pending:
-                    pending = ready
-            self._next_landing[sm_id] = pending
-        return inflight
+        pending = INF
+        for b, ready in list(inflight.items()):
+            if ready <= now:
+                del inflight[b]
+            elif ready < pending:
+                pending = ready
+        self._next_landing[sm_id] = pending
 
     def warm(self, sm_id, addrs):
         """Preload blocks into an L1 without touching any counter (tests)."""
+        cache = self.l1[sm_id]
+        holders = self.holders
         for addr in addrs:
             block = self.block_of(addr)
-            if not self.l1[sm_id].contains(block):
-                victim = self.l1[sm_id].install(block)
-                self._note_install(sm_id, block)
-                if victim is not None:
-                    self._note_evict(sm_id, victim)
-
-    def l1_hits(self):
-        return sum(c.hits for c in self.l1)
-
-    def l1_misses(self):
-        return sum(c.misses for c in self.l1)
+            if cache.contains(block):
+                continue
+            victim = cache.install(block)
+            holders[block] = holders.get(block, 0) + 1
+            if self._on_install[sm_id] is not None:
+                self._on_install[sm_id](block)
+            if victim is not None:
+                if holders[victim] > 1:
+                    holders[victim] -= 1
+                else:
+                    del holders[victim]
+                if self._on_evict[sm_id] is not None:
+                    self._on_evict[sm_id](victim)

@@ -22,31 +22,49 @@ SPECULATIVE = 0
 ASSIGNED = 1
 
 
-def predict(input_addr, weight_addr, geom):
-    """Future pairs of the input row at input_addr as its window moves down,
-    for the op that just multiplied it with the filter row at weight_addr.
+def predictor(geom):
+    """The prediction rule for one layer: a function of (input_addr,
+    weight_addr) that returns the future pairs of the input row at
+    input_addr as its window moves down, for the op that just multiplied it
+    with the filter row at weight_addr.
 
     Every downward move of the window by one output row drops the row's
     position inside the window by `stride`, so the input vector meets the
     weight row `stride` entries above the current one; the walk stops at the
     top of the filter or at the last output row.  Returned pairs are genuine
-    future ops of the layer.
+    future ops of the layer.  The layer's constants are read once here, not
+    on every call.
     """
     layer = geom.layer
     s = layer.stride
-    row_stride = geom.weight.row_stride
-    w_off = weight_addr - geom.weight.base_address
-    j = (w_off // row_stride) % layer.filter_h
-    i_off = input_addr - geom.input.base_address
-    r = (i_off % geom.input.channel_stride) // geom.input.row_stride
-    base_row = r - j
-    if j < s or base_row % s:
-        return []
-    # k = 1, 2, ... while the weight row j - k*s exists and the output row
-    # base_row/s + k is still in the layer
-    moves = min(j // s, layer.out_h - 1 - base_row // s)
-    return [(input_addr, weight_addr - k * s * row_stride)
-            for k in range(1, moves + 1)]
+    filter_h = layer.filter_h
+    last_row = layer.out_h - 1
+    w_row = geom.weight.row_stride
+    w_base = geom.weight.base_address
+    i_base = geom.input.base_address
+    i_channel = geom.input.channel_stride
+    i_row = geom.input.row_stride
+    step = s * w_row
+
+    def predict_pairs(input_addr, weight_addr):
+        j = ((weight_addr - w_base) // w_row) % filter_h
+        base_row = ((input_addr - i_base) % i_channel) // i_row - j
+        if j < s or base_row % s:
+            return []
+        # k = 1, 2, ... while the weight row j - k*s exists and the output
+        # row base_row/s + k is still in the layer
+        moves = min(j // s, last_row - base_row // s)
+        pairs = []
+        for k in range(1, moves + 1):
+            pairs.append((input_addr, weight_addr - k * step))
+        return pairs
+
+    return predict_pairs
+
+
+def predict(input_addr, weight_addr, geom):
+    """`predictor(geom)(input_addr, weight_addr)`."""
+    return predictor(geom)(input_addr, weight_addr)
 
 
 @dataclass(slots=True)
@@ -67,8 +85,8 @@ class PrecomputeTable:
 
     def __init__(self, capacity, absent_fn):
         self.capacity = capacity
-        # blocks -> int, bit k set when blocks[k] is not installed and landed
-        # at the current cycle; no cache side effects
+        # (blocks, now) -> int, bit k set when blocks[k] is not installed and
+        # landed at cycle now; no cache side effects
         self.absent_fn = absent_fn
         self.entries = {}               # key -> entry
         self.spec_order = {}            # seq -> entry, insertion ordered
@@ -136,23 +154,35 @@ class PrecomputeTable:
         self._remove(entry)
         return "pending", None
 
-    def insert_prediction(self, key, blocks):
-        """Queue a predicted pair, which reads `blocks`.  Returns accepted |
-        duplicate | rejected."""
+    def insert_prediction(self, key, blocks, now):
+        """Queue a predicted pair, which reads `blocks`, at cycle now.
+        Returns accepted | duplicate | rejected."""
         self.accesses += 1
-        if key in self.entries:
+        entries = self.entries
+        if key in entries:
             self.duplicates += 1
             return "duplicate"
-        if len(self.entries) >= self.capacity and not self._evict_oldest_spec():
-            return "rejected"
-        entry = PrecomputeEntry(key, blocks, SPECULATIVE, self.seq,
-                                absent=self.absent_fn(blocks))
-        self.seq += 1
-        self.entries[key] = entry
-        self.spec_order[entry.seq] = entry
-        self._index(entry)
-        if not entry.absent:
-            heapq.heappush(self.eligible_heap, entry.seq)
+        if len(entries) >= self.capacity:
+            if not self.spec_order:
+                return "rejected"
+            self._drop_oldest_spec(1)
+            self.evictions += 1
+        seq = self.seq
+        self.seq = seq + 1
+        absent = self.absent_fn(blocks, now)
+        entry = PrecomputeEntry(key, blocks, SPECULATIVE, seq, False, None,
+                                absent)
+        entries[key] = entry
+        self.spec_order[seq] = entry
+        by_block = self.by_block
+        for b in blocks:            # _index in line
+            bucket = by_block.get(b)
+            if bucket is None:
+                by_block[b] = {seq: entry}
+            else:
+                bucket[seq] = entry
+        if not absent:
+            heapq.heappush(self.eligible_heap, seq)
         self.inserts += 1
         return "accepted"
 
@@ -172,8 +202,11 @@ class PrecomputeTable:
                 self._remove(existing)
                 return "memo", existing.result
             self._remove(existing)  # replaced by the definite request
-        if len(self.entries) >= self.capacity and not self._evict_oldest_spec():
-            return "full", None
+        if len(self.entries) >= self.capacity:
+            if not self.spec_order:
+                return "full", None
+            self._drop_oldest_spec(1)
+            self.evictions += 1
         entry = PrecomputeEntry(key, blocks, ASSIGNED, self.seq,
                                 op=op, src_sm=src_sm)
         self.seq += 1
@@ -183,25 +216,36 @@ class PrecomputeTable:
         self.inserts += 1
         return "staged", entry
 
-    def _evict_oldest_spec(self):
-        if not self.spec_order:
-            return False
-        seq = next(iter(self.spec_order))
-        self._remove(self.spec_order[seq])
-        self.evictions += 1
-        return True
+    def _drop_oldest_spec(self, n):
+        """Remove the n oldest speculative entries (_remove in line)."""
+        spec_order = self.spec_order
+        entries = self.entries
+        by_block = self.by_block
+        for _ in range(n):
+            seq = next(iter(spec_order))
+            entry = spec_order.pop(seq)
+            del entries[entry.key]
+            if not entry.complete:  # finish unindexed a complete entry
+                for b in entry.blocks:
+                    bucket = by_block.get(b)
+                    if bucket is not None:
+                        bucket.pop(seq, None)
+                        if not bucket:
+                            del by_block[b]
+            entry.absent = -1
 
     def next_assist(self):
         """Oldest runnable work item: assigned first, then eligible speculation."""
         if self.assigned_order:
             return next(iter(self.assigned_order.values()))
-        while self.eligible_heap:
-            seq = self.eligible_heap[0]
-            entry = self.spec_order.get(seq)
+        heap = self.eligible_heap
+        spec_order = self.spec_order
+        while heap:
+            entry = spec_order.get(heap[0])
             if entry is None or entry.complete or entry.absent:
-                heapq.heappop(self.eligible_heap)
-                continue
-            return entry
+                heapq.heappop(heap)
+            else:
+                return entry
         return None
 
     def finish(self, entry, result):
@@ -214,7 +258,15 @@ class PrecomputeTable:
         entry.result = result
         # a computed result no longer waits on its operands, and block events
         # would only revisit it; the bucket scans skip it from here on
-        self._unindex(entry)
+        # (_unindex in line)
+        by_block = self.by_block
+        seq = entry.seq
+        for b in entry.blocks:
+            bucket = by_block.get(b)
+            if bucket is not None:
+                bucket.pop(seq, None)
+                if not bucket:
+                    del by_block[b]
 
     def block_installed(self, block):
         bucket = self.by_block.get(block)
@@ -249,8 +301,7 @@ class PrecomputeTable:
 
         Keeps mispredictions from pinning the table between layer phases."""
         n = int(len(self.spec_order) * fraction)
-        for seq in list(self.spec_order)[:n]:
-            self._remove(self.spec_order[seq])
+        self._drop_oldest_spec(n)
         self.purged += n
         if n:
             self.accesses += n

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 
 from . import intra as intra_mod
@@ -209,11 +210,13 @@ class Simulation:
 
         use_tables = self.speculate or self.forwarding
         if use_tables:
+            absent = self.hier.absent_for_compute
             self.tables = [intra_mod.PrecomputeTable(
-                p.pc_entries, self._absent_fn(sm_id))
+                p.pc_entries, partial(absent, sm_id))
                 for sm_id in range(p.sm_count)]
         else:
             self.tables = [None] * p.sm_count
+        self.predict = intra_mod.predictor(geom) if self.speculate else None
         if self.forwarding:
             self.cluster_of = inter_mod.cluster_map(p.sm_count, p.clusters)
             self.assign_tables = [inter_mod.AssignTable(c, p.at_entries)
@@ -228,8 +231,9 @@ class Simulation:
                                      (p.clusters if self.forwarding else 0)
 
         if use_tables:
-            self.hier.add_evict_listener(self._on_evict)
-            self.hier.add_install_listener(self._on_install)
+            for sm_id, table in enumerate(self.tables):
+                self.hier.set_listeners(sm_id, table.block_installed,
+                                        self._evict_listener(sm_id))
 
         self.events = []     # (cycle, seq, handler, dest_sm, payload)
         self.event_seq = 0
@@ -245,19 +249,20 @@ class Simulation:
 
     # ---- listeners -------------------------------------------------------
 
-    def _absent_fn(self, sm_id):
-        absent = self.hier.absent_for_compute
-        return lambda blocks: absent(sm_id, blocks, self.now)
+    def _evict_listener(self, sm_id):
+        """What sm_id's L1 calls with each block it evicts."""
+        block_evicted = self.tables[sm_id].block_evicted
+        if not self.forwarding:
+            # only assigned entries bounce, and only forwarding assigns
+            return block_evicted
+        at_evict = self.assign_tables[self.cluster_of[sm_id]].on_evict
+        scope = self.params.evict_scope
 
-    def _on_install(self, sm_id, block):
-        self.tables[sm_id].block_installed(block)
-
-    def _on_evict(self, sm_id, block):
-        for entry in self.tables[sm_id].block_evicted(block):
-            self._bounce(entry.op, entry.src_sm, sm_id, self.now)
-        if self.forwarding:
-            at = self.assign_tables[self.cluster_of[sm_id]]
-            at.on_evict(block, sm_id, self.params.evict_scope)
+        def on_evict(block):
+            for entry in block_evicted(block):
+                self._bounce(entry.op, entry.src_sm, sm_id, self.now)
+            at_evict(block, sm_id, scope)
+        return on_evict
 
     # ---- events ----------------------------------------------------------
 
@@ -302,7 +307,7 @@ class Simulation:
             self.stats.assigned_done += 1
             self.stats.forward_memo_hits += 1
             if self.speculate:
-                self._insert_predictions(table, key)
+                self._insert_predictions(table, key[0], key[1], now)
         elif status == "full":
             self._bounce(i, src, owner, now)
 
@@ -340,27 +345,29 @@ class Simulation:
     def _register_pair(self, sm_id, blocks):
         """Name sm_id the owner of an op's operand blocks if it still holds
         them all."""
-        probe = self.hier.probe_sm
-        for b in blocks:
-            if not probe(sm_id, b):
-                return
-        self.assign_tables[self.cluster_of[sm_id]].register(blocks, sm_id)
+        if self.hier.probe_sm(sm_id, blocks):
+            self.assign_tables[self.cluster_of[sm_id]].register(blocks, sm_id)
 
     # ---- table work off the common path ----------------------------------
 
-    def _insert_predictions(self, table, key):
+    def _insert_predictions(self, table, input_addr, weight_addr, now):
+        """Queue in table the predicted pairs of the op that just multiplied
+        input_addr by weight_addr."""
         mask = self.block_mask
-        for pair in intra_mod.predict(key[0], key[1], self.geom):
-            blocks = operand_blocks(pair[0], pair[1], mask)
-            if table.insert_prediction(pair, blocks) == "accepted":
-                self.stats.predictions_made += 1
+        insert = table.insert_prediction
+        made = 0
+        for pair in self.predict(input_addr, weight_addr):
+            if insert(pair, operand_blocks(pair[0], pair[1], mask),
+                      now) == "accepted":
+                made += 1
+        self.stats.predictions_made += made
 
-    def _assigned_done(self, table, entry, value):
+    def _assigned_done(self, table, entry, value, now):
         """An assist finished a computation forwarded by another SM."""
         self.out.add(self.ops.out[entry.op], value)
         self.stats.assigned_done += 1
         if self.speculate:
-            self._insert_predictions(table, entry.key)
+            self._insert_predictions(table, entry.key[0], entry.key[1], now)
 
     def _check_invariants(self, sm_id, table):
         if table is not None and len(table) > table.capacity:
@@ -442,7 +449,7 @@ class Simulation:
                         table.finish(entry, value)
                         stats.assists_executed += 1
                         if entry.kind == intra_mod.ASSIGNED:
-                            self._assigned_done(table, entry, value)
+                            self._assigned_done(table, entry, value, now)
                         else:
                             stats.predictions_completed += 1
                 if now >= next_purge:
@@ -523,7 +530,7 @@ class Simulation:
                         if missed and forwarding:
                             self._register_pair(sm_id, missed)
                         if speculate:
-                            insert_predictions(table, (ia, wa))
+                            insert_predictions(table, ia, wa, now)
                     state = BUSY
                     if cost:
                         # the op retired: memoized, forwarded or executed
@@ -658,8 +665,8 @@ class Simulation:
         return stats, out
 
     def _collect(self, stats):
-        stats.l1_hits = self.hier.l1_hits()
-        stats.l1_misses = self.hier.l1_misses()
+        stats.l1_hits = self.hier.l1_hits
+        stats.l1_misses = self.hier.l1_misses
         stats.l2_hits = self.hier.l2_hits
         stats.l2_misses = self.hier.l2_misses
         stats.dram_accesses = self.hier.dram_accesses

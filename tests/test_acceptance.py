@@ -181,7 +181,7 @@ def test_08_table_integrity_and_exactly_once():
     # randomized table stress: stage/evict/install/assist, 10^4 events
     rng = random.Random(20260814)
     resident = set()
-    table = PrecomputeTable(32, lambda pair: sum(
+    table = PrecomputeTable(32, lambda pair, _now: sum(
         1 << k for k, b in enumerate(pair) if b not in resident))
     blocks = [i * 128 for i in range(24)]
     wblocks = [0x4000_0000 + i * 128 for i in range(8)]

@@ -190,7 +190,7 @@ def test_landed_fill_is_not_joined():
     hier = one_sm_hier()
     r1 = hier.fill(0, 0, now=0)
     installs = []
-    hier.add_install_listener(lambda sm, blk: installs.append(blk))
+    hier.set_listeners(0, installs.append, None)
     for i in range(1, 5):                     # push block 0 out of its set
         hier.fill(0, i * 32 * 128, now=0)
     assert not hier.l1[0].contains(0)
@@ -213,7 +213,7 @@ def test_lookup_counts_and_block_of():
     assert hier.lookup(0, (0,), 0) == ((0,), 0)
     hier.fill(0, 0, 0)
     hier.lookup(0, (0,), 1000)
-    assert (hier.l1_hits(), hier.l1_misses()) == (1, 1)
+    assert (hier.l1_hits, hier.l1_misses) == (1, 1)
 
 
 def test_lookup_touches_a_whole_tuple_before_any_fill():
@@ -226,9 +226,9 @@ def test_lookup_touches_a_whole_tuple_before_any_fill():
         assert hier.fill(0, blk, 0) == 165
     assert hier.fill(0, b, 20) == 185         # LRU order a, c, d, b
     assert hier.lookup(0, (b, x, a), 20) == ((x,), 185)
-    assert (hier.l1_hits(), hier.l1_misses()) == (2, 1)
+    assert (hier.l1_hits, hier.l1_misses) == (2, 1)
     hier.fill(0, x, 20)                       # a and b were touched: c goes
-    assert [hier.probe_sm(0, blk) for blk in (a, b, c, d, x)] == \
+    assert [hier.probe_sm(0, (blk,)) for blk in (a, b, c, d, x)] == \
         [True, True, False, True, True]
     assert hier.lookup(0, (y, a, z), 170) == ((y, z), 0)  # a has landed
     assert hier.lookup(0, (y, b, z), 184) == ((y, z), 185)
@@ -246,7 +246,7 @@ def test_holders_and_probes():
     hier = MemoryHierarchy(2, L1_GEOM, L2_GEOM, 1, noc, (1, 30, 120),
                            sm_nodes=[1, 2], mc_nodes=[0])
     hier.fill(0, 0, 0)
-    assert hier.probe_sm(0, 0) and not hier.probe_sm(1, 0)
+    assert hier.probe_sm(0, (0,)) and not hier.probe_sm(1, (0,))
     assert hier.present_elsewhere(1, 0)
     assert not hier.present_elsewhere(0, 0)   # only our own copy exists
     hier.fill(1, 0, 0)
@@ -257,15 +257,14 @@ def test_holders_and_probes():
 def test_listeners_fire_on_install_and_evict():
     hier = one_sm_hier()
     installs, evicts = [], []
-    hier.add_install_listener(lambda sm, blk: installs.append((sm, blk)))
-    hier.add_evict_listener(lambda sm, blk: evicts.append((sm, blk)))
+    hier.set_listeners(0, installs.append, evicts.append)
     for i in range(5):  # five blocks into one 4-way set
         hier.fill(0, i * 32 * 128, now=0)
     assert len(installs) == 5
-    assert evicts == [(0, 0)]
+    assert evicts == [0]
     assert 0 not in hier.holders
     # probes agree with the directory as soon as the eviction fires
-    assert not hier.probe_sm(0, 0)
+    assert not hier.probe_sm(0, (0,))
     assert not hier.present_elsewhere(0, 0)
 
 
@@ -273,7 +272,7 @@ def test_warm_preloads_without_counters():
     hier = one_sm_hier()
     hier.warm(0, [0, 130, 256])   # 130 shares block 128
     assert hier.l1[0].contains(0) and hier.l1[0].contains(128) and hier.l1[0].contains(256)
-    assert hier.l1_misses() == 0 and hier.l2_misses == 0 and hier.noc_flit_hops == 0
+    assert hier.l1_misses == 0 and hier.l2_misses == 0 and hier.noc_flit_hops == 0
     assert hier.holders[128] == 1
 
 
@@ -282,3 +281,31 @@ def test_block_size_mismatch_rejected():
     with pytest.raises(ConfigError):
         MemoryHierarchy(1, L1_GEOM, CacheGeometry(64 * 1024, 64, 16), 1, noc,
                         (1, 30, 120), sm_nodes=[1], mc_nodes=[0])
+
+
+def test_fill_of_a_landed_resident_block_is_refused():
+    """A fill joins one in flight, but a block that is installed and has
+    landed is not filled again: that would count a second holder for one
+    copy and charge a second L2 access."""
+    hier = one_sm_hier()
+    assert hier.fill(0, 0, now=0) == 165
+    assert hier.fill(0, 0, now=164) == 165   # joins the fill in flight
+    with pytest.raises(ValueError):
+        hier.fill(0, 0, now=165)
+    assert hier.holders == {0: 1}
+    assert (hier.l2_hits, hier.l2_misses, hier.noc_flit_hops) == (0, 1, 9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda h: h.lookup(0, (0, 3), 0),
+    lambda h: h.fill(0, 3, 0),
+    lambda h: h.absent_for_compute(0, (0, 3), 0),
+    lambda h: h.probe_sm(0, (0, 3)),
+    lambda h: h.present_elsewhere(0, 3),
+], ids=["lookup", "fill", "absent_for_compute", "probe_sm",
+        "present_elsewhere"])
+def test_hierarchy_rejects_unaligned_blocks(call):
+    hier = one_sm_hier()
+    hier.warm(0, [0])       # the aligned block 0 is found, then 3 is checked
+    with pytest.raises(ConfigError, match="unaligned"):
+        call(hier)

@@ -74,26 +74,26 @@ def blocks_of(key):
     return operand_blocks(key[0], key[1], ~127)
 
 
-def always_resident(_blocks):
+def always_resident(_blocks, _now):
     return 0
 
 
 def absent_outside(resident):
     """A table's absent_fn when exactly the blocks in `resident` are."""
-    return lambda blocks: sum(1 << k for k, b in enumerate(blocks)
-                              if b not in resident)
+    return lambda blocks, _now: sum(1 << k for k, b in enumerate(blocks)
+                                    if b not in resident)
 
 
 def test_insert_lookup_consume_cycle():
     t = PrecomputeTable(8, always_resident)
     k = key_of(0)
-    assert t.insert_prediction(k, blocks_of(k)) == "accepted"
-    assert t.insert_prediction(k, blocks_of(k)) == "duplicate"
+    assert t.insert_prediction(k, blocks_of(k), 0) == "accepted"
+    assert t.insert_prediction(k, blocks_of(k), 0) == "duplicate"
     # decoding the pair while still pending invalidates the prediction
     assert t.lookup(k) == ("pending", None)
     assert t.lookup(k) == ("absent", None)
 
-    assert t.insert_prediction(k, blocks_of(k)) == "accepted"
+    assert t.insert_prediction(k, blocks_of(k), 0) == "accepted"
     entry = t.next_assist()
     assert entry.key == k and entry.kind == SPECULATIVE
     t.finish(entry, -2)
@@ -106,7 +106,7 @@ def test_insert_lookup_consume_cycle():
 def test_capacity_evicts_oldest_speculative():
     t = PrecomputeTable(4, always_resident)
     for k in map(key_of, range(5)):
-        assert t.insert_prediction(k, blocks_of(k)) == "accepted"
+        assert t.insert_prediction(k, blocks_of(k), 0) == "accepted"
     assert len(t) == 4
     assert t.evictions == 1
     assert t.lookup(key_of(0)) == ("absent", None)   # FIFO victim
@@ -118,20 +118,20 @@ def test_assigned_work_cannot_be_displaced():
     k0, k1, k2 = map(key_of, range(3))
     assert t.stage_assigned(k0, blocks_of(k0), 0, 1)[0] == "staged"
     assert t.stage_assigned(k1, blocks_of(k1), 0, 1)[0] == "staged"
-    assert t.insert_prediction(k2, blocks_of(k2)) == "rejected"
+    assert t.insert_prediction(k2, blocks_of(k2), 0) == "rejected"
     assert t.stage_assigned(k2, blocks_of(k2), 0, 1) == ("full", None)
 
 
 def test_stage_assigned_memo_and_replacement():
     t = PrecomputeTable(8, always_resident)
     k = key_of(3)
-    t.insert_prediction(k, blocks_of(k))
+    t.insert_prediction(k, blocks_of(k), 0)
     t.finish(t.next_assist(), 41)
     status, result = t.stage_assigned(k, blocks_of(k), 0, src_sm=2)
     assert (status, result) == ("memo", 41)          # already computed here
     assert t.lookup(k) == ("absent", None)
 
-    t.insert_prediction(k, blocks_of(k))          # pending this time
+    t.insert_prediction(k, blocks_of(k), 0)          # pending this time
     status, entry = t.stage_assigned(k, blocks_of(k), 5, src_sm=2)
     assert status == "staged" and entry.kind == ASSIGNED
     assert entry.op == 5 and entry.src_sm == 2 and entry.absent == 0
@@ -143,8 +143,8 @@ def test_next_assist_prefers_assigned_then_oldest():
     t = PrecomputeTable(8, absent_outside(resident))
     k0, k1, ka = key_of(0), key_of(1), key_of(7)
     resident.update(key_of(1))                        # only k1 runnable
-    t.insert_prediction(k0, blocks_of(k0))
-    t.insert_prediction(k1, blocks_of(k1))
+    t.insert_prediction(k0, blocks_of(k0), 0)
+    t.insert_prediction(k1, blocks_of(k1), 0)
     t.stage_assigned(ka, blocks_of(ka), 0, 4)
     picked = t.next_assist()
     assert picked.kind == ASSIGNED and picked.key == ka
@@ -160,7 +160,7 @@ def test_next_assist_prefers_assigned_then_oldest():
 def test_block_eviction_disables_and_bounces():
     resident = set(key_of(0)) | set(key_of(1))
     t = PrecomputeTable(8, absent_outside(resident))
-    t.insert_prediction(key_of(0), blocks_of(key_of(0)))
+    t.insert_prediction(key_of(0), blocks_of(key_of(0)), 0)
 
     assert t.block_evicted(key_of(0)[0]) == []        # speculative: just parked
     assert t.next_assist() is None
@@ -183,7 +183,7 @@ def test_entry_waits_for_every_block_of_its_tuple():
     k = key_of(0)
     blocks = (k[0], k[0] + 128, k[1])
     resident.add(blocks[1])
-    assert t.insert_prediction(k, blocks) == "accepted"
+    assert t.insert_prediction(k, blocks, 0) == "accepted"
     for b in (blocks[2], blocks[0]):
         assert t.next_assist() is None
         resident.add(b)
@@ -198,8 +198,8 @@ def test_entry_waits_for_every_block_of_its_tuple():
 
 def test_stale_heap_entries_are_skipped():
     t = PrecomputeTable(8, always_resident)
-    t.insert_prediction(key_of(0), blocks_of(key_of(0)))
-    t.insert_prediction(key_of(1), blocks_of(key_of(1)))
+    t.insert_prediction(key_of(0), blocks_of(key_of(0)), 0)
+    t.insert_prediction(key_of(1), blocks_of(key_of(1)), 0)
     assert t.lookup(key_of(0)) == ("pending", None)   # kills the older entry
     assert t.next_assist().key == key_of(1)
 
@@ -207,7 +207,7 @@ def test_stale_heap_entries_are_skipped():
 def test_purge_drops_oldest_fraction():
     t = PrecomputeTable(200, always_resident)
     for k in map(key_of, range(100)):
-        t.insert_prediction(k, blocks_of(k))
+        t.insert_prediction(k, blocks_of(k), 0)
     assert t.purge(fraction=0.25) == 25
     assert t.purged == 25 and len(t) == 75
     assert t.lookup(key_of(24)) == ("absent", None)
@@ -216,7 +216,7 @@ def test_purge_drops_oldest_fraction():
 
 def test_flush_requires_drained_assigned_work():
     t = PrecomputeTable(8, always_resident)
-    t.insert_prediction(key_of(0), blocks_of(key_of(0)))
+    t.insert_prediction(key_of(0), blocks_of(key_of(0)), 0)
     t.stage_assigned(key_of(1), blocks_of(key_of(1)), 0, 3)
     with pytest.raises(AssertionError):
         t.flush()
