@@ -117,19 +117,16 @@ class PrecomputeTable:
             else:
                 bucket[entry.seq] = entry
 
-    def _unindex(self, entry):
+    def _remove(self, entry):
+        del self.entries[entry.key]
+        self.spec_order.pop(entry.seq, None)
+        self.assigned_order.pop(entry.seq, None)
         for b in entry.blocks:
             bucket = self.by_block.get(b)
             if bucket is not None:
                 bucket.pop(entry.seq, None)
                 if not bucket:
                     del self.by_block[b]
-
-    def _remove(self, entry):
-        del self.entries[entry.key]
-        self.spec_order.pop(entry.seq, None)
-        self.assigned_order.pop(entry.seq, None)
-        self._unindex(entry)
         entry.absent = -1  # invalidates any stale heap reference
 
     def lookup(self, key):
@@ -175,7 +172,7 @@ class PrecomputeTable:
         entries[key] = entry
         self.spec_order[seq] = entry
         by_block = self.by_block
-        for b in blocks:            # _index in line
+        for b in blocks:            # as _index does
             bucket = by_block.get(b)
             if bucket is None:
                 by_block[b] = {seq: entry}
@@ -217,7 +214,7 @@ class PrecomputeTable:
         return "staged", entry
 
     def _drop_oldest_spec(self, n):
-        """Remove the n oldest speculative entries (_remove in line)."""
+        """Remove the n oldest speculative entries, as _remove would."""
         spec_order = self.spec_order
         entries = self.entries
         by_block = self.by_block
@@ -258,7 +255,6 @@ class PrecomputeTable:
         entry.result = result
         # a computed result no longer waits on its operands, and block events
         # would only revisit it; the bucket scans skip it from here on
-        # (_unindex in line)
         by_block = self.by_block
         seq = entry.seq
         for b in entry.blocks:

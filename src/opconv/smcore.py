@@ -618,6 +618,7 @@ class Simulation:
         sm_mask = (1 << bits) - 1
         heappop = heapq.heappop
         heappush = heapq.heappush
+        heapreplace = heapq.heapreplace
         out = self.out
         total_ops = stats.total_ops
         max_idle = self.params.max_idle_cycles
@@ -638,17 +639,20 @@ class Simulation:
             # re-arms strictly after now, so no SM steps twice in a cycle
             limit = (now + 1) << bits
             while wakeups and wakeups[0] < limit:
-                key = heappop(wakeups)
+                key = wakeups[0]
                 sm_id = key & sm_mask
                 if armed[sm_id] != key:
+                    heappop(wakeups)
                     continue
+                # a step adds no wakeup, so its own key is still the first
                 nxt = steps[sm_id](now)
                 if nxt == INF:
                     armed[sm_id] = -1
+                    heappop(wakeups)
                 else:
                     key = nxt << bits | sm_id
                     armed[sm_id] = key
-                    heappush(wakeups, key)
+                    heapreplace(wakeups, key)
             while wakeups and armed[wakeups[0] & sm_mask] != wakeups[0]:
                 heappop(wakeups)
             next_t = wakeups[0] >> bits if wakeups else INF
