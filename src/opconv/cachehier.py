@@ -402,18 +402,19 @@ class MemoryHierarchy:
         """Preload blocks into an L1 without touching any counter (tests)."""
         cache = self.l1[sm_id]
         holders = self.holders
+        on_install, on_evict = self._on_install[sm_id], self._on_evict[sm_id]
         for addr in addrs:
             block = self.block_of(addr)
             if cache.contains(block):
                 continue
             victim = cache.install(block)
             holders[block] = holders.get(block, 0) + 1
-            if self._on_install[sm_id] is not None:
-                self._on_install[sm_id](block)
+            if on_install is not None:
+                on_install(block)
             if victim is not None:
                 if holders[victim] > 1:
                     holders[victim] -= 1
                 else:
                     del holders[victim]
-                if self._on_evict[sm_id] is not None:
-                    self._on_evict[sm_id](victim)
+                if on_evict is not None:
+                    on_evict(victim)
