@@ -35,7 +35,7 @@ from .cachehier import (
     mesh_placement,
 )
 from .oracle import MemoryImage, compare, reference_convolution
-from .intra import PrecomputeTable, predict
+from .intra import PrecomputeTable, predictor
 from .inter import AssignTable, cluster_map
 from .metrics import (
     EnergyWeights,
@@ -69,6 +69,6 @@ __all__ = [
     "build_layers", "cluster_map", "compare", "computation_distribution",
     "energy", "enumerate_ops", "inter_sm_availability", "ipc",
     "lenet5_layers", "make_layouts", "map_to_warps", "mesh_placement",
-    "normalize", "prediction_accuracy", "predict", "reference_convolution",
+    "normalize", "prediction_accuracy", "predictor", "reference_convolution",
     "reuse_histogram", "run_experiment", "run_simulation", "shrink_layer", "sweep",
 ]

@@ -207,8 +207,6 @@ class MemoryHierarchy:
         self.rt_flit_hops = [[noc.flit_hops(s, m, REQUEST_BYTES)
                               + noc.flit_hops(m, s, self.block_size)
                               for m in mc_nodes] for s in sm_nodes]
-        # (src SM, dst SM) -> flit-hops of a control message, as first sent
-        self._message_flit_hops = {}
         # block -> count of SMs with an installed copy, for O(1) probing
         self.holders = {}
         # per SM, fills not yet seen to land (block -> ready cycle) and the
@@ -281,12 +279,8 @@ class MemoryHierarchy:
 
     def charge_message(self, src_sm, dst_sm):
         """Control message between two SMs: one request-sized NoC transfer."""
-        route = (src_sm, dst_sm)
-        hops = self._message_flit_hops.get(route)
-        if hops is None:
-            hops = self._message_flit_hops[route] = self.noc.flit_hops(
-                self.sm_nodes[src_sm], self.sm_nodes[dst_sm], REQUEST_BYTES)
-        self.noc_flit_hops += hops
+        self.noc_flit_hops += self.noc.flit_hops(
+            self.sm_nodes[src_sm], self.sm_nodes[dst_sm], REQUEST_BYTES)
 
     def home_mc(self, block):
         # interleave at block-index granularity; the raw address is block
@@ -365,8 +359,7 @@ class MemoryHierarchy:
             listener = self._on_evict[sm_id]
             if listener is not None:
                 listener(victim)
-        # the block's home L2 slice
-        mc = (block >> bits) % self.n_mcs
+        mc = self.home_mc(block)
         self.noc_flit_hops += self.rt_flit_hops[sm_id][mc]
         ready = now + self.rt_latency[sm_id][mc] + self.lat_l2
         s = self._l2_sets[mc][(block >> bits) % self._l2_n_sets]

@@ -71,32 +71,33 @@ class AssignTable:
 
         Re-registration moves ownership to the latest registrant."""
         self.accesses += 1
-        self.registrations += 1
-        entries = self.entries
-        entry = entries.pop(pair, None)
+        entry = self.entries.pop(pair, None)
         if entry is not None:
             # same pair, so its by_block links stay valid
             entry.owner = sm_id
-            entries[pair] = entry   # newest in FIFO order
-            return
-        by_block = self.by_block
-        if len(entries) >= self.capacity:
-            oldest = next(iter(entries))
-            del entries[oldest]
-            self.evictions += 1
-            for b in oldest:
-                bucket = by_block.get(b)
-                if bucket is not None:
-                    bucket.pop(oldest, None)
-                    if not bucket:
-                        del by_block[b]
-        entries[pair] = entry = AssignEntry(pair, sm_id)
-        for b in pair:
-            bucket = by_block.get(b)
-            if bucket is None:
-                by_block[b] = {pair: entry}
-            else:
-                bucket[pair] = entry
+        else:
+            if len(self.entries) >= self.capacity:
+                oldest = next(iter(self.entries.values()))
+                self._unlink(oldest)
+                del self.entries[oldest.pair]
+                self.evictions += 1
+            entry = AssignEntry(pair, sm_id)
+            for b in pair:
+                bucket = self.by_block.get(b)
+                if bucket is None:
+                    self.by_block[b] = {pair: entry}
+                else:
+                    bucket[pair] = entry
+        self.entries[pair] = entry  # newest in FIFO order
+        self.registrations += 1
+
+    def _unlink(self, entry):
+        for b in entry.pair:
+            bucket = self.by_block.get(b)
+            if bucket is not None:
+                bucket.pop(entry.pair, None)
+                if not bucket:
+                    del self.by_block[b]
 
     def on_evict(self, block, sm_id, scope="owner"):
         """Eviction notification from a member SM's L1.
@@ -104,27 +105,15 @@ class AssignTable:
         scope "owner" removes only entries owned by the evicting SM (another
         member may still hold the blocks); scope "cluster" removes every entry
         naming the block."""
-        by_block = self.by_block
-        bucket = by_block.get(block)
+        bucket = self.by_block.get(block)
         if not bucket:
             return 0
         self.accesses += 1
-        if scope == "cluster":
-            doomed = list(bucket)
-        else:
-            doomed = []
-            for pair, e in bucket.items():
-                if e.owner == sm_id:
-                    doomed.append(pair)
-        entries = self.entries
-        for pair in doomed:
-            del entries[pair]
-            for b in pair:
-                linked = by_block.get(b)
-                if linked is not None:
-                    linked.pop(pair, None)
-                    if not linked:
-                        del by_block[b]
+        doomed = [e for e in bucket.values()
+                  if scope == "cluster" or e.owner == sm_id]
+        for e in doomed:
+            self._unlink(e)
+            del self.entries[e.pair]
         self.invalidated += len(doomed)
         return len(doomed)
 

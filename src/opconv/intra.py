@@ -62,11 +62,6 @@ def predictor(geom):
     return predict_pairs
 
 
-def predict(input_addr, weight_addr, geom):
-    """`predictor(geom)(input_addr, weight_addr)`."""
-    return predictor(geom)(input_addr, weight_addr)
-
-
 @dataclass(slots=True)
 class PrecomputeEntry:
     key: tuple           # (input_vec_addr, weight_vec_addr)
@@ -159,11 +154,8 @@ class PrecomputeTable:
         if key in entries:
             self.duplicates += 1
             return "duplicate"
-        if len(entries) >= self.capacity:
-            if not self.spec_order:
-                return "rejected"
-            self._drop_oldest_spec(1)
-            self.evictions += 1
+        if len(entries) >= self.capacity and not self._evict_oldest_spec():
+            return "rejected"
         seq = self.seq
         self.seq = seq + 1
         absent = self.absent_fn(blocks, now)
@@ -199,11 +191,8 @@ class PrecomputeTable:
                 self._remove(existing)
                 return "memo", existing.result
             self._remove(existing)  # replaced by the definite request
-        if len(self.entries) >= self.capacity:
-            if not self.spec_order:
-                return "full", None
-            self._drop_oldest_spec(1)
-            self.evictions += 1
+        if len(self.entries) >= self.capacity and not self._evict_oldest_spec():
+            return "full", None
         entry = PrecomputeEntry(key, blocks, ASSIGNED, self.seq,
                                 op=op, src_sm=src_sm)
         self.seq += 1
@@ -213,23 +202,13 @@ class PrecomputeTable:
         self.inserts += 1
         return "staged", entry
 
-    def _drop_oldest_spec(self, n):
-        """Remove the n oldest speculative entries, as _remove would."""
-        spec_order = self.spec_order
-        entries = self.entries
-        by_block = self.by_block
-        for _ in range(n):
-            seq = next(iter(spec_order))
-            entry = spec_order.pop(seq)
-            del entries[entry.key]
-            if not entry.complete:  # finish unindexed a complete entry
-                for b in entry.blocks:
-                    bucket = by_block.get(b)
-                    if bucket is not None:
-                        bucket.pop(seq, None)
-                        if not bucket:
-                            del by_block[b]
-            entry.absent = -1
+    def _evict_oldest_spec(self):
+        if not self.spec_order:
+            return False
+        seq = next(iter(self.spec_order))
+        self._remove(self.spec_order[seq])
+        self.evictions += 1
+        return True
 
     def next_assist(self):
         """Oldest runnable work item: assigned first, then eligible speculation."""
@@ -297,7 +276,8 @@ class PrecomputeTable:
 
         Keeps mispredictions from pinning the table between layer phases."""
         n = int(len(self.spec_order) * fraction)
-        self._drop_oldest_spec(n)
+        for seq in list(self.spec_order)[:n]:
+            self._remove(self.spec_order[seq])
         self.purged += n
         if n:
             self.accesses += n

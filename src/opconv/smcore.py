@@ -37,11 +37,6 @@ An SM is not woken when its step could change nothing:
   at t + 1 would only change the SM's state.  The SM takes that state
   (ASSIST or STALLED) from t + 1 and next wakes when its assist finishes or
   its first blocked warp wakes, or at the next purge if that comes first.
-  If the table has an assist to start, the step at t + 1 would start it,
-  and the SM starts it at t for t + 1 instead, unless a purge or an
-  arriving computation could change the table by t + 1: a purge due by
-  t + 1, an event queued for t + 1, or a forward latency under 2 cycles,
-  with which work sent at t arrives by t + 1.
 * A stalled or idle SM with no assist in flight and no speculative table
   entry skips purges: a purge of that table changes nothing, and the overdue
   purge slots are passed over at the SM's next step.
@@ -405,11 +400,6 @@ class Simulation:
         purge_period = p.purge_period
         purge_fraction = p.purge_fraction
         debug_invariants = p.debug_invariants
-        # work sent at a cycle arrives forward_latency cycles later, and at
-        # the earliest in the next cycle, so with a latency of 2 or more
-        # whatever arrives at now + 1 is already in the event queue at now
-        early_assists = p.forward_latency > 1
-        events = self.events
         block_mask = self.block_mask
         speculate = self.speculate
         insert_predictions = self._insert_predictions
@@ -554,29 +544,16 @@ class Simulation:
                         busy_until = nxt = now + 1
                         if not ready and blocked[0][0] > nxt:
                             # the step at now + 1 could only change the
-                            # state or start an assist; a warp whose fill
-                            # lands before the assist finishes waits for it
+                            # state; a warp whose fill lands before the
+                            # assist finishes waits for the assist
                             if assist_until != INF:
                                 state = ASSIST
                                 since = nxt
                                 nxt = assist_until
-                            else:
-                                entry = None if table is None else next_assist()
-                                if entry is None:
-                                    state = STALLED
-                                    since = nxt
-                                    nxt = blocked[0][0]
-                                elif (early_assists and next_purge > nxt
-                                        and not (events and events[0][0] <= nxt)):
-                                    # no purge and no arrival can change
-                                    # the table by now + 1: start there
-                                    # the assist that step would start
-                                    assist_entry = entry
-                                    assist_until = nxt + assist_latency
-                                    self.assists_in_flight += 1
-                                    state = ASSIST
-                                    since = nxt
-                                    nxt = assist_until if assist_latency else nxt + 1
+                            elif table is None or next_assist() is None:
+                                state = STALLED
+                                since = nxt
+                                nxt = blocked[0][0]
                     if busy_until > self.max_busy_until:
                         self.max_busy_until = busy_until
                 else:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from opconv.intra import ASSIGNED, SPECULATIVE, PrecomputeTable, predict
+from opconv.intra import ASSIGNED, SPECULATIVE, PrecomputeTable, predictor
 from opconv.workload import LayerSpec, enumerate_ops, make_layouts, operand_blocks
 
 
@@ -17,50 +17,54 @@ def pitched_ops(layer, pitch=4096):
 
 def test_predict_rows_meet_higher_weight_rows():
     geom, ops = pitched_ops(LayerSpec("t", 1, 1, 8, 8, 3, 3))
+    predict = predictor(geom)
     w = geom.weight.row_stride
     w0 = geom.weight_vec_addr(0, 0, 0)
     # first output window: ops 0..2 are filter rows 0..2 on input rows 0..2
-    assert predict(*ops[0], geom) == []
-    assert predict(*ops[1], geom) == [(0x1000, w0)]
-    assert predict(*ops[2], geom) == [(0x2000, w0 + w), (0x2000, w0)]
+    assert predict(*ops[0]) == []
+    assert predict(*ops[1]) == [(0x1000, w0)]
+    assert predict(*ops[2]) == [(0x2000, w0 + w), (0x2000, w0)]
     # the union is exactly the work of the next two windows that reuses
     # already-touched input rows
-    union = set(predict(*ops[0], geom)) | set(predict(*ops[1], geom)) \
-        | set(predict(*ops[2], geom))
+    union = set(predict(*ops[0])) | set(predict(*ops[1])) \
+        | set(predict(*ops[2]))
     assert union == {(0x1000, w0), (0x2000, w0 + w), (0x2000, w0)}
 
 
 def test_predicted_pairs_are_future_ops():
     layer = LayerSpec("t", 2, 2, 8, 8, 3, 3)
     geom, ops = pitched_ops(layer)
+    predict = predictor(geom)
     all_pairs = set(ops)
     seen = set()
     for op in ops:
-        for pair in predict(*op, geom):
+        for pair in predict(*op):
             assert pair in all_pairs       # never invents work
             assert pair != op
         seen.add(op)
     # every predicted pair of the first window's ops is still in the future
     for op in ops[:3]:
-        for pair in predict(*op, geom):
+        for pair in predict(*op):
             assert pair not in seen or pair in all_pairs
 
 
 def test_predict_steps_by_stride():
     geom, ops = pitched_ops(LayerSpec("s2", 1, 1, 9, 9, 3, 3, stride=2))
+    predict = predictor(geom)
     w0 = geom.weight_vec_addr(0, 0, 0)
     first = ops[:3]
     # row 2 drops straight to weight row 0 (one output row = two filter rows)
-    assert predict(*first[2], geom) == [(first[2][0], w0)]
+    assert predict(*first[2]) == [(first[2][0], w0)]
     # row 1 would land between weight rows: nothing to predict
-    assert predict(*first[1], geom) == []
+    assert predict(*first[1]) == []
     # bottom window predicts nothing past the last output row
-    assert predict(*ops[-1], geom) == []
+    assert predict(*ops[-1]) == []
 
 
 def test_predict_empty_for_single_output_row():
     geom, ops = pitched_ops(LayerSpec("one", 1, 1, 3, 3, 3, 3))
-    assert all(predict(*op, geom) == [] for op in ops)
+    predict = predictor(geom)
+    assert all(predict(*op) == [] for op in ops)
 
 
 # ----------------------------------------------------------------- the table

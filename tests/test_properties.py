@@ -77,21 +77,3 @@ def test_every_scheme_is_exact_and_conserving(layer, row_pitch, hw, seed):
         again, _ = run_simulation(params, programs, image, geom)
         assert again.to_dict() == stats.to_dict()
         assert (ops.inp.tobytes(), ops.wgt.tobytes(), ops.out.tobytes()) == columns
-
-
-@given(layer=layers(), hw=machines())
-def test_forward_latency_changes_nothing_without_forwarding(layer, hw):
-    """Under intra no computation travels between SMs, so the forward
-    latency must change no counter.  It does decide whether an SM that
-    blocks with an assist to start starts it for the next cycle at once
-    (latency 2 or more) or wakes in the next cycle to start it (0 or 1), so
-    this holds the two paths to the same counters."""
-    geom = make_layouts(layer, 0)
-    image = MemoryImage(geom, 0)
-    ops = enumerate_ops(layer, geom)
-    runs = []
-    for forward_latency in (1, 8):
-        params = SimParams(scheme="intra", **dict(hw, forward_latency=forward_latency))
-        programs = map_to_warps(ops, params.warp_size, params.sm_count)
-        runs.append(run_simulation(params, programs, image, geom)[0].to_dict())
-    assert runs[0] == runs[1]
