@@ -13,7 +13,8 @@ simulation stopped without finishing (a `SimulationError`, such as the
 
 An experiment's (layer, scheme) runs share only read-only inputs, so they
 are simulated in forked worker processes, one per CPU this process may use
-(see `worker_count`); every report, log line and error is still taken in
+(see `worker_count`), each driven by one thread of a `ThreadPoolExecutor`
+in this process; every report, log line and error is still taken in
 serial (layer, scheme) order, so no output depends on the worker count.
 """
 
@@ -28,7 +29,7 @@ import pickle
 import signal
 import sys
 import threading
-from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 from . import metrics, smcore, workload
 from .cachehier import CacheGeometry
@@ -200,15 +201,20 @@ def build_layers(cfg):
         layers = [workload.shrink_layer(l, shrink)
                   for l in read_layer_file(cfg["workload.file"])]
     passes = cfg["workload.passes"]
-    if passes == "forward":
-        return layers
-    out = []
-    for layer in layers:
-        if passes == "all":
-            out.append(layer)
-        if layer.pass_kind == workload.Pass.FORWARD:
-            out.extend(workload.backward_specs(layer))
-    return out
+    if passes != "forward":
+        out = []
+        for layer in layers:
+            if passes == "all":
+                out.append(layer)
+            if layer.pass_kind == workload.Pass.FORWARD:
+                out.extend(workload.backward_specs(layer))
+        layers = out
+    names = set()
+    for layer in layers:   # the name keys the run's records and files
+        if layer.name in names:
+            raise ConfigError(f"layer name {layer.name!r} appears twice")
+        names.add(layer.name)
+    return layers
 
 
 def from_config(cls, cfg, **extra):
@@ -374,79 +380,44 @@ class _Worker:
 _SUBMIT_ORDER = ("both", "inter", "intra", "baseline")
 
 
-class _Pool:
-    """The worker processes of one experiment and a parent thread per
-    worker.  The threads take the runs largest layer first, call `run_one`
-    for each, and block in `run_simulation` on their worker while it
-    simulates; `result` hands the outcomes out in any order asked."""
-
-    def __init__(self, cfg, runs, keys, n):
-        self.pending = deque(sorted(keys, key=lambda key: (
-            -len(runs[key[0]].ops), key[0], _SUBMIT_ORDER.index(key[1]))))
-        self.done = {}                     # (run index, scheme) -> (value, exc)
-        self.cond = threading.Condition()
-        # fork every worker before any thread of this pool starts
-        self.workers = []
-        for _ in range(n):
-            self.workers.append(_Worker(runs, self.workers))
-        self.threads = [threading.Thread(target=self._drain, args=(cfg, runs, w))
-                        for w in self.workers]
-        for t in self.threads:
-            t.start()
-
-    def _drain(self, cfg, runs, worker):
-        _pool_thread.worker = worker
-        while True:
-            try:
-                key = self.pending.popleft()
-            except IndexError:
-                return
-            index, scheme = key
-            _pool_thread.run = index
-            try:
-                outcome = run_one(cfg, runs[index], scheme), None
-            except BaseException as exc:   # handed to result(), which raises it
-                outcome = None, exc
-            with self.cond:
-                self.done[key] = outcome
-                self.cond.notify_all()
-
-    def result(self, index, scheme):
-        """run_one's (stats, CompareResult|None) for the run, or its error."""
-        key = index, scheme
-        with self.cond:
-            self.cond.wait_for(lambda: key in self.done)
-            value, exc = self.done.pop(key)
-        if exc is not None:
-            raise exc
-        return value
-
-    def close(self):
-        """Drop the runs not yet started, end every worker, even one still
-        simulating, and join every thread and process."""
-        self.pending.clear()
-        for w in self.workers:
-            w.kill()
-        for t in self.threads:
-            t.join()
-        for w in self.workers:
-            w.reap()
-
-
 @contextlib.contextmanager
 def _simulations(cfg, runs, schemes):
     """Yields result(run index, scheme) -> run_one's outcome for that run,
-    computed on the experiment's worker processes when it has more than one."""
+    computed on the experiment's worker processes when it has more than one.
+    A pool thread per worker takes the runs largest layer first, calls
+    `run_one` for each and blocks in `run_simulation` while its worker
+    simulates; the outcomes are handed out in any order asked."""
     keys = [(i, scheme) for i in range(len(runs)) for scheme in schemes]
     n = worker_count(len(keys))
     if n == 1:
         yield lambda i, scheme: run_one(cfg, runs[i], scheme)
         return
-    pool = _Pool(cfg, runs, keys, n)
+
+    def simulate(index, scheme):
+        _pool_thread.run = index
+        return run_one(cfg, runs[index], scheme)
+
+    workers = []
+    free = iter(workers)
+    # the threads start at the first submits, after every worker is forked
+    pool = ThreadPoolExecutor(n, initializer=lambda: setattr(
+        _pool_thread, "worker", next(free)))
     try:
-        yield pool.result
+        for _ in range(n):
+            workers.append(_Worker(runs, workers))
+        keys.sort(key=lambda key: (-len(runs[key[0]].ops), key[0],
+                                   _SUBMIT_ORDER.index(key[1])))
+        futures = {key: pool.submit(simulate, *key) for key in keys}
+        yield lambda i, scheme: futures.pop((i, scheme)).result()
     finally:
-        pool.close()
+        # drop the runs not yet started and end every worker, even one
+        # still simulating, so that every thread returns
+        pool.shutdown(wait=False, cancel_futures=True)
+        for w in workers:
+            w.kill()
+        pool.shutdown()
+        for w in workers:
+            w.reap()
 
 
 def run_experiment(cfg, out_dir, characterize=False, log=print):

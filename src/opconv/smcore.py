@@ -452,7 +452,7 @@ class Simulation:
                         else:
                             stats.predictions_completed += 1
                 if now >= next_purge:
-                    stats.predictions_purged += table.purge(purge_fraction)
+                    table.purge(purge_fraction)
                     while next_purge <= now:
                         next_purge += purge_period
                 while blocked and blocked[0][0] <= now:
@@ -486,8 +486,6 @@ class Simulation:
                             stats.instructions_issued += 1
                             cost = 1
                         else:
-                            if status == "pending":
-                                stats.predictions_invalidated += 1
                             blocks = operand_blocks(ia, wa, block_mask)
                             missing, wait = lookup_blocks(sm_id, blocks, now)
                             if not missing and not wait:
@@ -674,8 +672,10 @@ class Simulation:
         stats.l2_misses = self.hier.l2_misses
         stats.dram_accesses = self.hier.dram_accesses
         stats.noc_flit_hops = self.hier.noc_flit_hops
-        stats.precompute_accesses = sum(t.accesses for t in self.tables
-                                        if t is not None)
+        tables = [t for t in self.tables if t is not None]
+        stats.precompute_accesses = sum(t.accesses for t in tables)
+        stats.predictions_invalidated = sum(t.pendings for t in tables)
+        stats.predictions_purged = sum(t.purged for t in tables)
         stats.assign_accesses = sum(at.accesses for at in self.assign_tables)
 
 

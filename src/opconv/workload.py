@@ -95,6 +95,8 @@ class LayerSpec:
     pass_kind: Pass = Pass.FORWARD
 
     def __post_init__(self):
+        if "/" in self.name:   # the name keys the run's records and files
+            raise ConfigError(f"{self.name}: a layer name may not hold '/'")
         for f in ("in_channels", "out_channels", "in_height", "in_width",
                   "filter_h", "filter_w", "stride"):
             if getattr(self, f) < 1:

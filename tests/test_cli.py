@@ -26,8 +26,9 @@ def make_args(**kw):
     return argparse.Namespace(**base)
 
 
-def write_workload(tmp_path, rows=("t1,forward,1,2,8,8,3,3,1,0",)):
-    path = tmp_path / "layers.csv"
+def write_workload(tmp_path, rows=("t1,forward,1,2,8,8,3,3,1,0",),
+                   name="layers.csv"):
+    path = tmp_path / name
     header = "name,pass,in_channels,out_channels,in_height,in_width,filter_h,filter_w,stride,padding"
     path.write_text("\n".join([header, *rows]) + "\n")
     return path
@@ -207,6 +208,12 @@ def test_read_layer_file_errors(tmp_path):
         "filter_h,filter_w,stride,padding\nt,sideways,1,1,8,8,3,3,1,0\n")
     with pytest.raises(ConfigError, match=r"bad\.csv:2"):
         cli.read_layer_file(bad)
+    bad.write_text(   # a layer's name becomes part of its output file names
+        "name,pass,in_channels,out_channels,in_height,in_width,"
+        "filter_h,filter_w,stride,padding\nt,forward,1,1,8,8,3,3,1,0\n"
+        "a/b,forward,1,1,8,8,3,3,1,0\n")
+    with pytest.raises(ConfigError, match=r"bad\.csv:3: a/b: .*'/'"):
+        cli.read_layer_file(bad)
     bad.write_text(
         "name,pass,in_channels,out_channels,in_height,in_width,"
         "filter_h,filter_w,stride,padding\n")
@@ -340,7 +347,7 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 def test_default_run_is_byte_identical_serial_and_parallel(
-        tmp_path, capsys, workers):
+        tmp_path, capsys, monkeypatch, workers):
     # the serial run is a child process that runs while this one simulates
     # on two workers, so that the test costs about one run
     argv = ["--scheme", "all", "--characterize", "--out"]
@@ -348,12 +355,23 @@ def test_default_run_is_byte_identical_serial_and_parallel(
         [sys.executable, "-c", _SERIAL_MAIN, *argv, str(tmp_path / "serial")],
         env=src_env(), cwd=tmp_path, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True)
+    answered = []   # the pid of the worker that answered each run
+    simulate = cli._Worker.simulate
+
+    def noting_simulate(self, index, params):
+        value = simulate(self, index, params)
+        answered.append(self.pid)
+        return value
+
+    monkeypatch.setattr(cli._Worker, "simulate", noting_simulate)
     try:
         forked = workers(2)
         assert cli.main([*argv, str(tmp_path / "parallel")]) == 0
         assert len(forked) == 2
     finally:
         serial_log, serial_err = serial.communicate(timeout=60)
+    # every run went to a worker, and no worker sat idle
+    assert len(answered) == 20 and set(answered) == set(forked)
     assert serial.returncode == 0, serial_err
     assert_no_child_process()
     log = capsys.readouterr().out
@@ -526,17 +544,30 @@ def test_invalid_configs_exit_2_before_any_run(tmp_path):
               # nine SMs in one cluster overflow the 3-bit owner field
               ("inter.clusters", "sm.count = 9\ninter.clusters = 1")]
     workload_file = write_workload(tmp_path)
-    runs = [["--config", str(write_config(tmp_path, workload_file, (line,),
+    cases = [(key, line, workload_file) for key, line in cases]
+    # layer names that would overwrite another layer's records or name a
+    # file outside the output directory; the last repeat is made by
+    # workload.passes = all, from the forward layer t1
+    t1 = "t1,forward,1,2,8,8,3,3,1,0"
+    for i, (key, rows, line) in enumerate((
+            ("'t1'", (t1, t1), ""),
+            ("a/b", ("a/b,forward,1,2,8,8,3,3,1,0",), ""),
+            ("'t1_bwd_w'", (t1, "t1_bwd_w,forward,1,2,8,8,3,3,1,0"),
+             "workload.passes = all"))):
+        cases.append((key, line, write_workload(tmp_path, rows,
+                                                name=f"names{i}.csv")))
+    runs = [["--config", str(write_config(tmp_path, layers, (line,),
                                           name=f"bad{i}.cfg")),
-             "--scheme", "all", "--out", str(tmp_path / f"out{i}")]
-            for i, (_, line) in enumerate(cases)]
+             "--scheme", "all", "--characterize", "--out",
+             str(tmp_path / f"out{i}")]
+            for i, (_, line, layers) in enumerate(cases)]
     proc = subprocess.run([sys.executable, "-c", _MAIN_LOOP],
                           input=json.dumps(runs), env=src_env(), cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
     assert len(results) == len(cases) >= 40
-    for i, ((key, line), (status, err)) in enumerate(zip(cases, results)):
+    for i, ((key, line, _), (status, err)) in enumerate(zip(cases, results)):
         assert status == 2, line
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (line, err)
