@@ -25,7 +25,6 @@ from opconv.workload import (
     enumerate_ops,
     lenet5_layers,
     make_layouts,
-    map_to_warps,
     reuse_histogram,
 )
 
@@ -61,9 +60,7 @@ def main():
             continue  # fully-connected layers stream with no cross-SM reuse
         geom = make_layouts(layer, row_pitch=4096)
         image = MemoryImage(geom, seed=0)
-        progs = map_to_warps(enumerate_ops(layer, geom),
-                             params.warp_size, params.sm_count)
-        stats, _ = run_simulation(params, progs, image, geom)
+        stats, _ = run_simulation(params, enumerate_ops(layer, geom), image, geom)
         avail = inter_sm_availability(stats)
         print(f"{layer.name:>8}: {stats.probe_found_elsewhere}/{stats.probe_misses}"
               f" = {avail:.3f}")

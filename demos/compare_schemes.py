@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Walk one layer through all four scheme settings and compare the runs.
 
-Runs the same warp programs and memory image under baseline, memoization
+Runs the same op stream and memory image under baseline, memoization
 with assistant warps (intra), computation forwarding (inter), and both
 combined, then prints cycles, IPC, stall share, energy, and where each
 retired op actually executed.  Outputs are verified against the arithmetic
@@ -17,7 +17,7 @@ import argparse
 from opconv.metrics import computation_distribution, energy, ipc, normalize
 from opconv.oracle import MemoryImage, compare, reference_convolution
 from opconv.smcore import SimParams, run_simulation
-from opconv.workload import enumerate_ops, lenet5_layers, make_layouts, map_to_warps
+from opconv.workload import enumerate_ops, lenet5_layers, make_layouts
 
 
 def main():
@@ -34,7 +34,7 @@ def main():
     layer = layers[args.layer]
     geom = make_layouts(layer, row_pitch=4096)
     image = MemoryImage(geom, seed=0)
-    progs = map_to_warps(enumerate_ops(layer, geom), 32, args.sms)
+    ops = enumerate_ops(layer, geom)
     expected = reference_convolution(geom, image)
 
     print(f"layer {layer.name}: {layer.op_count()} vector-MAC ops "
@@ -48,7 +48,7 @@ def main():
                            clusters=args.clusters,
                            pc_entries=args.pc_entries,
                            at_entries=args.at_entries)
-        stats, out = run_simulation(params, progs, image, geom)
+        stats, out = run_simulation(params, ops, image, geom)
         result = compare(out.values, expected)
         assert result.ok, f"{scheme} diverged from the reference"
         runs[scheme] = stats

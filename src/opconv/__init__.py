@@ -16,7 +16,6 @@ from .workload import (
     OpStream,
     Pass,
     TensorLayout,
-    WarpProgram,
     alexnet_conv_layers,
     backward_specs,
     block_pair_of,
@@ -65,7 +64,7 @@ __all__ = [
     "PRESETS",
     "Pass", "PrecomputeTable", "SimParams", "SimStats",
     "Simulation", "SimulationError", "TensorLayout",
-    "WarpProgram", "alexnet_conv_layers", "backward_specs", "block_pair_of",
+    "alexnet_conv_layers", "backward_specs", "block_pair_of",
     "build_layers", "cluster_map", "compare", "computation_distribution",
     "energy", "enumerate_ops", "inter_sm_availability", "ipc",
     "lenet5_layers", "make_layouts", "map_to_warps", "mesh_placement",

@@ -29,7 +29,6 @@ import pickle
 import signal
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from . import metrics, smcore, workload
 from .cachehier import CacheGeometry
@@ -255,8 +254,6 @@ class LayerRun:
         self.layer = layer
         self.geom = workload.make_layouts(layer, cfg["layout.row_pitch"])
         self.ops = workload.enumerate_ops(layer, self.geom)
-        self.programs = workload.map_to_warps(self.ops, cfg["sm.warp_size"],
-                                              cfg["sm.count"])
         self.image = MemoryImage(self.geom, cfg["run.seed"])
         self.expected = (reference_convolution(self.geom, self.image)
                          if cfg["run.verify"] else None)
@@ -265,7 +262,7 @@ class LayerRun:
 def run_one(cfg, lr, scheme):
     """Simulate one (layer, scheme) pair; returns (stats, CompareResult|None)."""
     params = make_params(cfg, scheme)
-    stats, out = run_simulation(params, lr.programs, lr.image, lr.geom)
+    stats, out = run_simulation(params, lr.ops, lr.image, lr.geom)
     stats.layer = lr.layer.name
     stats.table_cfg = table_cfg_label(cfg, scheme)
     res = None
@@ -274,20 +271,19 @@ def run_one(cfg, lr, scheme):
     return stats, res
 
 
-# the run the calling thread is on (.run) and the worker process that
-# simulates it (.worker), while an experiment's pool thread is running it
+# the worker process of an experiment's pool thread (.worker)
 _pool_thread = threading.local()
 
 
-def run_simulation(params, programs, image, geom):
+def run_simulation(params, ops, image, geom):
     """`smcore.run_simulation`, on the worker process of the calling pool
     thread if it has one.  The worker simulates its own copy, inherited at
-    fork, of the programs, image and geometry of the thread's run, which are
-    the ones passed here; only `params` is sent to it."""
+    fork, of the op stream, image and geometry of the layer that `geom`
+    names; only the layer name and `params` are sent to it."""
     worker = getattr(_pool_thread, "worker", None)
     if worker is None:
-        return smcore.run_simulation(params, programs, image, geom)
-    return worker.simulate(_pool_thread.run, params)
+        return smcore.run_simulation(params, ops, image, geom)
+    return worker.simulate(geom.layer.name, params)
 
 
 def worker_count(n_runs):
@@ -306,7 +302,7 @@ def worker_count(n_runs):
 
 class _Worker:
     """A forked process that simulates runs of the experiment whose `runs`
-    it inherited.  It reads pickled (run index, SimParams) requests and
+    it inherited.  It reads pickled (layer name, SimParams) requests and
     answers each with (True, (stats, outputs)) or (False, the exception the
     simulation raised)."""
 
@@ -335,24 +331,25 @@ class _Worker:
 
     @staticmethod
     def _serve(runs, down_r, up_w):
+        runs = {lr.layer.name: lr for lr in runs}   # names are unique
         with os.fdopen(down_r, "rb") as requests, os.fdopen(up_w, "wb") as answers:
             while True:
                 try:
-                    index, params = pickle.load(requests)
+                    name, params = pickle.load(requests)
                 except EOFError:
                     return
-                lr = runs[index]
+                lr = runs[name]
                 try:
                     answer = True, smcore.run_simulation(
-                        params, lr.programs, lr.image, lr.geom)
+                        params, lr.ops, lr.image, lr.geom)
                 except Exception as exc:   # raised again in the parent
                     answer = False, exc
                 pickle.dump(answer, answers)
                 answers.flush()
 
-    def simulate(self, index, params):
+    def simulate(self, name, params):
         try:
-            pickle.dump((index, params), self.requests)
+            pickle.dump((name, params), self.requests)
             self.requests.flush()
             ok, value = pickle.load(self.answers)
         except (BrokenPipeError, EOFError):
@@ -392,11 +389,8 @@ def _simulations(cfg, runs, schemes):
     if n == 1:
         yield lambda i, scheme: run_one(cfg, runs[i], scheme)
         return
-
-    def simulate(index, scheme):
-        _pool_thread.run = index
-        return run_one(cfg, runs[index], scheme)
-
+    # imported here, since it loads `logging`, which a serial run never uses
+    from concurrent.futures import ThreadPoolExecutor
     workers = []
     free = iter(workers)
     # the threads start at the first submits, after every worker is forked
@@ -407,7 +401,8 @@ def _simulations(cfg, runs, schemes):
             workers.append(_Worker(runs, workers))
         keys.sort(key=lambda key: (-len(runs[key[0]].ops), key[0],
                                    _SUBMIT_ORDER.index(key[1])))
-        futures = {key: pool.submit(simulate, *key) for key in keys}
+        futures = {(i, scheme): pool.submit(run_one, cfg, runs[i], scheme)
+                   for i, scheme in keys}
         yield lambda i, scheme: futures.pop((i, scheme)).result()
     finally:
         # drop the runs not yet started and end every worker, even one

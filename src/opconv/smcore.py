@@ -6,9 +6,11 @@ scheduling.  A warp blocks on its own L1 miss; once a fill is requested the
 data is delivered to the warp at the ready cycle even if the block is
 evicted again meanwhile, so execution never replays the access.
 
-A warp is a range of the layer's OpStream and issues its ops in index
-order; an op is named by its stream index wherever it goes, including the
-payloads of forwarded and bounced computations.
+A simulation takes a layer's OpStream and cuts it into warps itself, with
+its own warp size and SM count (`workload.map_to_warps`), so the warps always
+fit the machine that runs them.  A warp is a range of the stream and issues
+its ops in index order; an op is named by its stream index wherever it goes,
+including the payloads of forwarded and bounced computations.
 
 Scheme hooks sit on the decode path, in this order: a precompute lookup may
 retire the instruction from a memoized result (1 cycle), an L1 miss may hand
@@ -53,7 +55,7 @@ from . import intra as intra_mod
 from . import inter as inter_mod
 from .cachehier import CacheGeometry, MemoryHierarchy, NocModel
 from .metrics import SimStats
-from .workload import ConfigError, OpStream, check_knobs, knob, operand_blocks
+from .workload import ConfigError, check_knobs, knob, map_to_warps, operand_blocks
 
 INF = float("inf")
 
@@ -170,9 +172,11 @@ class SimParams:
 
 
 class Simulation:
-    def __init__(self, params, programs, image, geom):
+    def __init__(self, params, ops, image, geom):
         self.params = params
+        self.ops = ops
         self.image = image
+        image.check_reads(ops)
         self.speculate = params.scheme in ("intra", "both")
         self.forwarding = params.scheme in ("inter", "both")
         p = params
@@ -183,27 +187,11 @@ class Simulation:
         self.block_mask = ~(p.l1.block_size - 1)
 
         self.warps = [[] for _ in range(p.sm_count)]
-        ops = None            # the one stream every warp indexes
-        total_ops = 0
-        for prog in programs:
-            if not 0 <= prog.sm_id < p.sm_count:
-                raise ConfigError(f"warp {prog.warp_id} targets SM {prog.sm_id}")
-            if not 0 <= prog.start <= prog.end <= len(prog.stream):
-                raise ConfigError(f"warp {prog.warp_id} ops {prog.start}.."
-                                  f"{prog.end} lie outside its op stream")
-            if prog.end == prog.start:
-                continue
-            if ops is None:
-                ops = prog.stream
-            elif prog.stream is not ops:
-                raise ConfigError(f"warp {prog.warp_id} indexes another op stream")
-            total_ops += prog.end - prog.start
-            self.warps[prog.sm_id].append(
-                WarpContext(prog.warp_id, prog.start, prog.end))
-        self.ops = ops if ops is not None else OpStream()
-        image.check_reads(self.ops)
+        for warp_id, (sm_id, start, end) in enumerate(
+                map_to_warps(ops, p.warp_size, p.sm_count)):
+            self.warps[sm_id].append(WarpContext(warp_id, start, end))
 
-        self.stats = SimStats(scheme=p.scheme, total_ops=total_ops,
+        self.stats = SimStats(scheme=p.scheme, total_ops=len(ops),
                               stall_cycles_per_sm=[0] * p.sm_count)
         self.out = OutputBuffer()
 
@@ -374,6 +362,15 @@ class Simulation:
         for at in self.assign_tables:
             if len(at) > at.capacity:
                 raise AssertionError(f"cluster {at.cluster_id} assign table over capacity")
+            # only members register, and an owner's L1 eviction drops its
+            # entries, so an SM that misses never finds itself or a
+            # stranger as the owner
+            for pair, entry in at.entries.items():
+                if self.cluster_of[entry.owner] != at.cluster_id or \
+                        not self.hier.probe_sm(entry.owner, pair):
+                    raise AssertionError(
+                        f"cluster {at.cluster_id} assign table names SM "
+                        f"{entry.owner} the owner of {pair}")
 
     # ---- one SM ----------------------------------------------------------
 
@@ -413,9 +410,7 @@ class Simulation:
             spec_order = ()
         forwarding = self.forwarding
         if forwarding:
-            cluster = self.cluster_of[sm_id]
-            cluster_of = self.cluster_of
-            assign_table = self.assign_tables[cluster]
+            assign_table = self.assign_tables[self.cluster_of[sm_id]]
 
         ready = list(warps)   # neither blocked nor finished
         blocked = []          # heap of (wake cycle, age, warp)
@@ -498,11 +493,8 @@ class Simulation:
                                             stats.probe_found_elsewhere += 1
                                 owner = None
                                 if missing and forwarding:
+                                    # a cluster peer that holds the blocks
                                     owner = assign_table.lookup(blocks)
-                                    if owner is not None and (
-                                            owner == sm_id
-                                            or cluster_of[owner] != cluster):
-                                        owner = None
                                 if owner is not None:
                                     self._forward(sm_id, owner, i,
                                                   len(missing), now)
@@ -679,6 +671,7 @@ class Simulation:
         stats.assign_accesses = sum(at.accesses for at in self.assign_tables)
 
 
-def run_simulation(params, programs, image, geom):
-    """Run one layer under one scheme; returns (SimStats, OutputBuffer)."""
-    return Simulation(params, programs, image, geom).run()
+def run_simulation(params, ops, image, geom):
+    """Run one layer's OpStream under one scheme; returns (SimStats,
+    OutputBuffer)."""
+    return Simulation(params, ops, image, geom).run()

@@ -4,8 +4,9 @@ A direct-convolution layer is executed as sliding-window dot products: every
 operation multiplies one row of an input window (length filter_w) with the
 matching filter row and accumulates into one output element.  This module
 owns layer shapes, the flat address-space layout of the three tensor
-regions, operation enumeration, packing of operations into warps, and the
-static block-pair reuse analysis.
+regions, operation enumeration, the rule that cuts an op stream into warps
+(which only the simulation applies, with its machine's warp size and SM
+count), and the static block-pair reuse analysis.
 """
 
 from __future__ import annotations
@@ -250,29 +251,14 @@ def enumerate_ops(layer, geom):
     return ops
 
 
-@dataclass(slots=True)
-class WarpProgram:
-    """One warp: ops start..end-1 of `stream`, the ops of up to warp_size
-    consecutive output elements (one per lane) in issue order.
-
-    Ops issue one at a time, element after element, so a warp walks its
-    windows left to right and then down, exactly the sliding-window
-    traversal.  Every warp of a layer indexes the same stream, which the
-    simulator reads and never changes.
-    """
-
-    warp_id: int
-    sm_id: int
-    start: int
-    end: int
-    stream: OpStream = field(repr=False)
-
-
 def map_to_warps(ops, warp_size, n_sms):
     """Cut an OpStream into warps and deal warps round-robin over SMs.
 
-    Each run of ops sharing an output address is one output element; every
-    warp_size elements start a new warp.
+    Returns one (sm_id, start, end) per warp, in warp-id order: warp w runs
+    ops start..end-1 on SM w % n_sms, the ops of up to warp_size consecutive
+    output elements (one per lane) in issue order.  Each run of ops sharing
+    an output address is one output element, so a warp walks its windows
+    left to right and then down, exactly the sliding-window traversal.
     """
     if warp_size < 1 or n_sms < 1:
         raise ConfigError("warp_size and n_sms must be positive")
@@ -283,7 +269,7 @@ def map_to_warps(ops, warp_size, n_sms):
     firsts = [0, *compress(count(1), map(ne, out, islice(out, 1, None)))]
     starts = firsts[::warp_size]
     ends = starts[1:] + [len(out)]
-    return [WarpProgram(w, w % n_sms, start, end, ops)
+    return [(w % n_sms, start, end)
             for w, (start, end) in enumerate(zip(starts, ends))]
 
 

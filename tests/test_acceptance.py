@@ -23,7 +23,6 @@ from opconv.workload import (
     lenet5_layers,
     alexnet_conv_layers,
     make_layouts,
-    map_to_warps,
     reuse_histogram,
 )
 
@@ -34,19 +33,17 @@ TOY = LayerSpec("toy44", 1, 1, 4, 4, 3, 3)
 LENET = {l.name: l for l in lenet5_layers(2)}
 CONV1 = alexnet_conv_layers(8)[0]
 
-_INPUTS = {}   # layer name -> (geom, image, programs, expected)
+_INPUTS = {}   # layer name -> (geom, image, ops, expected)
 _RUNS = {}     # (layer name, scheme, pc, at, tag) -> (stats, out)
 
 
-def _inputs(layer, sm_count=56):
-    key = (layer.name, sm_count)
-    if key not in _INPUTS:
+def _inputs(layer):
+    if layer.name not in _INPUTS:
         geom = make_layouts(layer, ROW_PITCH)
         image = MemoryImage(geom, SEED)
-        programs = map_to_warps(enumerate_ops(layer, geom), 32, sm_count)
         expected = reference_convolution(geom, image)
-        _INPUTS[key] = (geom, image, programs, expected)
-    return _INPUTS[key]
+        _INPUTS[layer.name] = (geom, image, enumerate_ops(layer, geom), expected)
+    return _INPUTS[layer.name]
 
 
 def _run(layer, scheme, pc=256, at=512, **hw):
@@ -54,8 +51,8 @@ def _run(layer, scheme, pc=256, at=512, **hw):
     key = (layer.name, scheme, pc, at, tag)
     if key not in _RUNS:
         params = SimParams(scheme=scheme, pc_entries=pc, at_entries=at, **hw)
-        geom, image, programs, expected = _inputs(layer, params.sm_count)
-        stats, out = run_simulation(params, programs, image, geom)
+        geom, image, ops, expected = _inputs(layer)
+        stats, out = run_simulation(params, ops, image, geom)
         _RUNS[key] = (stats, out, expected)
     return _RUNS[key]
 

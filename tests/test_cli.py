@@ -358,8 +358,8 @@ def test_default_run_is_byte_identical_serial_and_parallel(
     answered = []   # the pid of the worker that answered each run
     simulate = cli._Worker.simulate
 
-    def noting_simulate(self, index, params):
-        value = simulate(self, index, params)
+    def noting_simulate(self, name, params):
+        value = simulate(self, name, params)
         answered.append(self.pid)
         return value
 

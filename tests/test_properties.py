@@ -2,8 +2,8 @@
 
 Every scheme must reproduce the reference convolution bit for bit, retire
 each op exactly once, account for every forwarded op, and give the same
-counters when run twice on the same warp programs, whose op stream it
-must leave unchanged.  The example count and the derandomized search come
+counters when run twice on the same op stream, which it must leave
+unchanged.  The example count and the derandomized search come
 from the hypothesis profile in conftest.py.
 """
 
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from opconv.cachehier import CacheGeometry
 from opconv.oracle import MemoryImage, compare, reference_convolution
 from opconv.smcore import SCHEMES, SimParams, run_simulation
-from opconv.workload import LayerSpec, enumerate_ops, make_layouts, map_to_warps
+from opconv.workload import LayerSpec, enumerate_ops, make_layouts
 
 SMALL_L1 = CacheGeometry(1024, 4, 2)
 
@@ -66,14 +66,13 @@ def test_every_scheme_is_exact_and_conserving(layer, row_pitch, hw, seed):
     for scheme in SCHEMES:
         params = SimParams(scheme=scheme, debug_invariants=True, **hw)
         ops = enumerate_ops(layer, geom)
-        programs = map_to_warps(ops, params.warp_size, params.sm_count)
         columns = (ops.inp.tobytes(), ops.wgt.tobytes(), ops.out.tobytes())
-        stats, out = run_simulation(params, programs, image, geom)
+        stats, out = run_simulation(params, ops, image, geom)
         assert compare(out.values, expected).ok, scheme
         # out.adds is also the run loop's progress count
         assert out.adds == stats.retired() == stats.total_ops == layer.op_count()
         assert stats.forwards == stats.assigned_done + stats.bounces
-        # the simulation reads the programs' op stream and must not change it
-        again, _ = run_simulation(params, programs, image, geom)
+        # the simulation reads the op stream and must not change it
+        again, _ = run_simulation(params, ops, image, geom)
         assert again.to_dict() == stats.to_dict()
         assert (ops.inp.tobytes(), ops.wgt.tobytes(), ops.out.tobytes()) == columns

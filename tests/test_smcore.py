@@ -19,8 +19,6 @@ from opconv.smcore import SimParams, Simulation, WarpContext, gto_select, run_si
 from opconv.workload import (
     ConfigError,
     LayerSpec,
-    OpStream,
-    WarpProgram,
     enumerate_ops,
     lenet5_layers,
     make_layouts,
@@ -28,12 +26,9 @@ from opconv.workload import (
 )
 
 
-def build_run(layer, params, row_pitch=0, seed=0):
+def build_run(layer, row_pitch=0, seed=0):
     geom = make_layouts(layer, row_pitch)
-    image = MemoryImage(geom, seed)
-    progs = map_to_warps(enumerate_ops(layer, geom),
-                         params.warp_size, params.sm_count)
-    return geom, image, progs
+    return geom, MemoryImage(geom, seed), enumerate_ops(layer, geom)
 
 
 T44 = LayerSpec("t44", 1, 1, 4, 4, 3, 3)   # 4 outputs x 3 ops, 1 warp
@@ -125,10 +120,10 @@ def test_gto_selection_properties():
 
 def test_warm_run_is_pure_issue_occupancy():
     params = SimParams(sm_count=1)
-    geom, image, progs = build_run(T44, params)
-    sim = Simulation(params, progs, image, geom)
-    ops, blocks = progs[0].stream, set()
-    for i in range(progs[0].start, progs[0].end):
+    geom, image, ops = build_run(T44)
+    sim = Simulation(params, ops, image, geom)
+    blocks = set()
+    for i in range(len(ops)):
         blocks.add(sim.hier.block_of(ops.inp[i]))
         blocks.add(sim.hier.block_of(ops.wgt[i]))
     sim.hier.warm(0, blocks)
@@ -144,8 +139,8 @@ def test_warm_run_is_pure_issue_occupancy():
 
 def test_cold_miss_blocks_once_then_streams():
     params = SimParams(sm_count=1)
-    geom, image, progs = build_run(T44, params)
-    stats, out = run_simulation(params, progs, image, geom)
+    geom, image, ops = build_run(T44)
+    stats, out = run_simulation(params, ops, image, geom)
     # the 4x4 input and the 3x3 filter each occupy one 128B block, so only
     # the first op misses; SM node 1 sits one hop from MC node 0:
     # request 1+2+1, L2 (30) + DRAM (120) beyond it, reply 1+2+8
@@ -160,39 +155,35 @@ def test_cold_miss_blocks_once_then_streams():
     assert compare(out.values, reference_convolution(geom, image)).ok
 
 
-def test_warp_on_unknown_sm_rejected():
-    params = SimParams(sm_count=1)
-    geom, image, _ = build_run(T44, params)
-    prog = WarpProgram(0, 5, 0, 0, OpStream())
-    with pytest.raises(ConfigError, match="targets SM 5"):
-        Simulation(params, [prog], image, geom)
-
-
-def test_warp_ranges_index_one_stream():
-    params = SimParams(sm_count=1)
-    geom, image, progs = build_run(T44, params)
-    ops = progs[0].stream
-    for start, end in ((-1, 3), (3, 2), (0, len(ops) + 1)):
-        with pytest.raises(ConfigError, match="outside its op stream"):
-            Simulation(params, [WarpProgram(0, 0, start, end, ops)], image, geom)
-    other = enumerate_ops(T44, geom)
-    with pytest.raises(ConfigError, match="another op stream"):
-        Simulation(params, [progs[0], WarpProgram(1, 0, 0, 3, other)], image, geom)
+@pytest.mark.parametrize("machine", [dict(warp_size=16, sm_count=3), {}])
+def test_simulation_deals_out_its_own_warps(machine):
+    # the warps are cut for the machine that runs them: warp w holds the
+    # ops of warp_size output elements and runs on SM w % sm_count
+    params = SimParams(**machine)
+    geom, image, ops = build_run(TOY)
+    sim = Simulation(params, ops, image, geom)
+    mapping = list(enumerate(map_to_warps(ops, params.warp_size,
+                                          params.sm_count)))
+    assert len(mapping) == -(-TOY.out_channels * TOY.out_h * TOY.out_w
+                             // params.warp_size)
+    # every SM holds its warps oldest first
+    assert [[(w.age, w.pc, w.end) for w in warps] for warps in sim.warps] == \
+        [[(w, start, end) for w, (sm, start, end) in mapping if sm == sm_id]
+         for sm_id in range(params.sm_count)]
 
 
 def test_op_stream_reaching_past_the_image_rejected():
     # dot checks no bounds, so a simulation checks its op stream's reads
     # once, when it is built and before any step
     params = SimParams(sm_count=1)
-    geom, image, progs = build_run(T44, params)
-    ops = progs[0].stream
+    geom, image, ops = build_run(T44)
     for side, column in (("input", ops.inp), ("weight", ops.wgt)):
         for i, shift in ((0, -4), (-1, 4)):
             column[i] += shift
             with pytest.raises(ConfigError, match=f"t44: op stream reads {side}"):
-                Simulation(params, progs, image, geom)
+                Simulation(params, ops, image, geom)
             column[i] -= shift
-    Simulation(params, progs, image, geom)
+    Simulation(params, ops, image, geom)
 
 
 # ----------------------------------------------------- schemes: equivalence
@@ -204,8 +195,8 @@ TOY = LayerSpec("toy", 2, 3, 8, 8, 3, 3)
 def test_outputs_bit_exact_under_every_scheme(scheme):
     params = SimParams(sm_count=4, clusters=2, scheme=scheme,
                        pc_entries=64, at_entries=64, debug_invariants=True)
-    geom, image, progs = build_run(TOY, params, row_pitch=4096)
-    stats, out = run_simulation(params, progs, image, geom)
+    geom, image, ops = build_run(TOY, row_pitch=4096)
+    stats, out = run_simulation(params, ops, image, geom)
     expected = reference_convolution(geom, image)
     assert compare(out.values, expected).ok
     assert out.adds == TOY.op_count()
@@ -217,8 +208,8 @@ def test_schemes_only_move_work_between_paths():
     for scheme in ("baseline", "intra", "inter", "both"):
         params = SimParams(sm_count=4, clusters=2, scheme=scheme,
                            pc_entries=64, at_entries=64)
-        geom, image, progs = build_run(TOY, params, row_pitch=4096)
-        stats, _ = run_simulation(params, progs, image, geom)
+        geom, image, ops = build_run(TOY, row_pitch=4096)
+        stats, _ = run_simulation(params, ops, image, geom)
         results[scheme] = stats
     assert results["baseline"].predicted_used == 0
     assert results["baseline"].assigned_done == 0
@@ -233,8 +224,8 @@ def test_bitwise_determinism():
     for _ in range(2):
         params = SimParams(sm_count=4, clusters=2, scheme="both",
                            pc_entries=64, at_entries=64)
-        geom, image, progs = build_run(TOY, params, row_pitch=4096)
-        stats, out = run_simulation(params, progs, image, geom)
+        geom, image, ops = build_run(TOY, row_pitch=4096)
+        stats, out = run_simulation(params, ops, image, geom)
         runs.append((stats.to_dict(), dict(out.values)))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
@@ -245,8 +236,8 @@ def test_bitwise_determinism():
 def test_assistant_consumes_stall_cycles():
     layer = LayerSpec("a88", 1, 1, 8, 8, 3, 3)
     params = SimParams(sm_count=1, scheme="intra", pc_entries=64)
-    geom, image, progs = build_run(layer, params, row_pitch=4096)
-    stats, out = run_simulation(params, progs, image, geom)
+    geom, image, ops = build_run(layer, row_pitch=4096)
+    stats, out = run_simulation(params, ops, image, geom)
     assert compare(out.values, reference_convolution(geom, image)).ok
     # deterministic scenario, frozen as a regression anchor
     assert stats.total_cycles == 1740
@@ -268,12 +259,12 @@ def test_assistant_consumes_stall_cycles():
 
 def test_assistance_adds_no_memory_traffic():
     # assistants only touch operands already resident, so the demand-miss
-    # stream is identical to the baseline run on the same programs
+    # stream is identical to the baseline run on the same op stream
     layer = LayerSpec("a88", 1, 1, 8, 8, 3, 3)
-    geom, image, progs = build_run(layer, SimParams(sm_count=1), row_pitch=4096)
-    base, _ = run_simulation(SimParams(sm_count=1), progs, image, geom)
+    geom, image, ops = build_run(layer, row_pitch=4096)
+    base, _ = run_simulation(SimParams(sm_count=1), ops, image, geom)
     params = SimParams(sm_count=1, scheme="intra", pc_entries=64)
-    helped, _ = run_simulation(params, progs, image, geom)
+    helped, _ = run_simulation(params, ops, image, geom)
     assert helped.l1_misses == base.l1_misses == 33
     assert helped.l2_misses == base.l2_misses
 
@@ -283,8 +274,8 @@ def test_assistance_adds_no_memory_traffic():
 def test_forwarding_executes_every_handoff_exactly_once():
     c1 = lenet5_layers(2)[0]
     params = SimParams(sm_count=8, scheme="inter", clusters=2, at_entries=512)
-    geom, image, progs = build_run(c1, params, row_pitch=4096)
-    stats, out = run_simulation(params, progs, image, geom)
+    geom, image, ops = build_run(c1, row_pitch=4096)
+    stats, out = run_simulation(params, ops, image, geom)
     assert compare(out.values, reference_convolution(geom, image)).ok
     # frozen regression anchor for the same reason as above
     assert stats.total_cycles == 10795
@@ -300,12 +291,10 @@ def test_forwarding_executes_every_handoff_exactly_once():
 def test_forwarding_improves_cluster_locality():
     # shipping the op to the data's owner beats re-fetching the data
     c1 = lenet5_layers(2)[0]
-    geom = make_layouts(c1, 4096)
-    image = MemoryImage(geom, 0)
-    progs = map_to_warps(enumerate_ops(c1, geom), 32, 8)
-    base, _ = run_simulation(SimParams(sm_count=8, clusters=2), progs, image, geom)
+    geom, image, ops = build_run(c1, row_pitch=4096)
+    base, _ = run_simulation(SimParams(sm_count=8, clusters=2), ops, image, geom)
     fwd, _ = run_simulation(SimParams(sm_count=8, scheme="inter", clusters=2,
-                                      at_entries=512), progs, image, geom)
+                                      at_entries=512), ops, image, geom)
     assert fwd.l1_misses < base.l1_misses
     assert fwd.l2_hits + fwd.l2_misses < base.l2_hits + base.l2_misses
     assert base.fills_avoided == 0 and fwd.fills_avoided > 0
@@ -314,8 +303,8 @@ def test_forwarding_improves_cluster_locality():
 def test_forwarding_disabled_across_singleton_clusters():
     # one SM per cluster leaves no peer to forward to
     params = SimParams(sm_count=4, scheme="inter", clusters=4, at_entries=512)
-    geom, image, progs = build_run(TOY, params, row_pitch=4096)
-    stats, out = run_simulation(params, progs, image, geom)
+    geom, image, ops = build_run(TOY, row_pitch=4096)
+    stats, out = run_simulation(params, ops, image, geom)
     assert stats.forwards == 0
     assert compare(out.values, reference_convolution(geom, image)).ok
 
@@ -433,8 +422,8 @@ def test_counter_fingerprint(case, scheme):
     only to make the simulator faster must leave all of them unchanged."""
     layer, row_pitch, hw = FINGERPRINT_CASES[case]
     params = SimParams(scheme=scheme, debug_invariants=True, **hw)
-    geom, image, progs = build_run(layer, params, row_pitch=row_pitch)
-    stats, out = run_simulation(params, progs, image, geom)
+    geom, image, ops = build_run(layer, row_pitch=row_pitch)
+    stats, out = run_simulation(params, ops, image, geom)
     assert compare(out.values, reference_convolution(geom, image)).ok
     assert out.adds == stats.total_ops
     expected = json.loads(FINGERPRINTS.read_text())[f"{case}/{scheme}"]

@@ -209,13 +209,9 @@ def test_single_warp_mapping():
     layer = LayerSpec("t44", 1, 1, 4, 4, 3, 3)  # 4 outputs x 3 ops
     geom = make_layouts(layer, 0)
     ops = enumerate_ops(layer, geom)
-    progs = map_to_warps(ops, 32, 4)
-    assert len(progs) == 1
-    prog = progs[0]
-    assert prog.warp_id == 0 and prog.sm_id == 0
-    assert (prog.start, prog.end) == (0, 12) and prog.stream is ops
+    assert map_to_warps(ops, 32, 4) == [(0, 0, 12)]
     # one lane per output element: four consecutive runs of three ops
-    outs = list(ops.out[prog.start:prog.end])
+    outs = list(ops.out[0:12])
     lanes = list(dict.fromkeys(outs))
     assert len(lanes) == 4
     assert outs == [addr for addr in lanes for _ in range(3)]
@@ -225,15 +221,14 @@ def test_round_robin_warp_distribution():
     layer = LayerSpec("t1010", 1, 1, 10, 10, 3, 3)  # 64 output elements
     geom = make_layouts(layer, 0)
     ops = enumerate_ops(layer, geom)
-    progs = map_to_warps(ops, 32, 2)
-    assert [p.warp_id for p in progs] == [0, 1]
-    assert [p.sm_id for p in progs] == [0, 1]
-    assert [len(set(ops.out[p.start:p.end])) for p in progs] == [32, 32]
-    assert [p.end - p.start for p in progs] == [96, 96]
+    warps = map_to_warps(ops, 32, 2)
+    assert [sm for sm, _, _ in warps] == [0, 1]
+    assert [len(set(ops.out[start:end])) for _, start, end in warps] == [32, 32]
+    assert [end - start for _, start, end in warps] == [96, 96]
 
     # more warps than SMs wraps around
     many = map_to_warps(ops, 8, 3)
-    assert [p.sm_id for p in many] == [w % 3 for w in range(len(many))]
+    assert [sm for sm, _, _ in many] == [w % 3 for w in range(len(many))]
     assert map_to_warps(OpStream(), 32, 1) == []
     with pytest.raises(ConfigError):
         map_to_warps(OpStream(), 0, 1)
@@ -244,13 +239,13 @@ def test_warp_mapping_partitions_op_stream(warp_size, n_sms):
     layer = LayerSpec("toy", 2, 2, 6, 6, 3, 3, padding=1)
     geom = make_layouts(layer, 0)
     ops = enumerate_ops(layer, geom)
-    progs = map_to_warps(ops, warp_size, n_sms)
+    warps = map_to_warps(ops, warp_size, n_sms)
+    starts = [start for _, start, _ in warps]
+    ends = [end for _, _, end in warps]
     # the ranges tile the stream in order: no op lost, none duplicated
-    assert [p.start for p in progs] == [0] + [p.end for p in progs[:-1]]
-    assert progs[-1].end == len(ops)
-    assert all(p.stream is ops for p in progs)
+    assert starts == [0] + ends[:-1] and ends[-1] == len(ops)
     # no output element is split between two warps
-    assert all(ops.out[p.end - 1] != ops.out[p.end] for p in progs[:-1])
+    assert all(ops.out[end - 1] != ops.out[end] for end in ends[:-1])
 
 
 def test_op_stream_memory_per_op():
@@ -262,12 +257,12 @@ def test_op_stream_memory_per_op():
     try:
         before = tracemalloc.get_traced_memory()[0]
         ops = enumerate_ops(layer, geom)
-        programs = map_to_warps(ops, 32, 56)
+        warps = map_to_warps(ops, 32, 56)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     n = len(ops)
-    assert n == layer.op_count() == 114_048 and len(programs) == 108
+    assert n == layer.op_count() == 114_048 and len(warps) == 108
     assert (held - before) / n <= 32
     assert (peak - before) / n <= 32
 
