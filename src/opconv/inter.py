@@ -12,8 +12,6 @@ forwarded computation still executes exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .workload import ConfigError
 
 
@@ -32,20 +30,14 @@ def cluster_map(n_sms, n_clusters):
     return [min(sm // size, n_clusters - 1) for sm in range(n_sms)]
 
 
-@dataclass(slots=True)
-class AssignEntry:
-    pair: tuple
-    owner: int
-
-
 class AssignTable:
     """Block-pair -> owner SM map for one cluster; FIFO eviction when full."""
 
     def __init__(self, cluster_id, capacity):
         self.cluster_id = cluster_id
         self.capacity = capacity
-        self.entries = {}   # pair -> AssignEntry, insertion ordered
-        self.by_block = {}  # block -> {pair: entry}
+        self.entries = {}   # pair -> owner SM id, insertion ordered
+        self.by_block = {}  # block -> list of the pairs naming it
         self.lookups = 0
         self.lookup_hits = 0
         self.registrations = 0
@@ -60,44 +52,42 @@ class AssignTable:
         """Owner SM id for the pair, or None."""
         self.lookups += 1
         self.accesses += 1
-        entry = self.entries.get(pair)
-        if entry is None:
-            return None
-        self.lookup_hits += 1
-        return entry.owner
+        owner = self.entries.get(pair)
+        if owner is not None:
+            self.lookup_hits += 1
+        return owner
 
     def register(self, pair, sm_id):
         """Record that sm_id holds both blocks of the pair (called post-fill).
 
         Re-registration moves ownership to the latest registrant."""
         self.accesses += 1
-        entry = self.entries.pop(pair, None)
-        if entry is not None:
-            # same pair, so its by_block links stay valid
-            entry.owner = sm_id
-        else:
-            if len(self.entries) >= self.capacity:
-                oldest = next(iter(self.entries.values()))
-                self._unlink(oldest)
-                del self.entries[oldest.pair]
-                self.evictions += 1
-            entry = AssignEntry(pair, sm_id)
-            for b in pair:
-                bucket = self.by_block.get(b)
-                if bucket is None:
-                    self.by_block[b] = {pair: entry}
-                else:
-                    bucket[pair] = entry
-        self.entries[pair] = entry  # newest in FIFO order
         self.registrations += 1
+        entries = self.entries
+        if pair in entries:
+            # same pair, so its by_block links stay valid
+            del entries[pair]
+        else:
+            if len(entries) >= self.capacity:
+                self._drop(next(iter(entries)))
+                self.evictions += 1
+            by_block = self.by_block
+            for b in pair:
+                bucket = by_block.get(b)
+                if bucket is None:
+                    by_block[b] = [pair]
+                else:
+                    bucket.append(pair)
+        entries[pair] = sm_id  # newest in FIFO order
 
-    def _unlink(self, entry):
-        for b in entry.pair:
-            bucket = self.by_block.get(b)
-            if bucket is not None:
-                bucket.pop(entry.pair, None)
-                if not bucket:
-                    del self.by_block[b]
+    def _drop(self, pair):
+        del self.entries[pair]
+        by_block = self.by_block
+        for b in pair:
+            bucket = by_block[b]
+            bucket.remove(pair)
+            if not bucket:
+                del by_block[b]
 
     def on_evict(self, block, sm_id, scope="owner"):
         """Eviction notification from a member SM's L1.
@@ -109,13 +99,14 @@ class AssignTable:
         if not bucket:
             return 0
         self.accesses += 1
-        doomed = [e for e in bucket.values()
-                  if scope == "cluster" or e.owner == sm_id]
-        for e in doomed:
-            self._unlink(e)
-            del self.entries[e.pair]
-        self.invalidated += len(doomed)
-        return len(doomed)
+        entries = self.entries
+        n = 0
+        for pair in bucket[:]:
+            if scope == "cluster" or entries[pair] == sm_id:
+                self._drop(pair)
+                n += 1
+        self.invalidated += n
+        return n
 
     def flush(self):
         self.entries.clear()

@@ -16,17 +16,20 @@ bounced back to its source instead of being dropped.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .workload import operand_blocks
 
 SPECULATIVE = 0
 ASSIGNED = 1
 
 
-def predictor(geom):
+def predictor(geom, block_mask):
     """The prediction rule for one layer: a function of (input_addr,
     weight_addr) that returns the future pairs of the input row at
     input_addr as its window moves down, for the op that just multiplied it
-    with the filter row at weight_addr.
+    with the filter row at weight_addr, each as (pair, blocks) with the
+    pair's operand blocks (`workload.operand_blocks` under `block_mask`).
 
     Every downward move of the window by one output row drops the row's
     position inside the window by `stride`, so the input vector meets the
@@ -48,16 +51,20 @@ def predictor(geom):
 
     def predict_pairs(input_addr, weight_addr):
         j = ((weight_addr - w_base) // w_row) % filter_h
+        if j < s:
+            return ()
         base_row = ((input_addr - i_base) % i_channel) // i_row - j
-        if j < s or base_row % s:
-            return []
+        if base_row % s:
+            return ()
         # k = 1, 2, ... while the weight row j - k*s exists and the output
         # row base_row/s + k is still in the layer
         moves = min(j // s, last_row - base_row // s)
-        pairs = []
+        items = []
         for k in range(1, moves + 1):
-            pairs.append((input_addr, weight_addr - k * step))
-        return pairs
+            w = weight_addr - k * step
+            items.append(((input_addr, w),
+                          operand_blocks(input_addr, w, block_mask)))
+        return items
 
     return predict_pairs
 
@@ -68,28 +75,52 @@ class PrecomputeEntry:
     blocks: tuple        # the pair's operand blocks (workload.operand_blocks)
     kind: int            # SPECULATIVE or ASSIGNED
     seq: int
+    absent: int = 0      # bit k: blocks[k] not resident; -1: entry removed
     complete: bool = False
     result: object = None
-    absent: int = 0      # bit k: blocks[k] not resident; -1: entry removed
+    indexed: bool = False  # in by_block, so block events keep `absent`
     op: int = -1         # forwarded op's stream index (assigned entries only)
     src_sm: int = -1     # requesting SM     (assigned entries only)
 
 
 class PrecomputeTable:
-    """Fixed-capacity memo table, FIFO eviction by insertion order."""
+    """Fixed-capacity memo table of SM sm_id, FIFO eviction by insertion
+    order.
 
-    def __init__(self, capacity, absent_fn):
+    `l1` answers for sm_id's L1 (`MemoryHierarchy` does):
+    absent_for_compute(sm_id, blocks, now) sets bit k when blocks[k] is not
+    installed or has not landed at now, and unheld(sm_id, blocks) sets bit k
+    when blocks[k] is not installed, landed or not.  Block install and
+    evict events come from the same L1 (`block_installed`,
+    `block_evicted`).
+
+    An entry's bit k of `absent` is set at insertion from
+    absent_for_compute, then cleared when blocks[k] is installed and set
+    when it is evicted.  The L1 installs a block only while it holds none
+    and evicts it only while it holds it, so for an entry whose bits all
+    start clear, bit k stays exactly "blocks[k] is not installed".  Such an
+    entry is left out of by_block: when it reaches the head of the eligible
+    heap, `next_assist` finds its blocks in `landed` or asks unheld, and
+    indexes it only if a block is gone.
+    """
+
+    def __init__(self, capacity, l1, sm_id):
         self.capacity = capacity
-        # (blocks, now) -> int, bit k set when blocks[k] is not installed and
-        # landed at cycle now; no cache side effects
-        self.absent_fn = absent_fn
-        self.entries = {}               # key -> entry
-        self.spec_order = {}            # seq -> entry, insertion ordered
-        self.assigned_order = {}        # seq -> entry, insertion ordered
-        # block -> {seq: entry}, for the entries whose operand residency
-        # still matters: pending speculation and assigned work
+        self.l1 = l1
+        self.sm_id = sm_id
+        self.entries = {}               # key -> entry, insertion ordered
+        self.assigned_order = {}        # seq -> assigned entry, in order
+        # block -> {seq: entry}, for the indexed entries: assigned work and
+        # pending speculation whose bits block events must keep
         self.by_block = {}
-        self.eligible_heap = []         # seqs of speculative entries, lazy
+        # (seq, entry) of speculative entries that were eligible when
+        # pushed; removed, complete and ineligible ones are dropped lazily
+        self.eligible_heap = []
+        # blocks known to be installed in the L1 and landed: those that
+        # absent_for_compute found so, each dropped at its next eviction.  A
+        # block that has landed stays landed until it is evicted, since the
+        # L1 fills a block only while it does not hold it landed.
+        self.landed = set()
         self.seq = 0
         # counters
         self.lookups = 0
@@ -105,23 +136,31 @@ class PrecomputeTable:
         return len(self.entries)
 
     def _index(self, entry):
+        entry.indexed = True
+        by_block = self.by_block
         for b in entry.blocks:
-            bucket = self.by_block.get(b)
+            bucket = by_block.get(b)
             if bucket is None:
-                self.by_block[b] = {entry.seq: entry}
+                by_block[b] = {entry.seq: entry}
             else:
                 bucket[entry.seq] = entry
 
-    def _remove(self, entry):
-        del self.entries[entry.key]
-        self.spec_order.pop(entry.seq, None)
-        self.assigned_order.pop(entry.seq, None)
+    def _unindex(self, entry):
+        entry.indexed = False
+        by_block = self.by_block
         for b in entry.blocks:
-            bucket = self.by_block.get(b)
+            bucket = by_block.get(b)
             if bucket is not None:
                 bucket.pop(entry.seq, None)
                 if not bucket:
-                    del self.by_block[b]
+                    del by_block[b]
+
+    def _remove(self, entry):
+        del self.entries[entry.key]
+        if entry.kind == ASSIGNED:
+            del self.assigned_order[entry.seq]
+        if entry.indexed:
+            self._unindex(entry)
         entry.absent = -1  # invalidates any stale heap reference
 
     def lookup(self, key):
@@ -146,34 +185,51 @@ class PrecomputeTable:
         self._remove(entry)
         return "pending", None
 
-    def insert_prediction(self, key, blocks, now):
-        """Queue a predicted pair, which reads `blocks`, at cycle now.
-        Returns accepted | duplicate | rejected."""
-        self.accesses += 1
+    def insert_predictions(self, items, now):
+        """Queue predicted (key, blocks) items at cycle now, in order.  An
+        item whose key is in the table is a duplicate, and one that finds
+        the table full of assigned work is rejected.  Returns the number
+        accepted.
+
+        Residency is asked once for every block the items read, and not
+        at all when every one of them is in `landed`."""
+        if not items:
+            return 0
+        self.accesses += len(items)
+        flat = ()
+        for _, blocks in items:
+            flat += blocks
+        landed = self.landed
+        if landed.issuperset(flat):
+            absent_all = 0
+        else:
+            absent_all = self.l1.absent_for_compute(self.sm_id, flat, now)
+            if not absent_all:
+                landed.update(flat)
         entries = self.entries
-        if key in entries:
-            self.duplicates += 1
-            return "duplicate"
-        if len(entries) >= self.capacity and not self._evict_oldest_spec():
-            return "rejected"
-        seq = self.seq
-        self.seq = seq + 1
-        absent = self.absent_fn(blocks, now)
-        entry = PrecomputeEntry(key, blocks, SPECULATIVE, seq, False, None,
-                                absent)
-        entries[key] = entry
-        self.spec_order[seq] = entry
-        by_block = self.by_block
-        for b in blocks:            # as _index does
-            bucket = by_block.get(b)
-            if bucket is None:
-                by_block[b] = {seq: entry}
+        capacity = self.capacity
+        heap = self.eligible_heap
+        first = seq = self.seq
+        for key, blocks in items:
+            if absent_all:
+                width = len(blocks)
+                absent = absent_all & ((1 << width) - 1)
+                absent_all >>= width
             else:
-                bucket[seq] = entry
-        if not absent:
-            heapq.heappush(self.eligible_heap, seq)
-        self.inserts += 1
-        return "accepted"
+                absent = 0
+            if key in entries:
+                self.duplicates += 1
+            elif len(entries) < capacity or self._evict_oldest_spec():
+                entry = PrecomputeEntry(key, blocks, SPECULATIVE, seq, absent)
+                entries[key] = entry
+                if absent:
+                    self._index(entry)
+                else:
+                    heapq.heappush(heap, (seq, entry))
+                seq += 1
+        self.seq = seq
+        self.inserts += seq - first
+        return seq - first
 
     def stage_assigned(self, key, blocks, op, src_sm):
         """Stage op `op` (its stream index), which reads `blocks`, forwarded
@@ -198,30 +254,35 @@ class PrecomputeTable:
         self.seq += 1
         self.entries[key] = entry
         self.assigned_order[entry.seq] = entry
-        self._index(entry)
+        self._index(entry)  # an eviction of its blocks bounces it
         self.inserts += 1
         return "staged", entry
 
     def _evict_oldest_spec(self):
-        if not self.spec_order:
-            return False
-        seq = next(iter(self.spec_order))
-        self._remove(self.spec_order[seq])
-        self.evictions += 1
-        return True
+        for entry in self.entries.values():
+            if entry.kind == SPECULATIVE:
+                self._remove(entry)
+                self.evictions += 1
+                return True
+        return False
 
     def next_assist(self):
         """Oldest runnable work item: assigned first, then eligible speculation."""
         if self.assigned_order:
             return next(iter(self.assigned_order.values()))
         heap = self.eligible_heap
-        spec_order = self.spec_order
         while heap:
-            entry = spec_order.get(heap[0])
-            if entry is None or entry.complete or entry.absent:
-                heapq.heappop(heap)
-            else:
-                return entry
+            entry = heap[0][1]
+            # a removed entry's absent is -1
+            if not entry.absent and not entry.complete:
+                if entry.indexed or self.landed.issuperset(entry.blocks):
+                    return entry
+                absent = self.l1.unheld(self.sm_id, entry.blocks)
+                if not absent:
+                    return entry
+                entry.absent = absent  # as its block events would have set
+                self._index(entry)
+            heapq.heappop(heap)
         return None
 
     def finish(self, entry, result):
@@ -233,15 +294,12 @@ class PrecomputeTable:
         entry.complete = True
         entry.result = result
         # a computed result no longer waits on its operands, and block events
-        # would only revisit it; the bucket scans skip it from here on
-        by_block = self.by_block
-        seq = entry.seq
-        for b in entry.blocks:
-            bucket = by_block.get(b)
-            if bucket is not None:
-                bucket.pop(seq, None)
-                if not bucket:
-                    del by_block[b]
+        # would only revisit it
+        if entry.indexed:
+            self._unindex(entry)
+        heap = self.eligible_heap
+        if heap and heap[0][1] is entry:
+            heapq.heappop(heap)  # next_assist would drop it anyway
 
     def block_installed(self, block):
         bucket = self.by_block.get(block)
@@ -255,13 +313,14 @@ class PrecomputeTable:
                 entry.absent = absent = absent ^ bit
                 # a bucket never holds a complete entry (see finish)
                 if not absent and entry.kind == SPECULATIVE:
-                    heapq.heappush(heap, entry.seq)
+                    heapq.heappush(heap, (entry.seq, entry))
 
     def block_evicted(self, block):
         """Returns assigned entries displaced by the eviction (to bounce)."""
+        self.landed.discard(block)
         bucket = self.by_block.get(block)
         if not bucket:
-            return []
+            return ()
         bounced = []
         for entry in bucket.values():
             entry.absent |= 1 << entry.blocks.index(block)
@@ -275,12 +334,20 @@ class PrecomputeTable:
         """Drop the oldest fraction of speculative entries, pending or complete.
 
         Keeps mispredictions from pinning the table between layer phases."""
-        n = int(len(self.spec_order) * fraction)
-        for seq in list(self.spec_order)[:n]:
-            self._remove(self.spec_order[seq])
+        entries = self.entries
+        n = int((len(entries) - len(self.assigned_order)) * fraction)
+        if not n:
+            return 0
+        oldest = []
+        for entry in entries.values():
+            if entry.kind == SPECULATIVE:
+                oldest.append(entry)
+                if len(oldest) == n:
+                    break
+        for entry in oldest:
+            self._remove(entry)
         self.purged += n
-        if n:
-            self.accesses += n
+        self.accesses += n
         return n
 
     def flush(self):
@@ -288,6 +355,6 @@ class PrecomputeTable:
         already be drained."""
         assert not self.assigned_order, "assigned work dropped at flush"
         self.entries.clear()
-        self.spec_order.clear()
         self.by_block.clear()
         self.eligible_heap.clear()
+        self.landed.clear()

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 
 from . import intra as intra_mod
@@ -197,13 +196,13 @@ class Simulation:
 
         use_tables = self.speculate or self.forwarding
         if use_tables:
-            absent = self.hier.absent_for_compute
-            self.tables = [intra_mod.PrecomputeTable(
-                p.pc_entries, partial(absent, sm_id))
-                for sm_id in range(p.sm_count)]
+            self.tables = [intra_mod.PrecomputeTable(p.pc_entries, self.hier,
+                                                     sm_id)
+                           for sm_id in range(p.sm_count)]
         else:
             self.tables = [None] * p.sm_count
-        self.predict = intra_mod.predictor(geom) if self.speculate else None
+        self.predict = (intra_mod.predictor(geom, self.block_mask)
+                        if self.speculate else None)
         if self.forwarding:
             self.cluster_of = inter_mod.cluster_map(p.sm_count, p.clusters)
             self.assign_tables = [inter_mod.AssignTable(c, p.at_entries)
@@ -340,14 +339,8 @@ class Simulation:
     def _insert_predictions(self, table, input_addr, weight_addr, now):
         """Queue in table the predicted pairs of the op that just multiplied
         input_addr by weight_addr."""
-        mask = self.block_mask
-        insert = table.insert_prediction
-        made = 0
-        for pair in self.predict(input_addr, weight_addr):
-            if insert(pair, operand_blocks(pair[0], pair[1], mask),
-                      now) == "accepted":
-                made += 1
-        self.stats.predictions_made += made
+        self.stats.predictions_made += table.insert_predictions(
+            self.predict(input_addr, weight_addr), now)
 
     def _assigned_done(self, table, entry, value, now):
         """An assist finished a computation forwarded by another SM."""
@@ -365,12 +358,12 @@ class Simulation:
             # only members register, and an owner's L1 eviction drops its
             # entries, so an SM that misses never finds itself or a
             # stranger as the owner
-            for pair, entry in at.entries.items():
-                if self.cluster_of[entry.owner] != at.cluster_id or \
-                        not self.hier.probe_sm(entry.owner, pair):
+            for pair, owner in at.entries.items():
+                if self.cluster_of[owner] != at.cluster_id or \
+                        not self.hier.probe_sm(owner, pair):
                     raise AssertionError(
                         f"cluster {at.cluster_id} assign table names SM "
-                        f"{entry.owner} the owner of {pair}")
+                        f"{owner} the owner of {pair}")
 
     # ---- one SM ----------------------------------------------------------
 
@@ -405,9 +398,9 @@ class Simulation:
         if table is not None:
             lookup = table.lookup
             next_assist = table.next_assist
-            spec_order = table.spec_order
+            entries = table.entries
         else:
-            spec_order = ()
+            entries = ()
         forwarding = self.forwarding
         if forwarding:
             assign_table = self.assign_tables[self.cluster_of[sm_id]]
@@ -439,7 +432,7 @@ class Simulation:
                     self.assists_in_flight -= 1
                     # absent -1: removed (bounced or invalidated) mid-flight
                     if entry.absent != -1:
-                        value = dot(entry.key[0], entry.key[1])
+                        value = dot(*entry.key)
                         table.finish(entry, value)
                         stats.assists_executed += 1
                         if entry.kind == intra_mod.ASSIGNED:
@@ -561,9 +554,10 @@ class Simulation:
                         # no ready warp: any unfinished warp is blocked
                         state = STALLED if blocked else IDLE
                         nxt = blocked[0][0] if blocked else INF
-                        if not spec_order:
+                        if not entries:
                             # a purge of a table without speculation changes
-                            # nothing: skip the purge wakeups
+                            # nothing: skip the purge wakeups (next_assist
+                            # found no assigned entry)
                             continue
                 if next_purge < nxt:
                     nxt = next_purge

@@ -57,6 +57,21 @@ def _run(layer, scheme, pc=256, at=512, **hw):
     return _RUNS[key]
 
 
+class _SetL1:
+    """Residency answers for a lone PrecomputeTable: the blocks in the set
+    are installed and landed."""
+
+    def __init__(self, resident):
+        self.resident = resident
+
+    def unheld(self, _sm_id, blocks):
+        return sum(1 << k for k, b in enumerate(blocks)
+                   if b not in self.resident)
+
+    def absent_for_compute(self, sm_id, blocks, _now):
+        return self.unheld(sm_id, blocks)
+
+
 def _report(num, name, ok, detail):
     print(f"\nACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num:02d} {name}: {detail}"
@@ -178,8 +193,7 @@ def test_08_table_integrity_and_exactly_once():
     # randomized table stress: stage/evict/install/assist, 10^4 events
     rng = random.Random(20260814)
     resident = set()
-    table = PrecomputeTable(32, lambda pair, _now: sum(
-        1 << k for k, b in enumerate(pair) if b not in resident))
+    table = PrecomputeTable(32, _SetL1(resident), 0)
     blocks = [i * 128 for i in range(24)]
     wblocks = [0x4000_0000 + i * 128 for i in range(8)]
     staged = bounced = finished = 0

@@ -88,28 +88,45 @@ def test_flush_empties_table():
 
 
 class ModelTable:
-    """Insertion-ordered reference for the assign table semantics."""
+    """Insertion-ordered reference for the assign table semantics and its
+    counters."""
 
     def __init__(self, capacity):
         self.capacity = capacity
         self.d = {}  # pair -> owner
+        self.lookups = self.lookup_hits = self.registrations = 0
+        self.evictions = self.invalidated = self.accesses = 0
 
     def register(self, pair, sm):
+        self.accesses += 1
+        self.registrations += 1
         if pair in self.d:
             del self.d[pair]
         elif len(self.d) >= self.capacity:
             del self.d[next(iter(self.d))]
+            self.evictions += 1
         self.d[pair] = sm
 
     def lookup(self, pair):
-        return self.d.get(pair)
+        self.accesses += 1
+        self.lookups += 1
+        owner = self.d.get(pair)
+        self.lookup_hits += owner is not None
+        return owner
 
     def on_evict(self, block, sm, scope):
-        doomed = [p for p, o in self.d.items()
-                  if block in p and (scope == "cluster" or o == sm)]
+        naming = [p for p in self.d if block in p]
+        if naming:
+            self.accesses += 1  # the table is read only for a block it names
+        doomed = [p for p in naming if scope == "cluster" or self.d[p] == sm]
         for p in doomed:
             del self.d[p]
+        self.invalidated += len(doomed)
         return len(doomed)
+
+
+COUNTERS = ("lookups", "lookup_hits", "registrations", "evictions",
+            "invalidated", "accesses")
 
 
 def test_randomized_equivalence_with_model():
@@ -135,4 +152,8 @@ def test_randomized_equivalence_with_model():
             assert t.on_evict(block, sm, scope) == m.on_evict(block, sm, scope)
         assert len(t) == len(m.d)
         assert len(t) <= t.capacity
-    assert dict((p, e.owner) for p, e in t.entries.items()) == m.d
+        assert [getattr(t, c) for c in COUNTERS] == \
+            [getattr(m, c) for c in COUNTERS]
+    assert t.entries == m.d
+    # every counter moved, so the comparison above checked each of them
+    assert all(getattr(m, c) for c in COUNTERS)

@@ -13,11 +13,23 @@ def pitched_ops(layer, pitch=4096):
     return geom, list(zip(ops.inp, ops.wgt))
 
 
+def pair_predictor(geom):
+    """The layer's predictor, returning the predicted pairs alone after
+    checking that each comes with its operand blocks."""
+    predict = predictor(geom, ~31)
+
+    def pairs(input_addr, weight_addr):
+        items = predict(input_addr, weight_addr)
+        assert all(blocks == operand_blocks(*key, ~31) for key, blocks in items)
+        return [key for key, _ in items]
+    return pairs
+
+
 # ------------------------------------------------------------------- predict
 
 def test_predict_rows_meet_higher_weight_rows():
     geom, ops = pitched_ops(LayerSpec("t", 1, 1, 8, 8, 3, 3))
-    predict = predictor(geom)
+    predict = pair_predictor(geom)
     w = geom.weight.row_stride
     w0 = geom.weight_vec_addr(0, 0, 0)
     # first output window: ops 0..2 are filter rows 0..2 on input rows 0..2
@@ -34,7 +46,7 @@ def test_predict_rows_meet_higher_weight_rows():
 def test_predicted_pairs_are_future_ops():
     layer = LayerSpec("t", 2, 2, 8, 8, 3, 3)
     geom, ops = pitched_ops(layer)
-    predict = predictor(geom)
+    predict = pair_predictor(geom)
     all_pairs = set(ops)
     seen = set()
     for op in ops:
@@ -50,7 +62,7 @@ def test_predicted_pairs_are_future_ops():
 
 def test_predict_steps_by_stride():
     geom, ops = pitched_ops(LayerSpec("s2", 1, 1, 9, 9, 3, 3, stride=2))
-    predict = predictor(geom)
+    predict = pair_predictor(geom)
     w0 = geom.weight_vec_addr(0, 0, 0)
     first = ops[:3]
     # row 2 drops straight to weight row 0 (one output row = two filter rows)
@@ -63,7 +75,7 @@ def test_predict_steps_by_stride():
 
 def test_predict_empty_for_single_output_row():
     geom, ops = pitched_ops(LayerSpec("one", 1, 1, 3, 3, 3, 3))
-    predict = predictor(geom)
+    predict = pair_predictor(geom)
     assert all(predict(*op) == [] for op in ops)
 
 
@@ -78,26 +90,43 @@ def blocks_of(key):
     return operand_blocks(key[0], key[1], ~127)
 
 
-def always_resident(_blocks, _now):
-    return 0
+class L1:
+    """Residency answers for a lone table (SM 0): the blocks in `resident`
+    are installed and landed and every other block is absent; None means
+    every block is resident.  Tests keep it in step with the install and
+    evict events they send the table, as an L1 does."""
+
+    def __init__(self, resident=None):
+        self.resident = resident
+
+    def unheld(self, _sm_id, blocks):
+        if self.resident is None:
+            return 0
+        return sum(1 << k for k, b in enumerate(blocks)
+                   if b not in self.resident)
+
+    def absent_for_compute(self, sm_id, blocks, _now):
+        return self.unheld(sm_id, blocks)
 
 
-def absent_outside(resident):
-    """A table's absent_fn when exactly the blocks in `resident` are."""
-    return lambda blocks, _now: sum(1 << k for k, b in enumerate(blocks)
-                                    if b not in resident)
+def insert(t, key, blocks=None):
+    """Offer one predicted pair; returns accepted, duplicate or rejected."""
+    duplicates = t.duplicates
+    if t.insert_predictions([(key, blocks or blocks_of(key))], 0):
+        return "accepted"
+    return "duplicate" if t.duplicates > duplicates else "rejected"
 
 
 def test_insert_lookup_consume_cycle():
-    t = PrecomputeTable(8, always_resident)
+    t = PrecomputeTable(8, L1(), 0)
     k = key_of(0)
-    assert t.insert_prediction(k, blocks_of(k), 0) == "accepted"
-    assert t.insert_prediction(k, blocks_of(k), 0) == "duplicate"
+    assert insert(t, k) == "accepted"
+    assert insert(t, k) == "duplicate"
     # decoding the pair while still pending invalidates the prediction
     assert t.lookup(k) == ("pending", None)
     assert t.lookup(k) == ("absent", None)
 
-    assert t.insert_prediction(k, blocks_of(k), 0) == "accepted"
+    assert insert(t, k) == "accepted"
     entry = t.next_assist()
     assert entry.key == k and entry.kind == SPECULATIVE
     t.finish(entry, -2)
@@ -107,10 +136,27 @@ def test_insert_lookup_consume_cycle():
     assert (t.lookups, t.hits, t.pendings, t.inserts, t.duplicates) == (4, 1, 1, 2, 1)
 
 
+def test_insert_predictions_takes_an_ops_pairs_in_order():
+    """One call queues every predicted pair of an op: duplicates are
+    skipped, the rest are accepted in order, each with its own residency."""
+    resident = set(blocks_of(key_of(0))) | set(blocks_of(key_of(2)))
+    t = PrecomputeTable(8, L1(resident), 0)
+    k0, k1, k2 = map(key_of, range(3))
+    assert t.insert_predictions([(k0, blocks_of(k0))], 0) == 1
+    assert t.insert_predictions(
+        [(k0, blocks_of(k0)), (k1, blocks_of(k1)), (k2, blocks_of(k2))], 0) == 2
+    assert (t.inserts, t.duplicates, t.accesses) == (3, 1, 4)
+    assert [t.entries[k].absent for k in (k0, k1, k2)] == [0, 0b11, 0]
+    assert t.insert_predictions((), 0) == 0
+    assert t.next_assist().key == k0
+    t.finish(t.next_assist(), 1)
+    assert t.next_assist().key == k2                  # k1 not resident
+
+
 def test_capacity_evicts_oldest_speculative():
-    t = PrecomputeTable(4, always_resident)
+    t = PrecomputeTable(4, L1(), 0)
     for k in map(key_of, range(5)):
-        assert t.insert_prediction(k, blocks_of(k), 0) == "accepted"
+        assert insert(t, k) == "accepted"
     assert len(t) == 4
     assert t.evictions == 1
     assert t.lookup(key_of(0)) == ("absent", None)   # FIFO victim
@@ -118,24 +164,24 @@ def test_capacity_evicts_oldest_speculative():
 
 
 def test_assigned_work_cannot_be_displaced():
-    t = PrecomputeTable(2, always_resident)
+    t = PrecomputeTable(2, L1(), 0)
     k0, k1, k2 = map(key_of, range(3))
     assert t.stage_assigned(k0, blocks_of(k0), 0, 1)[0] == "staged"
     assert t.stage_assigned(k1, blocks_of(k1), 0, 1)[0] == "staged"
-    assert t.insert_prediction(k2, blocks_of(k2), 0) == "rejected"
+    assert insert(t, k2) == "rejected"
     assert t.stage_assigned(k2, blocks_of(k2), 0, 1) == ("full", None)
 
 
 def test_stage_assigned_memo_and_replacement():
-    t = PrecomputeTable(8, always_resident)
+    t = PrecomputeTable(8, L1(), 0)
     k = key_of(3)
-    t.insert_prediction(k, blocks_of(k), 0)
+    insert(t, k)
     t.finish(t.next_assist(), 41)
     status, result = t.stage_assigned(k, blocks_of(k), 0, src_sm=2)
     assert (status, result) == ("memo", 41)          # already computed here
     assert t.lookup(k) == ("absent", None)
 
-    t.insert_prediction(k, blocks_of(k), 0)          # pending this time
+    insert(t, k)                                     # pending this time
     status, entry = t.stage_assigned(k, blocks_of(k), 5, src_sm=2)
     assert status == "staged" and entry.kind == ASSIGNED
     assert entry.op == 5 and entry.src_sm == 2 and entry.absent == 0
@@ -144,11 +190,11 @@ def test_stage_assigned_memo_and_replacement():
 
 def test_next_assist_prefers_assigned_then_oldest():
     resident = set()
-    t = PrecomputeTable(8, absent_outside(resident))
+    t = PrecomputeTable(8, L1(resident), 0)
     k0, k1, ka = key_of(0), key_of(1), key_of(7)
     resident.update(key_of(1))                        # only k1 runnable
-    t.insert_prediction(k0, blocks_of(k0), 0)
-    t.insert_prediction(k1, blocks_of(k1), 0)
+    insert(t, k0)
+    insert(t, k1)
     t.stage_assigned(ka, blocks_of(ka), 0, 4)
     picked = t.next_assist()
     assert picked.kind == ASSIGNED and picked.key == ka
@@ -163,15 +209,18 @@ def test_next_assist_prefers_assigned_then_oldest():
 
 def test_block_eviction_disables_and_bounces():
     resident = set(key_of(0)) | set(key_of(1))
-    t = PrecomputeTable(8, absent_outside(resident))
-    t.insert_prediction(key_of(0), blocks_of(key_of(0)), 0)
+    t = PrecomputeTable(8, L1(resident), 0)
+    insert(t, key_of(0))
 
-    assert t.block_evicted(key_of(0)[0]) == []        # speculative: just parked
+    resident.discard(key_of(0)[0])
+    assert not t.block_evicted(key_of(0)[0])          # speculative: just parked
     assert t.next_assist() is None
+    resident.add(key_of(0)[0])
     t.block_installed(key_of(0)[0])
     assert t.next_assist().key == key_of(0)           # eligible again
 
     t.stage_assigned(key_of(1), blocks_of(key_of(1)), 0, 5)
+    resident.discard(key_of(1)[1])
     bounced = t.block_evicted(key_of(1)[1])
     assert [e.key for e in bounced] == [key_of(1)]
     assert bounced[0].absent == -1                    # removed marker
@@ -183,35 +232,37 @@ def test_entry_waits_for_every_block_of_its_tuple():
     long: an entry is eligible once every block is resident, and leaves the
     eligible set when any one of them is evicted."""
     resident = set()
-    t = PrecomputeTable(8, absent_outside(resident))
+    t = PrecomputeTable(8, L1(resident), 0)
     k = key_of(0)
     blocks = (k[0], k[0] + 128, k[1])
     resident.add(blocks[1])
-    assert t.insert_prediction(k, blocks, 0) == "accepted"
+    assert insert(t, k, blocks) == "accepted"
     for b in (blocks[2], blocks[0]):
         assert t.next_assist() is None
         resident.add(b)
         t.block_installed(b)
     assert t.next_assist().key == k
     for b in blocks:
-        assert t.block_evicted(b) == []
+        resident.discard(b)
+        assert not t.block_evicted(b)
         assert t.next_assist() is None
+        resident.add(b)
         t.block_installed(b)
         assert t.next_assist().key == k
 
 
 def test_stale_heap_entries_are_skipped():
-    t = PrecomputeTable(8, always_resident)
-    t.insert_prediction(key_of(0), blocks_of(key_of(0)), 0)
-    t.insert_prediction(key_of(1), blocks_of(key_of(1)), 0)
+    t = PrecomputeTable(8, L1(), 0)
+    insert(t, key_of(0))
+    insert(t, key_of(1))
     assert t.lookup(key_of(0)) == ("pending", None)   # kills the older entry
     assert t.next_assist().key == key_of(1)
 
 
 def test_purge_drops_oldest_fraction():
-    t = PrecomputeTable(200, always_resident)
+    t = PrecomputeTable(200, L1(), 0)
     for k in map(key_of, range(100)):
-        t.insert_prediction(k, blocks_of(k), 0)
+        insert(t, k)
     assert t.purge(fraction=0.25) == 25
     assert t.purged == 25 and len(t) == 75
     assert t.lookup(key_of(24)) == ("absent", None)
@@ -219,8 +270,8 @@ def test_purge_drops_oldest_fraction():
 
 
 def test_flush_requires_drained_assigned_work():
-    t = PrecomputeTable(8, always_resident)
-    t.insert_prediction(key_of(0), blocks_of(key_of(0)), 0)
+    t = PrecomputeTable(8, L1(), 0)
+    insert(t, key_of(0))
     t.stage_assigned(key_of(1), blocks_of(key_of(1)), 0, 3)
     with pytest.raises(AssertionError):
         t.flush()

@@ -428,3 +428,33 @@ def test_counter_fingerprint(case, scheme):
     assert out.adds == stats.total_ops
     expected = json.loads(FINGERPRINTS.read_text())[f"{case}/{scheme}"]
     assert stats.to_dict() == expected
+
+
+# Per-run sums of the table counters that no SimStats field holds, so the
+# fingerprints above cannot see them: precompute duplicates, evictions and
+# inserts, then assign-table registrations, evictions and invalidations.
+# Recorded from the simulator like the fingerprints; a change meant only to
+# make the tables faster must leave them unchanged.
+TABLE_COUNTERS = {
+    "pitched/intra": (3, 0, 376, 0, 0, 0),
+    "pitched/inter": (0, 0, 17, 631, 0, 512),
+    "pitched/both": (17, 0, 395, 230, 0, 200),
+    "tiny_tables/intra": (0, 914, 952, 0, 0, 0),
+    "tiny_tables/inter": (0, 0, 20, 1156, 203, 918),
+    "tiny_tables/both": (0, 912, 969, 1149, 203, 905),
+}
+
+
+@pytest.mark.parametrize("run", sorted(TABLE_COUNTERS))
+def test_table_counters_outside_simstats(run):
+    case, scheme = run.split("/")
+    layer, row_pitch, hw = FINGERPRINT_CASES[case]
+    geom, image, ops = build_run(layer, row_pitch=row_pitch)
+    sim = Simulation(SimParams(scheme=scheme, **hw), ops, image, geom)
+    sim.run()
+    pcs = [t for t in sim.tables if t is not None]
+    ats = sim.assign_tables
+    assert (sum(t.duplicates for t in pcs), sum(t.evictions for t in pcs),
+            sum(t.inserts for t in pcs), sum(a.registrations for a in ats),
+            sum(a.evictions for a in ats),
+            sum(a.invalidated for a in ats)) == TABLE_COUNTERS[run]
