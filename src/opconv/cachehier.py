@@ -173,9 +173,8 @@ class MemoryHierarchy:
     """All cache and interconnect state for one simulation.
 
     The L1s and L2 slices are `LruCache`s.  The methods the engine calls
-    for every op (`lookup`, `fill`, `absent_for_compute`, `present_elsewhere`,
-    `probe_sm` and `unheld`) work on their set dicts directly and apply the
-    LRU rule
+    for every op (`lookup`, `fill`, `absent_for_compute`, `present_elsewhere`
+    and `probe_sm`) work on their set dicts directly and apply the LRU rule
     of `LruCache.touch` and `install` in line: a hit moves its block to the
     end of its set, and a full set evicts its first block.  `warm` goes
     through the `LruCache` methods, which tests also use as the reference
@@ -247,21 +246,6 @@ class MemoryHierarchy:
             if b not in sets[(b >> bits) % n_sets]:
                 return False
         return True
-
-    def unheld(self, sm_id, blocks):
-        """Bit k set for each blocks[k] that sm_id's L1 does not hold,
-        landed or not; 0 when it holds them all.  No recency update."""
-        sets = self._l1_sets[sm_id]
-        off, bits, n_sets = self._offset_mask, self.block_bits, self._l1_n_sets
-        absent = 0
-        bit = 1
-        for b in blocks:
-            if b & off:
-                raise _unaligned(b)
-            if b not in sets[(b >> bits) % n_sets]:
-                absent |= bit
-            bit <<= 1
-        return absent
 
     def present_elsewhere(self, sm_id, block):
         """Whether an L1 other than sm_id's holds block."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 
 from .workload import operand_blocks
 
@@ -78,7 +79,6 @@ class PrecomputeEntry:
     absent: int = 0      # bit k: blocks[k] not resident; -1: entry removed
     complete: bool = False
     result: object = None
-    indexed: bool = False  # in by_block, so block events keep `absent`
     op: int = -1         # forwarded op's stream index (assigned entries only)
     src_sm: int = -1     # requesting SM     (assigned entries only)
 
@@ -89,38 +89,26 @@ class PrecomputeTable:
 
     `l1` answers for sm_id's L1 (`MemoryHierarchy` does):
     absent_for_compute(sm_id, blocks, now) sets bit k when blocks[k] is not
-    installed or has not landed at now, and unheld(sm_id, blocks) sets bit k
-    when blocks[k] is not installed, landed or not.  Block install and
-    evict events come from the same L1 (`block_installed`,
-    `block_evicted`).
-
-    An entry's bit k of `absent` is set at insertion from
-    absent_for_compute, then cleared when blocks[k] is installed and set
-    when it is evicted.  The L1 installs a block only while it holds none
-    and evicts it only while it holds it, so for an entry whose bits all
-    start clear, bit k stays exactly "blocks[k] is not installed".  Such an
-    entry is left out of by_block: when it reaches the head of the eligible
-    heap, `next_assist` finds its blocks in `landed` or asks unheld, and
-    indexes it only if a block is gone.
+    installed or has not landed at now.  An entry's bit k of `absent` is set
+    at insertion from it, then cleared when the same L1 installs blocks[k]
+    (`block_installed`) and set when it evicts it (`block_evicted`).
     """
 
     def __init__(self, capacity, l1, sm_id):
         self.capacity = capacity
         self.l1 = l1
         self.sm_id = sm_id
-        self.entries = {}               # key -> entry, insertion ordered
-        self.assigned_order = {}        # seq -> assigned entry, in order
-        # block -> {seq: entry}, for the indexed entries: assigned work and
-        # pending speculation whose bits block events must keep
+        # key -> entry, each in insertion order, so the first of each is its
+        # oldest.  Lookups match speculative entries only; assigned work
+        # belongs to other SMs' instructions.
+        self.speculative = {}
+        self.assigned = {}
+        # block -> {seq: entry}, for the entries whose operand residency
+        # still matters: assigned work and pending speculation
         self.by_block = {}
         # (seq, entry) of speculative entries that were eligible when
         # pushed; removed, complete and ineligible ones are dropped lazily
         self.eligible_heap = []
-        # blocks known to be installed in the L1 and landed: those that
-        # absent_for_compute found so, each dropped at its next eviction.  A
-        # block that has landed stays landed until it is evicted, since the
-        # L1 fills a block only while it does not hold it landed.
-        self.landed = set()
         self.seq = 0
         # counters
         self.lookups = 0
@@ -133,10 +121,9 @@ class PrecomputeTable:
         self.accesses = 0
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.speculative) + len(self.assigned)
 
     def _index(self, entry):
-        entry.indexed = True
         by_block = self.by_block
         for b in entry.blocks:
             bucket = by_block.get(b)
@@ -146,7 +133,6 @@ class PrecomputeTable:
                 bucket[entry.seq] = entry
 
     def _unindex(self, entry):
-        entry.indexed = False
         by_block = self.by_block
         for b in entry.blocks:
             bucket = by_block.get(b)
@@ -156,10 +142,11 @@ class PrecomputeTable:
                     del by_block[b]
 
     def _remove(self, entry):
-        del self.entries[entry.key]
-        if entry.kind == ASSIGNED:
-            del self.assigned_order[entry.seq]
-        if entry.indexed:
+        if entry.kind == SPECULATIVE:
+            del self.speculative[entry.key]
+        else:
+            del self.assigned[entry.key]
+        if not entry.complete:  # a complete entry is in no bucket
             self._unindex(entry)
         entry.absent = -1  # invalidates any stale heap reference
 
@@ -174,39 +161,30 @@ class PrecomputeTable:
         """
         self.lookups += 1
         self.accesses += 1
-        entry = self.entries.get(key)
-        if entry is None or entry.kind != SPECULATIVE:
+        entry = self.speculative.get(key)
+        if entry is None:
             return "absent", None
+        self._remove(entry)
         if entry.complete:
             self.hits += 1
-            self._remove(entry)
             return "hit", entry.result
         self.pendings += 1
-        self._remove(entry)
         return "pending", None
 
     def insert_predictions(self, items, now):
         """Queue predicted (key, blocks) items at cycle now, in order.  An
         item whose key is in the table is a duplicate, and one that finds
         the table full of assigned work is rejected.  Returns the number
-        accepted.
-
-        Residency is asked once for every block the items read, and not
-        at all when every one of them is in `landed`."""
+        accepted.  Residency is asked once for every block the items read."""
         if not items:
             return 0
         self.accesses += len(items)
         flat = ()
         for _, blocks in items:
             flat += blocks
-        landed = self.landed
-        if landed.issuperset(flat):
-            absent_all = 0
-        else:
-            absent_all = self.l1.absent_for_compute(self.sm_id, flat, now)
-            if not absent_all:
-                landed.update(flat)
-        entries = self.entries
+        absent_all = self.l1.absent_for_compute(self.sm_id, flat, now)
+        spec = self.speculative
+        assigned = self.assigned
         capacity = self.capacity
         heap = self.eligible_heap
         first = seq = self.seq
@@ -217,14 +195,14 @@ class PrecomputeTable:
                 absent_all >>= width
             else:
                 absent = 0
-            if key in entries:
+            if key in spec or key in assigned:
                 self.duplicates += 1
-            elif len(entries) < capacity or self._evict_oldest_spec():
+            elif len(spec) + len(assigned) < capacity or \
+                    self._evict_oldest_spec():
                 entry = PrecomputeEntry(key, blocks, SPECULATIVE, seq, absent)
-                entries[key] = entry
-                if absent:
-                    self._index(entry)
-                else:
+                spec[key] = entry
+                self._index(entry)
+                if not absent:
                     heapq.heappush(heap, (seq, entry))
                 seq += 1
         self.seq = seq
@@ -240,48 +218,40 @@ class PrecomputeTable:
         pending work item was created, ("full", None) when the table is
         saturated with assigned work and the op must bounce."""
         self.accesses += 1
-        existing = self.entries.get(key)
-        if existing is not None and existing.kind == SPECULATIVE:
+        existing = self.speculative.get(key)
+        if existing is not None:
+            self._remove(existing)  # answered, or replaced by the request
             if existing.complete:
                 self.hits += 1
-                self._remove(existing)
                 return "memo", existing.result
-            self._remove(existing)  # replaced by the definite request
-        if len(self.entries) >= self.capacity and not self._evict_oldest_spec():
+        if len(self) >= self.capacity and not self._evict_oldest_spec():
             return "full", None
         entry = PrecomputeEntry(key, blocks, ASSIGNED, self.seq,
                                 op=op, src_sm=src_sm)
         self.seq += 1
-        self.entries[key] = entry
-        self.assigned_order[entry.seq] = entry
+        self.assigned[key] = entry
         self._index(entry)  # an eviction of its blocks bounces it
         self.inserts += 1
         return "staged", entry
 
     def _evict_oldest_spec(self):
-        for entry in self.entries.values():
-            if entry.kind == SPECULATIVE:
-                self._remove(entry)
-                self.evictions += 1
-                return True
-        return False
+        spec = self.speculative
+        if not spec:
+            return False
+        self._remove(next(iter(spec.values())))
+        self.evictions += 1
+        return True
 
     def next_assist(self):
         """Oldest runnable work item: assigned first, then eligible speculation."""
-        if self.assigned_order:
-            return next(iter(self.assigned_order.values()))
+        if self.assigned:
+            return next(iter(self.assigned.values()))
         heap = self.eligible_heap
         while heap:
             entry = heap[0][1]
             # a removed entry's absent is -1
             if not entry.absent and not entry.complete:
-                if entry.indexed or self.landed.issuperset(entry.blocks):
-                    return entry
-                absent = self.l1.unheld(self.sm_id, entry.blocks)
-                if not absent:
-                    return entry
-                entry.absent = absent  # as its block events would have set
-                self._index(entry)
+                return entry
             heapq.heappop(heap)
         return None
 
@@ -295,8 +265,7 @@ class PrecomputeTable:
         entry.result = result
         # a computed result no longer waits on its operands, and block events
         # would only revisit it
-        if entry.indexed:
-            self._unindex(entry)
+        self._unindex(entry)
         heap = self.eligible_heap
         if heap and heap[0][1] is entry:
             heapq.heappop(heap)  # next_assist would drop it anyway
@@ -317,7 +286,6 @@ class PrecomputeTable:
 
     def block_evicted(self, block):
         """Returns assigned entries displaced by the eviction (to bounce)."""
-        self.landed.discard(block)
         bucket = self.by_block.get(block)
         if not bucket:
             return ()
@@ -334,17 +302,9 @@ class PrecomputeTable:
         """Drop the oldest fraction of speculative entries, pending or complete.
 
         Keeps mispredictions from pinning the table between layer phases."""
-        entries = self.entries
-        n = int((len(entries) - len(self.assigned_order)) * fraction)
-        if not n:
-            return 0
-        oldest = []
-        for entry in entries.values():
-            if entry.kind == SPECULATIVE:
-                oldest.append(entry)
-                if len(oldest) == n:
-                    break
-        for entry in oldest:
+        spec = self.speculative
+        n = int(len(spec) * fraction)
+        for entry in list(islice(spec.values(), n)):
             self._remove(entry)
         self.purged += n
         self.accesses += n
@@ -353,8 +313,7 @@ class PrecomputeTable:
     def flush(self):
         """Layer boundary: drop everything speculative; assigned work must
         already be drained."""
-        assert not self.assigned_order, "assigned work dropped at flush"
-        self.entries.clear()
+        assert not self.assigned, "assigned work dropped at flush"
+        self.speculative.clear()
         self.by_block.clear()
         self.eligible_heap.clear()
-        self.landed.clear()

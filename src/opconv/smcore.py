@@ -176,6 +176,7 @@ class Simulation:
         self.ops = ops
         self.image = image
         image.check_reads(ops)
+        self.dot = image.products(ops)
         self.speculate = params.scheme in ("intra", "both")
         self.forwarding = params.scheme in ("inter", "both")
         p = params
@@ -321,7 +322,7 @@ class Simulation:
 
     def _bounce_finish(self, src, i, now):
         ops = self.ops
-        value = self.image.dot(ops.inp[i], ops.wgt[i])
+        value = self.dot(ops.inp[i], ops.wgt[i])
         self.out.add(ops.out[i], value)
         self.stats.normal_done += 1
         if self.forwarding:
@@ -381,7 +382,7 @@ class Simulation:
         lookup_blocks = hier.lookup
         fill = hier.fill
         present_elsewhere = hier.present_elsewhere
-        dot = self.image.dot
+        dot = self.dot
         inp, wgt, out_addr = self.ops.inp, self.ops.wgt, self.ops.out
         p = self.params
         issue_cost = p.issue_cost
@@ -398,9 +399,9 @@ class Simulation:
         if table is not None:
             lookup = table.lookup
             next_assist = table.next_assist
-            entries = table.entries
+            speculative = table.speculative
         else:
-            entries = ()
+            speculative = ()
         forwarding = self.forwarding
         if forwarding:
             assign_table = self.assign_tables[self.cluster_of[sm_id]]
@@ -554,10 +555,9 @@ class Simulation:
                         # no ready warp: any unfinished warp is blocked
                         state = STALLED if blocked else IDLE
                         nxt = blocked[0][0] if blocked else INF
-                        if not entries:
+                        if not speculative:
                             # a purge of a table without speculation changes
-                            # nothing: skip the purge wakeups (next_assist
-                            # found no assigned entry)
+                            # nothing: skip the purge wakeups
                             continue
                 if next_purge < nxt:
                     nxt = next_purge

@@ -64,12 +64,9 @@ class _SetL1:
     def __init__(self, resident):
         self.resident = resident
 
-    def unheld(self, _sm_id, blocks):
+    def absent_for_compute(self, _sm_id, blocks, _now):
         return sum(1 << k for k, b in enumerate(blocks)
                    if b not in self.resident)
-
-    def absent_for_compute(self, sm_id, blocks, _now):
-        return self.unheld(sm_id, blocks)
 
 
 def _report(num, name, ok, detail):
@@ -202,7 +199,7 @@ def test_08_table_integrity_and_exactly_once():
         roll = rng.random()
         if roll < 0.35:
             key = (rng.choice(blocks), rng.choice(wblocks))
-            if key not in table.entries:
+            if key not in table.assigned:
                 # both addresses are block aligned: the key is its own blocks
                 status, _payload = table.stage_assigned(key, key, 0, 0)
                 if status == "staged":
@@ -222,7 +219,7 @@ def test_08_table_integrity_and_exactly_once():
                 finished += 1
         if len(table) > table.capacity:
             over_capacity += 1
-    leftover = len(table.assigned_order)
+    leftover = len(table.assigned)
     stress_ok = (over_capacity == 0
                  and staged == bounced + finished + leftover
                  and staged > 1000)

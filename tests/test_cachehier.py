@@ -301,9 +301,8 @@ def test_fill_of_a_landed_resident_block_is_refused():
     lambda h: h.fill(0, 3, 0),
     lambda h: h.absent_for_compute(0, (0, 3), 0),
     lambda h: h.probe_sm(0, (0, 3)),
-    lambda h: h.unheld(0, (0, 3)),
     lambda h: h.present_elsewhere(0, 3),
-], ids=["lookup", "fill", "absent_for_compute", "probe_sm", "unheld",
+], ids=["lookup", "fill", "absent_for_compute", "probe_sm",
         "present_elsewhere"])
 def test_hierarchy_rejects_unaligned_blocks(call):
     hier = one_sm_hier()

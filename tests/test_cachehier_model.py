@@ -81,8 +81,7 @@ class Model:
 blocks = st.integers(0, 9).map(lambda i: i * BLOCK)
 # "access" is the engine's issue path: look a tuple up, then fill its misses
 steps = st.lists(st.tuples(
-    st.sampled_from(["access"] * 4 + ["fill", "absent", "elsewhere", "probe",
-                                      "unheld"]),
+    st.sampled_from(["access"] * 4 + ["fill", "absent", "elsewhere", "probe"]),
     st.integers(0, N_SMS - 1),
     st.integers(0, 20),                          # cycles since the last step
     st.lists(blocks, min_size=1, max_size=3, unique=True).map(tuple)),
@@ -120,13 +119,9 @@ def test_hierarchy_matches_lru_model(trace):
         elif kind == "elsewhere":
             assert hier.present_elsewhere(sm, bs[0]) == any(
                 model.l1[o].contains(bs[0]) for o in range(N_SMS) if o != sm)
-        elif kind == "probe":
+        else:
             assert hier.probe_sm(sm, bs) == all(
                 model.l1[sm].contains(b) for b in bs)
-        else:
-            assert hier.unheld(sm, bs) == sum(
-                1 << k for k, b in enumerate(bs)
-                if not model.l1[sm].contains(b))
         assert hier.l1_hits == sum(c.hits for c in model.l1)
         assert hier.l1_misses == sum(c.misses for c in model.l1)
         assert [[list(s) for s in c.sets] for c in hier.l1] == \

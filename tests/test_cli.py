@@ -605,6 +605,8 @@ def test_verification_catches_a_faulty_dot(tmp_path, monkeypatch):
         return sum(map(mul, a[:-1], b[:-1]))
 
     monkeypatch.setattr(MemoryImage, "dot", dot_without_last_product)
+    # a simulation takes its products from MemoryImage.products
+    monkeypatch.setattr(MemoryImage, "products", lambda self, ops: self.dot)
     lines = []
     _, _, failures = cli.run_experiment(experiment_cfg(tmp_path), None,
                                         log=lines.append)

@@ -93,20 +93,16 @@ def blocks_of(key):
 class L1:
     """Residency answers for a lone table (SM 0): the blocks in `resident`
     are installed and landed and every other block is absent; None means
-    every block is resident.  Tests keep it in step with the install and
-    evict events they send the table, as an L1 does."""
+    every block is resident."""
 
     def __init__(self, resident=None):
         self.resident = resident
 
-    def unheld(self, _sm_id, blocks):
+    def absent_for_compute(self, _sm_id, blocks, _now):
         if self.resident is None:
             return 0
         return sum(1 << k for k, b in enumerate(blocks)
                    if b not in self.resident)
-
-    def absent_for_compute(self, sm_id, blocks, _now):
-        return self.unheld(sm_id, blocks)
 
 
 def insert(t, key, blocks=None):
@@ -146,11 +142,26 @@ def test_insert_predictions_takes_an_ops_pairs_in_order():
     assert t.insert_predictions(
         [(k0, blocks_of(k0)), (k1, blocks_of(k1)), (k2, blocks_of(k2))], 0) == 2
     assert (t.inserts, t.duplicates, t.accesses) == (3, 1, 4)
-    assert [t.entries[k].absent for k in (k0, k1, k2)] == [0, 0b11, 0]
+    assert [t.speculative[k].absent for k in (k0, k1, k2)] == [0, 0b11, 0]
     assert t.insert_predictions((), 0) == 0
     assert t.next_assist().key == k0
     t.finish(t.next_assist(), 1)
     assert t.next_assist().key == k2                  # k1 not resident
+
+
+def test_finish_keeps_an_older_entry_that_became_eligible():
+    k0, k1 = key_of(0), key_of(1)
+    resident = set(blocks_of(k1))
+    t = PrecomputeTable(8, L1(resident), 0)
+    assert insert(t, k0) == "accepted"           # waits for its operands
+    assert insert(t, k1) == "accepted"
+    entry = t.next_assist()
+    assert entry.key == k1
+    for b in blocks_of(k0):                      # they arrive mid-assist
+        resident.add(b)
+        t.block_installed(b)
+    t.finish(entry, 0)
+    assert t.next_assist().key == k0
 
 
 def test_capacity_evicts_oldest_speculative():

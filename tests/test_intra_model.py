@@ -35,10 +35,6 @@ class FakeL1:
         self.installed = set()
         self.landed = set()
 
-    def unheld(self, _sm_id, blocks):
-        return sum(1 << k for k, b in enumerate(blocks)
-                   if b not in self.installed)
-
     def absent_for_compute(self, _sm_id, blocks, _now):
         return sum(1 << k for k, b in enumerate(blocks)
                    if b not in self.landed)
@@ -239,4 +235,12 @@ def test_precompute_table_matches_list_model(resident, trace):
             assert table.purge(arg) == model.purge(arg)
         assert [getattr(table, c) for c in COUNTERS] == \
             [getattr(model, c) for c in COUNTERS]
-        assert list(table.entries) == [e["key"] for e in model.entries]
+        # the block index holds exactly the work still waiting: assigned
+        # entries and pending speculation
+        assert {e.key for bucket in table.by_block.values()
+                for e in bucket.values()} == \
+            {e["key"] for e in model.entries if not e["complete"]}
+        for kind, keys in ((SPECULATIVE, table.speculative),
+                           (ASSIGNED, table.assigned)):
+            assert list(keys) == [e["key"] for e in model.entries
+                                  if e["kind"] == kind]

@@ -151,6 +151,32 @@ def test_reference_agrees_with_numpy(layer, row_pitch):
     assert ref == alt
 
 
+@pytest.mark.parametrize("scale", [1, 0, -3, 2**20])
+@pytest.mark.parametrize("layer", [
+    LayerSpec("wide", 2, 3, 9, 11, 3, 11),
+    MIXED,
+    LayerSpec("pointwise", 3, 2, 5, 5, 1, 1),
+])
+def test_products_equal_dot_on_every_op(layer, scale):
+    # the packed products hold for any word values, also far outside the
+    # image's own [-8, 8], and read the words as they are when asked
+    geom, img = build(layer, seed=5)
+    img.input_words[:] = [scale * v for v in img.input_words]
+    img.weight_words[:] = [scale * v - (scale > 1) for v in img.weight_words]
+    ops = enumerate_ops(layer, geom)
+    product = img.products(ops)
+    assert product != img.dot                      # the packed form
+    assert [product(ia, wa) for ia, wa in zip(ops.inp, ops.wgt)] == \
+        [img.dot(ia, wa) for ia, wa in zip(ops.inp, ops.wgt)]
+
+
+def test_products_of_a_stream_without_weight_reuse_are_dot():
+    # every op of a 1x1-output layer has its own filter row
+    layer = LayerSpec("once", 2, 4, 3, 3, 3, 3)
+    geom, img = build(layer)
+    assert img.products(enumerate_ops(layer, geom)) == img.dot
+
+
 def test_reference_single_window_by_hand():
     layer = LayerSpec("tiny", 1, 1, 3, 3, 3, 3)
     geom, img = build(layer)
