@@ -117,6 +117,7 @@ class MemoryImage:
         mask = (1 << width) - 1
 
         def pack(words, base, addrs, reverse):
+            # Horner's rule: the first word taken ends in the highest field
             packed = {}
             for addr in set(addrs):
                 i = (addr - base) // WORD_SIZE
