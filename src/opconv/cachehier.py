@@ -9,9 +9,9 @@ the same cycle.
 
 A fill has landed once the cycle passed in is at or past its ready cycle.
 Every method that reads fill state takes that cycle and decides landing
-itself, dropping landed fills as it goes, so whether a block is still in
-flight depends on simulated time alone and never on when a caller last
-looked.  The cycles passed for one SM never decrease.
+from the fill's ready cycle, so whether a block is still in flight depends
+on simulated time alone and never on when a caller last looked.  The cycles
+passed for one SM never decrease.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class LruCache:
 
     Each set is a dict kept in recency order, least recently used first: a
     hit moves its block to the end and the victim is the first block.
-    `hits` and `misses` count `touch` calls; `MemoryHierarchy` applies the
-    same rule to the sets in line and keeps its own counters."""
+    `hits` and `misses` count `touch` calls.  `MemoryHierarchy` keeps its
+    own set dicts under the same rule; tests use this class as its model."""
 
     def __init__(self, geometry):
         self.block_bits = geometry.block_size.bit_length() - 1
@@ -166,29 +166,24 @@ def mesh_placement(n_sms, n_mcs, mesh_w=8, mesh_h=8):
 
 
 REQUEST_BYTES = 16  # one address flit
-INF = float("inf")
 
 
 class MemoryHierarchy:
     """All cache and interconnect state for one simulation.
 
-    The L1s and L2 slices are `LruCache`s.  The methods the engine calls
-    for every op (`lookup`, `fill`, `absent_for_compute`, `present_elsewhere`
-    and `probe_sm`) work on their set dicts directly and apply the LRU rule
-    of `LruCache.touch` and `install` in line: a hit moves its block to the
-    end of its set, and a full set evicts its first block.  `warm` goes
-    through the `LruCache` methods, which tests also use as the reference
-    model.  The L1 and L2 hit and miss counters are the hierarchy's own."""
+    `l1[sm_id]` and `l2[mc]` are lists of set dicts, each in recency order
+    as in `LruCache`: a hit moves its block to the end of its set, and a
+    full set evicts its first block.  The L1 and L2 hit and miss counters
+    are the hierarchy's own; tests check the rule against `LruCache` as the
+    reference model."""
 
     def __init__(self, n_sms, l1_geom, l2_geom, n_mcs, noc, latencies,
                  sm_nodes=None, mc_nodes=None):
         self.block_size = l1_geom.block_size
         if l2_geom.block_size != l1_geom.block_size:
             raise ConfigError("L1 and L2 block sizes must match")
-        self.l1 = [LruCache(l1_geom) for _ in range(n_sms)]
-        self.l2 = [LruCache(l2_geom) for _ in range(n_mcs)]
-        self._l1_sets = [c.sets for c in self.l1]
-        self._l2_sets = [c.sets for c in self.l2]
+        self.l1 = [[{} for _ in range(l1_geom.sets)] for _ in range(n_sms)]
+        self.l2 = [[{} for _ in range(l2_geom.sets)] for _ in range(n_mcs)]
         self._l1_n_sets, self._l1_ways = l1_geom.sets, l1_geom.ways
         self._l2_n_sets, self._l2_ways = l2_geom.sets, l2_geom.ways
         self._offset_mask = self.block_size - 1
@@ -209,11 +204,9 @@ class MemoryHierarchy:
                               for m in mc_nodes] for s in sm_nodes]
         # block -> count of SMs with an installed copy, for O(1) probing
         self.holders = {}
-        # per SM, fills not yet seen to land (block -> ready cycle) and the
-        # earliest of their ready cycles; _land drops the landed ones, and a
-        # reader calls it first whenever now >= _next_landing[sm_id]
-        self._in_flight = [dict() for _ in range(n_sms)]
-        self._next_landing = [INF] * n_sms
+        # per SM, block -> ready cycle of its latest fill; in flight while
+        # now < ready.  Holds resident blocks and blocks evicted in flight.
+        self.ready_at = [dict() for _ in range(n_sms)]
         # per SM, fn(block) or None
         self._on_install = [None] * n_sms
         self._on_evict = [None] * n_sms
@@ -238,7 +231,7 @@ class MemoryHierarchy:
     def probe_sm(self, sm_id, blocks):
         """Whether sm_id's L1 holds every one of blocks, landed or not; no
         recency update."""
-        sets = self._l1_sets[sm_id]
+        sets = self.l1[sm_id]
         off, bits, n_sets = self._offset_mask, self.block_bits, self._l1_n_sets
         for b in blocks:
             if b & off:
@@ -255,24 +248,23 @@ class MemoryHierarchy:
         if n != 1:
             return n > 1
         # the one copy: is it ours?
-        s = self._l1_sets[sm_id][(block >> self.block_bits) % self._l1_n_sets]
+        s = self.l1[sm_id][(block >> self.block_bits) % self._l1_n_sets]
         return block not in s
 
     def absent_for_compute(self, sm_id, blocks, now):
         """Bit k set for each blocks[k] that an assistant may not read at
         now: not installed in sm_id's L1, or installed by a fill that has
         not landed.  0 when every block may be read; no recency update."""
-        if now >= self._next_landing[sm_id]:
-            self._land(sm_id, now)
-        inflight = self._in_flight[sm_id]
-        sets = self._l1_sets[sm_id]
+        ready_at = self.ready_at[sm_id]
+        sets = self.l1[sm_id]
         off, bits, n_sets = self._offset_mask, self.block_bits, self._l1_n_sets
         absent = 0
         bit = 1
         for b in blocks:
             if b & off:
                 raise _unaligned(b)
-            if b not in sets[(b >> bits) % n_sets] or b in inflight:
+            if b not in sets[(b >> bits) % n_sets] or \
+                    ready_at.get(b, 0) > now:
                 absent |= bit
             bit <<= 1
         return absent
@@ -296,10 +288,8 @@ class MemoryHierarchy:
         Returns (misses, wait): the blocks that missed, in lookup order, and
         the latest ready cycle of a hit block whose fill is still in flight
         at now, or 0 if there is none (a fill is never ready before cycle 1)."""
-        if now >= self._next_landing[sm_id]:
-            self._land(sm_id, now)
-        inflight = self._in_flight[sm_id]
-        sets = self._l1_sets[sm_id]
+        ready_at = self.ready_at[sm_id]
+        sets = self.l1[sm_id]
         off, bits, n_sets = self._offset_mask, self.block_bits, self._l1_n_sets
         misses = ()
         wait = 0
@@ -310,14 +300,15 @@ class MemoryHierarchy:
             if b in s:
                 del s[b]
                 s[b] = None
-                if b in inflight and inflight[b] > wait:
-                    wait = inflight[b]
+                ready = ready_at.get(b, 0)
+                if ready > wait:
+                    wait = ready
             else:
                 misses += (b,)
         n = len(misses)
         self.l1_misses += n
         self.l1_hits += len(blocks) - n
-        return misses, wait
+        return misses, (wait if wait > now else 0)
 
     def fill(self, sm_id, block, now):
         """Start a fill of block into sm_id's L1 at cycle now, or join one
@@ -330,16 +321,38 @@ class MemoryHierarchy:
         bits = self.block_bits
         if block & self._offset_mask:
             raise _unaligned(block)
-        if now >= self._next_landing[sm_id]:
-            self._land(sm_id, now)
-        inflight = self._in_flight[sm_id]
-        pending = inflight.get(block)
-        if pending is not None:
-            return pending
-        s = self._l1_sets[sm_id][(block >> bits) % self._l1_n_sets]
+        ready_at = self.ready_at[sm_id]
+        ready = ready_at.get(block, 0)
+        if ready > now:
+            return ready
+        s = self.l1[sm_id][(block >> bits) % self._l1_n_sets]
         if block in s:
             raise ValueError(f"fill of block 0x{block:x}, which SM {sm_id}'s "
                              f"L1 holds and which has landed")
+        self._install(sm_id, s, block, now)
+        mc = self.home_mc(block)
+        self.noc_flit_hops += self.rt_flit_hops[sm_id][mc]
+        ready = now + self.rt_latency[sm_id][mc] + self.lat_l2
+        s = self.l2[mc][(block >> bits) % self._l2_n_sets]
+        if block in s:
+            del s[block]
+            s[block] = None
+            self.l2_hits += 1
+        else:
+            if len(s) >= self._l2_ways:
+                del s[next(iter(s))]
+            s[block] = None
+            self.l2_misses += 1
+            self.dram_accesses += 1
+            ready += self.lat_dram
+        ready_at[block] = ready
+        return ready
+
+    def _install(self, sm_id, s, block, now):
+        """Put block, absent from set s of sm_id's L1, into s at cycle now,
+        evicting the set's LRU block if it is full, and tell the listeners.
+        A victim whose fill has landed leaves the ready record with it; one
+        still in flight stays there so that a refill joins its fill."""
         victim = None
         if len(s) >= self._l1_ways:
             victim = next(iter(s))
@@ -359,55 +372,16 @@ class MemoryHierarchy:
             listener = self._on_evict[sm_id]
             if listener is not None:
                 listener(victim)
-        mc = self.home_mc(block)
-        self.noc_flit_hops += self.rt_flit_hops[sm_id][mc]
-        ready = now + self.rt_latency[sm_id][mc] + self.lat_l2
-        s = self._l2_sets[mc][(block >> bits) % self._l2_n_sets]
-        if block in s:
-            del s[block]
-            s[block] = None
-            self.l2_hits += 1
-        else:
-            if len(s) >= self._l2_ways:
-                del s[next(iter(s))]
-            s[block] = None
-            self.l2_misses += 1
-            self.dram_accesses += 1
-            ready += self.lat_dram
-        inflight[block] = ready
-        if ready < self._next_landing[sm_id]:
-            self._next_landing[sm_id] = ready
-        return ready
-
-    def _land(self, sm_id, now):
-        """Drop the SM's fills that have landed by now and note the earliest
-        ready cycle of those still in flight."""
-        inflight = self._in_flight[sm_id]
-        pending = INF
-        for b, ready in list(inflight.items()):
-            if ready <= now:
-                del inflight[b]
-            elif ready < pending:
-                pending = ready
-        self._next_landing[sm_id] = pending
+            ready_at = self.ready_at[sm_id]
+            if ready_at.get(victim, 0) <= now:
+                ready_at.pop(victim, None)
 
     def warm(self, sm_id, addrs):
-        """Preload blocks into an L1 without touching any counter (tests)."""
-        cache = self.l1[sm_id]
-        holders = self.holders
-        on_install, on_evict = self._on_install[sm_id], self._on_evict[sm_id]
+        """Preload blocks into an L1 at cycle 0 without touching any counter
+        (tests)."""
+        sets = self.l1[sm_id]
         for addr in addrs:
             block = self.block_of(addr)
-            if cache.contains(block):
-                continue
-            victim = cache.install(block)
-            holders[block] = holders.get(block, 0) + 1
-            if on_install is not None:
-                on_install(block)
-            if victim is not None:
-                if holders[victim] > 1:
-                    holders[victim] -= 1
-                else:
-                    del holders[victim]
-                if on_evict is not None:
-                    on_evict(victim)
+            s = sets[(block >> self.block_bits) % self._l1_n_sets]
+            if block not in s:
+                self._install(sm_id, s, block, 0)

@@ -107,7 +107,3 @@ class AssignTable:
                 n += 1
         self.invalidated += n
         return n
-
-    def flush(self):
-        self.entries.clear()
-        self.by_block.clear()

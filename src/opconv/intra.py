@@ -151,11 +151,9 @@ class PrecomputeTable:
         entry.absent = -1  # invalidates any stale heap reference
 
     def lookup(self, key):
-        """Decode-time lookup for the SM's own instruction.
-
-        hit      -> entry consumed, stored result returned
-        pending  -> entry invalidated (the prediction lost the race)
-        absent   -> no change
+        """Decode-time lookup for the SM's own instruction: the stored
+        result of a completed prediction of key, which is consumed, or None.
+        A pending prediction of key lost the race and is invalidated.
         Assigned entries belong to other SMs' instructions and are never
         matched here.
         """
@@ -163,13 +161,13 @@ class PrecomputeTable:
         self.accesses += 1
         entry = self.speculative.get(key)
         if entry is None:
-            return "absent", None
+            return None
         self._remove(entry)
         if entry.complete:
             self.hits += 1
-            return "hit", entry.result
+            return entry.result
         self.pendings += 1
-        return "pending", None
+        return None
 
     def insert_predictions(self, items, now):
         """Queue predicted (key, blocks) items at cycle now, in order.  An
@@ -309,11 +307,3 @@ class PrecomputeTable:
         self.purged += n
         self.accesses += n
         return n
-
-    def flush(self):
-        """Layer boundary: drop everything speculative; assigned work must
-        already be drained."""
-        assert not self.assigned, "assigned work dropped at flush"
-        self.speculative.clear()
-        self.by_block.clear()
-        self.eligible_heap.clear()

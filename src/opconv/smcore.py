@@ -218,9 +218,13 @@ class Simulation:
                                      (p.clusters if self.forwarding else 0)
 
         if use_tables:
+            # an install can only clear the absent bit of a speculative
+            # entry: assigned entries are staged resident and leave the
+            # table when one of their blocks is evicted
             for sm_id, table in enumerate(self.tables):
-                self.hier.set_listeners(sm_id, table.block_installed,
-                                        self._evict_listener(sm_id))
+                self.hier.set_listeners(
+                    sm_id, table.block_installed if self.speculate else None,
+                    self._evict_listener(sm_id))
 
         self.events = []     # (cycle, seq, handler, dest_sm, payload)
         self.event_seq = 0
@@ -290,11 +294,8 @@ class Simulation:
         table = self.tables[owner]
         status, payload = table.stage_assigned(key, blocks, i, src)
         if status == "memo":
-            self.out.add(self.ops.out[i], payload)
-            self.stats.assigned_done += 1
             self.stats.forward_memo_hits += 1
-            if self.speculate:
-                self._insert_predictions(table, key[0], key[1], now)
+            self._assigned_done(table, i, key, payload, now)
         elif status == "full":
             self._bounce(i, src, owner, now)
 
@@ -343,12 +344,13 @@ class Simulation:
         self.stats.predictions_made += table.insert_predictions(
             self.predict(input_addr, weight_addr), now)
 
-    def _assigned_done(self, table, entry, value, now):
-        """An assist finished a computation forwarded by another SM."""
-        self.out.add(self.ops.out[entry.op], value)
+    def _assigned_done(self, table, i, key, value, now):
+        """Op i, forwarded by another SM and reading the pair key, retired
+        on table's SM with value."""
+        self.out.add(self.ops.out[i], value)
         self.stats.assigned_done += 1
         if self.speculate:
-            self._insert_predictions(table, entry.key[0], entry.key[1], now)
+            self._insert_predictions(table, key[0], key[1], now)
 
     def _check_invariants(self, sm_id, table):
         if table is not None and len(table) > table.capacity:
@@ -437,7 +439,8 @@ class Simulation:
                         table.finish(entry, value)
                         stats.assists_executed += 1
                         if entry.kind == intra_mod.ASSIGNED:
-                            self._assigned_done(table, entry, value, now)
+                            self._assigned_done(table, entry.op, entry.key,
+                                                value, now)
                         else:
                             stats.predictions_completed += 1
                 if now >= next_purge:
@@ -465,11 +468,8 @@ class Simulation:
                     if execute:
                         warp.pending_blocks = None
                     else:
-                        if speculate:
-                            status, result = lookup((ia, wa))
-                        else:
-                            status = None
-                        if status == "hit":
+                        result = lookup((ia, wa)) if speculate else None
+                        if result is not None:
                             add(out_addr[i], result)
                             stats.predicted_used += 1
                             stats.instructions_issued += 1
@@ -643,11 +643,6 @@ class Simulation:
         for sm in sms:
             sm.close()
         self._collect(stats)
-        for table in self.tables:
-            if table is not None:
-                table.flush()
-        for at in self.assign_tables:
-            at.flush()
         stats.check_conservation()
         return stats, out
 

@@ -165,7 +165,7 @@ def test_miss_path_latency_frozen():
     # push block 0 out of its L1 set; the refill then hits in L2
     for i in range(1, 5):
         hier.fill(0, i * 32 * 128, now=0)
-    assert not hier.l1[0].contains(0)
+    assert not hier.probe_sm(0, (0,))
     t = hier.fill(0, 0, now=1000)
     assert t - 1000 == 4 + 30 + 11
     assert hier.l2_hits == 1
@@ -193,11 +193,11 @@ def test_landed_fill_is_not_joined():
     hier.set_listeners(0, installs.append, None)
     for i in range(1, 5):                     # push block 0 out of its set
         hier.fill(0, i * 32 * 128, now=0)
-    assert not hier.l1[0].contains(0)
+    assert not hier.probe_sm(0, (0,))
     hops, l2_hits = hier.noc_flit_hops, hier.l2_hits
     r2 = hier.fill(0, 0, now=r1)
     assert r2 == r1 + 4 + 30 + 11             # an L2 hit, not the old fill
-    assert installs[-1] == 0 and hier.l1[0].contains(0)
+    assert installs[-1] == 0 and hier.probe_sm(0, (0,))
     assert (hier.l2_hits, hier.noc_flit_hops) == (l2_hits + 1, hops + 9)
 
     other = 4 * 32 * 128                      # still resident, landed at r1
@@ -271,7 +271,7 @@ def test_listeners_fire_on_install_and_evict():
 def test_warm_preloads_without_counters():
     hier = one_sm_hier()
     hier.warm(0, [0, 130, 256])   # 130 shares block 128
-    assert hier.l1[0].contains(0) and hier.l1[0].contains(128) and hier.l1[0].contains(256)
+    assert hier.probe_sm(0, (0, 128, 256))
     assert hier.l1_misses == 0 and hier.l2_misses == 0 and hier.noc_flit_hops == 0
     assert hier.holders[128] == 1
 
@@ -294,6 +294,18 @@ def test_fill_of_a_landed_resident_block_is_refused():
         hier.fill(0, 0, now=165)
     assert hier.holders == {0: 1}
     assert (hier.l2_hits, hier.l2_misses, hier.noc_flit_hops) == (0, 1, 9)
+
+
+def test_fill_record_holds_no_more_than_the_l1s_blocks():
+    """The ready record keeps resident blocks and blocks evicted in flight:
+    a stream of distinct blocks, each filled once the fill before it has
+    landed, never leaves more entries in it than the L1 has blocks."""
+    hier = one_sm_hier()
+    n_blocks = L1_GEOM.sets * L1_GEOM.ways
+    now = 0
+    for i in range(20 * n_blocks):
+        now = hier.fill(0, i * L1_GEOM.block_size, now)
+        assert len(hier.ready_at[0]) <= n_blocks
 
 
 @pytest.mark.parametrize("call", [

@@ -1,7 +1,7 @@
 """MemoryHierarchy against a model built on LruCache.
 
-The hierarchy applies the LRU rule to its caches' sets in line; the model
-here goes through LruCache's methods and keeps its own in-flight fills and
+The hierarchy applies the LRU rule to its own set dicts; the model here
+goes through LruCache's methods and keeps its own in-flight fills and
 holder counts.  Random traces of lookups, fills and residency queries on a
 tiny two-SM machine must give the same answers, hit and miss counts, set
 orders, holders, L2 counters, ready cycles and listener calls.
@@ -124,9 +124,9 @@ def test_hierarchy_matches_lru_model(trace):
                 model.l1[sm].contains(b) for b in bs)
         assert hier.l1_hits == sum(c.hits for c in model.l1)
         assert hier.l1_misses == sum(c.misses for c in model.l1)
-        assert [[list(s) for s in c.sets] for c in hier.l1] == \
+        assert [[list(s) for s in sets] for sets in hier.l1] == \
             [[list(s) for s in c.sets] for c in model.l1]
-        assert [[list(s) for s in c.sets] for c in hier.l2] == \
+        assert [[list(s) for s in sets] for sets in hier.l2] == \
             [[list(s) for s in c.sets] for c in model.l2]
         assert hier.holders == +model.holders
         assert (hier.l2_hits, hier.l2_misses, hier.dram_accesses,

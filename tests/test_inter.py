@@ -80,13 +80,6 @@ def test_on_evict_cluster_scope():
     assert t.lookup((256, 0x4000_0080)) == 2
 
 
-def test_flush_empties_table():
-    t = AssignTable(0, 4)
-    t.register(pair_of(0, 0), 0)
-    t.flush()
-    assert len(t) == 0 and t.lookup(pair_of(0, 0)) is None
-
-
 class ModelTable:
     """Insertion-ordered reference for the assign table semantics and its
     counters."""

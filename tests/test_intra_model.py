@@ -12,7 +12,7 @@ installs, landings, evictions and purges over a few blocks must give the
 same answers and the same eight counters after every step.
 """
 
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from opconv.intra import ASSIGNED, SPECULATIVE, PrecomputeTable
@@ -93,13 +93,13 @@ class Model:
         self.accesses += 1
         e = self.find(key)
         if e is None or e["kind"] != SPECULATIVE:
-            return "absent", None
+            return None
         self.entries.remove(e)
         if e["complete"]:
             self.hits += 1
-            return "hit", e["result"]
+            return e["result"]
         self.pendings += 1
-        return "pending", None
+        return None
 
     def next_assist(self):
         for e in self.entries:
@@ -169,6 +169,9 @@ def blocks_of(key):
     return operand_blocks(key[0], key[1], MASK)
 
 
+# no shrinking: a failing trace is reported as drawn, since shrinking these
+# traces can run for many minutes and look like a hang
+@settings(phases=[p for p in Phase if p is not Phase.shrink])
 @given(st.sets(blocks, min_size=3), steps)
 def test_precompute_table_matches_list_model(resident, trace):
     l1 = FakeL1()
