@@ -89,12 +89,9 @@ class AssignTable:
             if not bucket:
                 del by_block[b]
 
-    def on_evict(self, block, sm_id, scope="owner"):
-        """Eviction notification from a member SM's L1.
-
-        scope "owner" removes only entries owned by the evicting SM (another
-        member may still hold the blocks); scope "cluster" removes every entry
-        naming the block."""
+    def on_evict(self, block, sm_id):
+        """Eviction notification from a member SM's L1: removes only the
+        entries sm_id owns (another member may still hold the blocks)."""
         bucket = self.by_block.get(block)
         if not bucket:
             return 0
@@ -102,7 +99,7 @@ class AssignTable:
         entries = self.entries
         n = 0
         for pair in bucket[:]:
-            if scope == "cluster" or entries[pair] == sm_id:
+            if entries[pair] == sm_id:
                 self._drop(pair)
                 n += 1
         self.invalidated += n

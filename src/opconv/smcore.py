@@ -142,9 +142,6 @@ class SimParams:
     at_entries: int = knob("inter.table_entries", 512, lo=1)
     clusters: int = knob("inter.clusters", 8, lo=1)
     forward_latency: int = knob("inter.forward_latency", 8, lo=0)
-    evict_scope: str = knob("inter.evict_scope", "owner",
-                            choices=("owner", "cluster"))
-    debug_invariants: bool = knob("run.debug_invariants", False)
     max_idle_cycles: int = knob("run.max_idle", 1_000_000, lo=1)
 
     def __post_init__(self):
@@ -247,12 +244,11 @@ class Simulation:
             # only assigned entries bounce, and only forwarding assigns
             return block_evicted
         at_evict = self.assign_tables[self.cluster_of[sm_id]].on_evict
-        scope = self.params.evict_scope
 
         def on_evict(block):
             for entry in block_evicted(block):
                 self._bounce(entry.op, entry.src_sm, sm_id, self.now)
-            at_evict(block, sm_id, scope)
+            at_evict(block, sm_id)
         return on_evict
 
     # ---- events ----------------------------------------------------------
@@ -352,22 +348,6 @@ class Simulation:
         if self.speculate:
             self._insert_predictions(table, key[0], key[1], now)
 
-    def _check_invariants(self, sm_id, table):
-        if table is not None and len(table) > table.capacity:
-            raise AssertionError(f"SM {sm_id} precompute table over capacity")
-        for at in self.assign_tables:
-            if len(at) > at.capacity:
-                raise AssertionError(f"cluster {at.cluster_id} assign table over capacity")
-            # only members register, and an owner's L1 eviction drops its
-            # entries, so an SM that misses never finds itself or a
-            # stranger as the owner
-            for pair, owner in at.entries.items():
-                if self.cluster_of[owner] != at.cluster_id or \
-                        not self.hier.probe_sm(owner, pair):
-                    raise AssertionError(
-                        f"cluster {at.cluster_id} assign table names SM "
-                        f"{owner} the owner of {pair}")
-
     # ---- one SM ----------------------------------------------------------
 
     def _sm(self, sm_id):
@@ -392,7 +372,6 @@ class Simulation:
         assist_latency = p.assist_latency
         purge_period = p.purge_period
         purge_fraction = p.purge_fraction
-        debug_invariants = p.debug_invariants
         block_mask = self.block_mask
         speculate = self.speculate
         insert_predictions = self._insert_predictions
@@ -449,9 +428,6 @@ class Simulation:
                         next_purge += purge_period
                 while blocked and blocked[0][0] <= now:
                     ready.append(heappop(blocked)[2])
-
-                if debug_invariants:
-                    self._check_invariants(sm_id, table)
 
                 if busy_until > now:
                     state = BUSY

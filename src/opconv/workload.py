@@ -174,8 +174,7 @@ class LayerGeometry:
         return self.layer.out_channels * self.output.channel_stride
 
 
-def make_layouts(layer, row_pitch=0, input_base=INPUT_BASE,
-                 weight_base=WEIGHT_BASE, output_base=OUTPUT_BASE):
+def make_layouts(layer, row_pitch=0):
     """Build the three region layouts for a layer.
 
     row_pitch = 0 packs input rows back to back (row_stride = padded width in
@@ -190,14 +189,14 @@ def make_layouts(layer, row_pitch=0, input_base=INPUT_BASE,
         row_stride = -(-packed_row // row_pitch) * row_pitch
     else:
         row_stride = packed_row
-    inp = TensorLayout(input_base, row_stride, layer.padded_h * row_stride)
+    inp = TensorLayout(INPUT_BASE, row_stride, layer.padded_h * row_stride)
     w_row = layer.filter_w * WORD_SIZE
-    wgt = TensorLayout(weight_base, w_row, layer.filter_h * w_row)
-    out = TensorLayout(output_base, layer.out_w * WORD_SIZE,
+    wgt = TensorLayout(WEIGHT_BASE, w_row, layer.filter_h * w_row)
+    out = TensorLayout(OUTPUT_BASE, layer.out_w * WORD_SIZE,
                        layer.out_h * layer.out_w * WORD_SIZE)
     geom = LayerGeometry(layer, inp, wgt, out)
-    if geom.input_extent() > weight_base - input_base or \
-       geom.weight_extent() > output_base - weight_base or \
+    if geom.input_extent() > WEIGHT_BASE - INPUT_BASE or \
+       geom.weight_extent() > OUTPUT_BASE - WEIGHT_BASE or \
        geom.output_extent() > REGION_SPAN:
         raise ConfigError(f"{layer.name}: tensor regions would overlap")
     return geom
@@ -295,23 +294,22 @@ def block_pair_of(ops, i, block_size):
     return operand_blocks(ops.inp[i], ops.wgt[i], _block_mask(block_size))
 
 
-def reuse_histogram(ops, block_size, edges=(100, 800)):
+def reuse_histogram(ops, block_size):
     """Count ops per computing block pair and bucket the counts.
 
-    Returns (pair_counts, buckets) where buckets splits pairs at the given
-    edges, e.g. edges (100, 800) gives "1-100", "101-800" and ">800".
+    Returns (pair_counts, buckets) where buckets counts the pairs with
+    "1-100", "101-800" and ">800" ops.
     """
     mask = _block_mask(block_size)
     counts = Counter(map(operand_blocks, ops.inp, ops.wgt, repeat(mask)))
-    lo, hi = edges
-    buckets = {f"1-{lo}": 0, f"{lo + 1}-{hi}": 0, f">{hi}": 0}
+    buckets = {"1-100": 0, "101-800": 0, ">800": 0}
     for n in counts.values():
-        if n <= lo:
-            buckets[f"1-{lo}"] += 1
-        elif n <= hi:
-            buckets[f"{lo + 1}-{hi}"] += 1
+        if n <= 100:
+            buckets["1-100"] += 1
+        elif n <= 800:
+            buckets["101-800"] += 1
         else:
-            buckets[f">{hi}"] += 1
+            buckets[">800"] += 1
     return counts, buckets
 
 

@@ -11,6 +11,8 @@ import json
 import random
 import time
 
+from checked import CheckedSimulation
+
 from opconv import cli
 from opconv.cachehier import CacheGeometry, LruCache
 from opconv.intra import ASSIGNED, PrecomputeTable
@@ -174,10 +176,12 @@ def test_07_prediction_accuracy_monotone():
 
 def test_08_table_integrity_and_exactly_once():
     """Capacity is never exceeded and staged work runs exactly once."""
-    # per-cycle capacity checks during full runs with deliberately tiny tables
+    # per-step table checks during full runs with deliberately tiny tables
+    geom, image, ops, expected = _inputs(TOY)
     for scheme in ("baseline", "intra", "inter", "both"):
-        stats, out, expected = _run(TOY, scheme, pc=8, at=8, sm_count=4,
-                                    clusters=2, debug_invariants=True)
+        params = SimParams(scheme=scheme, pc_entries=8, at_entries=8,
+                           sm_count=4, clusters=2)
+        stats, out = CheckedSimulation(params, ops, image, geom).run()
         assert compare(out.values, expected).ok
 
     # forwarding under eviction pressure: every handoff retires exactly once

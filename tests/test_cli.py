@@ -68,7 +68,8 @@ def test_parse_config_file(tmp_path):
 
     # a misspelt key, and keys that have been deleted
     for line in ("sm.cores = 8", "metrics.probe_availability = true",
-                 "run.arith = float32"):
+                 "run.arith = float32", "inter.evict_scope = cluster",
+                 "run.debug_invariants = true"):
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match=r"a\.cfg:1: unknown key"):
             cli.parse_config_file(path)

@@ -62,22 +62,11 @@ def test_on_evict_owner_scope():
     t.register((0, shared_weight), 1)
     t.register((128, shared_weight), 2)
     # SM 1 losing the weight block only kills SM 1's entry
-    assert t.on_evict(shared_weight, 1, scope="owner") == 1
+    assert t.on_evict(shared_weight, 1) == 1
     assert t.lookup((0, shared_weight)) is None
     assert t.lookup((128, shared_weight)) == 2
     assert t.invalidated == 1
-    assert t.on_evict(512, 1, scope="owner") == 0   # unknown block
-
-
-def test_on_evict_cluster_scope():
-    t = AssignTable(0, 8)
-    shared_weight = 0x4000_0000
-    t.register((0, shared_weight), 1)
-    t.register((128, shared_weight), 2)
-    t.register((256, 0x4000_0080), 2)
-    assert t.on_evict(shared_weight, 1, scope="cluster") == 2
-    assert len(t) == 1
-    assert t.lookup((256, 0x4000_0080)) == 2
+    assert t.on_evict(512, 1) == 0   # unknown block
 
 
 class ModelTable:
@@ -107,11 +96,11 @@ class ModelTable:
         self.lookup_hits += owner is not None
         return owner
 
-    def on_evict(self, block, sm, scope):
+    def on_evict(self, block, sm):
         naming = [p for p in self.d if block in p]
         if naming:
             self.accesses += 1  # the table is read only for a block it names
-        doomed = [p for p in naming if scope == "cluster" or self.d[p] == sm]
+        doomed = [p for p in naming if self.d[p] == sm]
         for p in doomed:
             del self.d[p]
         self.invalidated += len(doomed)
@@ -141,8 +130,7 @@ def test_randomized_equivalence_with_model():
         else:
             block = rng.choice(blocks_a + blocks_b)
             sm = rng.randrange(7)
-            scope = rng.choice(["owner", "cluster"])
-            assert t.on_evict(block, sm, scope) == m.on_evict(block, sm, scope)
+            assert t.on_evict(block, sm) == m.on_evict(block, sm)
         assert len(t) == len(m.d)
         assert len(t) <= t.capacity
         assert [getattr(t, c) for c in COUNTERS] == \

@@ -7,6 +7,7 @@ unchanged.  The example count and the derandomized search come
 from the hypothesis profile in conftest.py.
 """
 
+from checked import CheckedSimulation
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -49,7 +50,6 @@ def machines(draw):
                 warp_size=draw(st.sampled_from([8, 32])),
                 pc_entries=draw(st.integers(1, 64)),
                 at_entries=draw(st.integers(1, 64)),
-                evict_scope=draw(st.sampled_from(["owner", "cluster"])),
                 lat_l1=draw(st.integers(0, 2)),
                 assist_latency=draw(st.integers(0, 9)),
                 forward_latency=draw(st.integers(0, 9)),
@@ -64,10 +64,10 @@ def test_every_scheme_is_exact_and_conserving(layer, row_pitch, hw, seed):
     image = MemoryImage(geom, seed)
     expected = reference_convolution(geom, image)
     for scheme in SCHEMES:
-        params = SimParams(scheme=scheme, debug_invariants=True, **hw)
+        params = SimParams(scheme=scheme, **hw)
         ops = enumerate_ops(layer, geom)
         columns = (ops.inp.tobytes(), ops.wgt.tobytes(), ops.out.tobytes())
-        stats, out = run_simulation(params, ops, image, geom)
+        stats, out = CheckedSimulation(params, ops, image, geom).run()
         assert compare(out.values, expected).ok, scheme
         # out.adds is also the run loop's progress count
         assert out.adds == stats.retired() == stats.total_ops == layer.op_count()

@@ -12,8 +12,11 @@ import random
 from pathlib import Path
 
 import pytest
+from checked import CheckedSimulation
 
 from opconv.cachehier import CacheGeometry
+from opconv.inter import AssignTable
+from opconv.intra import PrecomputeTable
 from opconv.oracle import MemoryImage, compare, reference_convolution
 from opconv.smcore import SimParams, Simulation, WarpContext, gto_select, run_simulation
 from opconv.workload import (
@@ -41,8 +44,6 @@ def test_simparams_validation():
         SimParams(scheme="turbo")
     with pytest.raises(ConfigError):
         SimParams(warp_size=20, simt_width=8)
-    with pytest.raises(ConfigError):
-        SimParams(evict_scope="global")
     with pytest.raises(ConfigError):
         SimParams(purge_fraction=1.5)
     # a zero purge period never advances the next purge: the run would hang
@@ -194,9 +195,9 @@ TOY = LayerSpec("toy", 2, 3, 8, 8, 3, 3)
 @pytest.mark.parametrize("scheme", ["baseline", "intra", "inter", "both"])
 def test_outputs_bit_exact_under_every_scheme(scheme):
     params = SimParams(sm_count=4, clusters=2, scheme=scheme,
-                       pc_entries=64, at_entries=64, debug_invariants=True)
+                       pc_entries=64, at_entries=64)
     geom, image, ops = build_run(TOY, row_pitch=4096)
-    stats, out = run_simulation(params, ops, image, geom)
+    stats, out = CheckedSimulation(params, ops, image, geom).run()
     expected = reference_convolution(geom, image)
     assert compare(out.values, expected).ok
     assert out.adds == TOY.op_count()
@@ -313,8 +314,7 @@ def test_forwarding_disabled_across_singleton_clusters():
 
 # Tiny layers on corner machines.  Zero assist and forward latencies finish
 # work in the cycle it starts; one- to four-entry tables fill, evict and
-# bounce; a half-KB L1 keeps evicting under cluster-scope invalidation; a
-# seven-cycle purge period purges constantly.
+# bounce; a seven-cycle purge period purges constantly.
 SMALL_L1 = CacheGeometry(1024, 4, 2)
 FINGERPRINT_CASES = {
     "pitched": (LayerSpec("fp_pitched", 2, 3, 8, 8, 3, 3), 4096,
@@ -327,9 +327,6 @@ FINGERPRINT_CASES = {
                          l1=SMALL_L1)),
     "single_entry": (LayerSpec("fp_single", 2, 4, 9, 9, 3, 3), 4096,
                      dict(sm_count=8, clusters=1, pc_entries=1, at_entries=1)),
-    "cluster_scope": (LayerSpec("fp_cluster", 2, 4, 9, 9, 3, 3, 2, 1), 4096,
-                      dict(sm_count=8, clusters=2, pc_entries=4, at_entries=3,
-                           evict_scope="cluster", l1=SMALL_L1)),
     "short_purge": (LayerSpec("fp_purge", 1, 3, 10, 10, 3, 3), 0,
                     dict(sm_count=4, clusters=1, pc_entries=16, at_entries=16,
                          purge_period=7, purge_fraction=0.5)),
@@ -358,7 +355,7 @@ FINGERPRINT_CASES = {
     "landing_after_block": (LayerSpec("fp_landing", 2, 5, 9, 9, 2, 2), 0,
                             dict(sm_count=8, clusters=2, warp_size=8,
                                  pc_entries=7, at_entries=8,
-                                 evict_scope="cluster", lat_l2=1, lat_dram=2,
+                                 lat_l2=1, lat_dram=2,
                                  assist_latency=10, forward_latency=4,
                                  purge_period=5, pipeline_stages=0,
                                  l1=CacheGeometry(256, 1, 2))),
@@ -383,8 +380,7 @@ FINGERPRINT_CASES = {
 
 def _random_machines(count, seed):
     """Seeded tiny layers on random tiny machines: 1-16 SMs, 1-64-entry
-    tables, both evict scopes, packed and pitched layouts, and short or zero
-    latencies."""
+    tables, packed and pitched layouts, and short or zero latencies."""
     rng = random.Random(seed)
     cases = {}
     while len(cases) < count:
@@ -400,7 +396,6 @@ def _random_machines(count, seed):
                                and -(-sm_count // c) <= 8])
         hw = dict(sm_count=sm_count, clusters=clusters,
                   pc_entries=rng.randint(1, 64), at_entries=rng.randint(1, 64),
-                  evict_scope=rng.choice(["owner", "cluster"]),
                   lat_l1=rng.randint(0, 2), assist_latency=rng.randint(0, 9),
                   forward_latency=rng.randint(0, 9),
                   purge_period=rng.randint(1, 60),
@@ -421,13 +416,38 @@ def test_counter_fingerprint(case, scheme):
     The recorded counters are the timing model's reference: a change meant
     only to make the simulator faster must leave all of them unchanged."""
     layer, row_pitch, hw = FINGERPRINT_CASES[case]
-    params = SimParams(scheme=scheme, debug_invariants=True, **hw)
+    params = SimParams(scheme=scheme, **hw)
     geom, image, ops = build_run(layer, row_pitch=row_pitch)
-    stats, out = run_simulation(params, ops, image, geom)
+    stats, out = CheckedSimulation(params, ops, image, geom).run()
     assert compare(out.values, reference_convolution(geom, image)).ok
     assert out.adds == stats.total_ops
     expected = json.loads(FINGERPRINTS.read_text())[f"{case}/{scheme}"]
     assert stats.to_dict() == expected
+
+
+# Table faults the per-step check of CheckedSimulation must catch: an L1
+# eviction that drops no owner leaves an assign table naming an SM that no
+# longer holds the pair, and a capacity eviction that removes nothing lets
+# a precompute table overflow.
+TABLE_FAULTS = (
+    (AssignTable, "on_evict", lambda self, block, sm_id: 0,
+     ("inter", "both"), r"names SM \d+ the owner of \("),
+    (PrecomputeTable, "_evict_oldest_spec", lambda self: True,
+     ("intra", "both"), "precompute table over capacity"),
+)
+
+
+def test_checked_simulation_catches_table_faults(monkeypatch):
+    layer, row_pitch, hw = FINGERPRINT_CASES["tiny_tables"]
+    geom, image, ops = build_run(layer, row_pitch=row_pitch)
+    for cls, name, fault, schemes, message in TABLE_FAULTS:
+        with monkeypatch.context() as m:
+            m.setattr(cls, name, fault)
+            for scheme in schemes:
+                sim = CheckedSimulation(SimParams(scheme=scheme, **hw), ops,
+                                        image, geom)
+                with pytest.raises(AssertionError, match=message):
+                    sim.run()
 
 
 # Per-run sums of the table counters that no SimStats field holds, so the
