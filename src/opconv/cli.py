@@ -12,10 +12,11 @@ simulation stopped without finishing (a `SimulationError`, such as the
 `run.max_idle` watchdog firing).
 
 An experiment's (layer, scheme) runs share only read-only inputs, so they
-are simulated in forked worker processes, one per CPU this process may use
-(see `worker_count`), each driven by one thread of a `ThreadPoolExecutor`
-in this process; every report, log line and error is still taken in
-serial (layer, scheme) order, so no output depends on the worker count.
+are simulated on a `ProcessPoolExecutor` whose workers are forked, one per
+CPU this process may use (see `worker_count`), and inherit those inputs.
+This process collects every run in serial (layer, scheme) order and takes
+each report, log line and error in that order, so no output depends on the
+worker count.
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ import contextlib
 import csv
 import json
 import os
-import pickle
-import signal
 import sys
-import threading
 
 from . import metrics, smcore, workload
 from .cachehier import CacheGeometry
@@ -271,19 +269,26 @@ def run_one(cfg, lr, scheme):
     return stats, res
 
 
-# the worker process of an experiment's pool thread (.worker)
-_pool_thread = threading.local()
+# the LayerRuns of the experiment on the process pool, by layer name, which
+# its workers inherit at fork; and that pool's runs, by (layer name, scheme)
+_RUNS = {}
+_FUTURES = {}
 
 
 def run_simulation(params, ops, image, geom):
-    """`smcore.run_simulation`, on the worker process of the calling pool
-    thread if it has one.  The worker simulates its own copy, inherited at
-    fork, of the op stream, image and geometry of the layer that `geom`
-    names; only the layer name and `params` are sent to it."""
-    worker = getattr(_pool_thread, "worker", None)
-    if worker is None:
+    """`smcore.run_simulation`, or the answer of the process pool run that
+    `_simulations` submitted for this (layer, scheme): a pool worker
+    simulated its own copy, inherited at fork, of the layer `geom` names."""
+    future = _FUTURES.pop((geom.layer.name, params.scheme), None)
+    if future is None:
         return smcore.run_simulation(params, ops, image, geom)
-    return worker.simulate(geom.layer.name, params)
+    return future.result()
+
+
+def _simulate(name, params):
+    """A pool task: simulate this worker's copy of layer `name`."""
+    lr = _RUNS[name]
+    return smcore.run_simulation(params, lr.ops, lr.image, lr.geom)
 
 
 def worker_count(n_runs):
@@ -300,119 +305,45 @@ def worker_count(n_runs):
     return max(1, min(cpus, n_runs))
 
 
-class _Worker:
-    """A forked process that simulates runs of the experiment whose `runs`
-    it inherited.  It reads pickled (layer name, SimParams) requests and
-    answers each with (True, (stats, outputs)) or (False, the exception the
-    simulation raised)."""
-
-    def __init__(self, runs, siblings):
-        down_r, down_w = os.pipe()
-        up_r, up_w = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            status = 1
-            try:
-                # hold no other pipe end, so that a worker whose parent dies
-                # reads the end of its requests and exits
-                os.close(down_w)
-                os.close(up_r)
-                for w in siblings:
-                    w.requests.close()
-                    w.answers.close()
-                self._serve(runs, down_r, up_w)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(down_r)
-        os.close(up_w)
-        self.requests = os.fdopen(down_w, "wb")
-        self.answers = os.fdopen(up_r, "rb")
-
-    @staticmethod
-    def _serve(runs, down_r, up_w):
-        runs = {lr.layer.name: lr for lr in runs}   # names are unique
-        with os.fdopen(down_r, "rb") as requests, os.fdopen(up_w, "wb") as answers:
-            while True:
-                try:
-                    name, params = pickle.load(requests)
-                except EOFError:
-                    return
-                lr = runs[name]
-                try:
-                    answer = True, smcore.run_simulation(
-                        params, lr.ops, lr.image, lr.geom)
-                except Exception as exc:   # raised again in the parent
-                    answer = False, exc
-                pickle.dump(answer, answers)
-                answers.flush()
-
-    def simulate(self, name, params):
-        try:
-            pickle.dump((name, params), self.requests)
-            self.requests.flush()
-            ok, value = pickle.load(self.answers)
-        except (BrokenPipeError, EOFError):
-            raise SimulationError(
-                f"simulation worker {self.pid} ended without an answer") from None
-        if not ok:
-            raise value
-        return value
-
-    def kill(self):
-        os.kill(self.pid, signal.SIGKILL)
-
-    def reap(self):
-        os.waitpid(self.pid, 0)
-        self.answers.close()
-        try:
-            self.requests.close()
-        except BrokenPipeError:   # a request the worker ended before reading
-            pass
-
-
-# the order a layer's runs are handed to the workers; with the largest layer
+# the order a layer's runs are submitted to the pool; with the largest layer
 # first, full-size LeNet C1 and C2 ran 1.8 times faster than serially on two
-# CPUs, against 1.6 times when handed out in serial order
+# CPUs, against 1.6 times when submitted in serial order
 _SUBMIT_ORDER = ("both", "inter", "intra", "baseline")
 
 
 @contextlib.contextmanager
 def _simulations(cfg, runs, schemes):
-    """Yields result(run index, scheme) -> run_one's outcome for that run,
-    computed on the experiment's worker processes when it has more than one.
-    A pool thread per worker takes the runs largest layer first, calls
-    `run_one` for each and blocks in `run_simulation` while its worker
-    simulates; the outcomes are handed out in any order asked."""
-    keys = [(i, scheme) for i in range(len(runs)) for scheme in schemes]
-    n = worker_count(len(keys))
+    """Within it, `run_simulation` answers the experiment's runs from a
+    process pool when the experiment has more than one worker.  Every run
+    is submitted at the start, largest layer first; the pool forks its
+    workers at the first submit, so they inherit `_RUNS`.  On leaving, the
+    runs the pool has not yet passed to a worker are dropped, and the
+    others finish."""
+    n = worker_count(len(runs) * len(schemes))
     if n == 1:
-        yield lambda i, scheme: run_one(cfg, runs[i], scheme)
+        yield
         return
-    # imported here, since it loads `logging`, which a serial run never uses
-    from concurrent.futures import ThreadPoolExecutor
-    workers = []
-    free = iter(workers)
-    # the threads start at the first submits, after every worker is forked
-    pool = ThreadPoolExecutor(n, initializer=lambda: setattr(
-        _pool_thread, "worker", next(free)))
+    # imported here, so that a serial run does not load them
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    # forked, so that the workers inherit the inputs; the pool forks them all
+    # before it starts its own thread, and the driver starts none
+    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"))
     try:
-        for _ in range(n):
-            workers.append(_Worker(runs, workers))
-        keys.sort(key=lambda key: (-len(runs[key[0]].ops), key[0],
-                                   _SUBMIT_ORDER.index(key[1])))
-        futures = {(i, scheme): pool.submit(run_one, cfg, runs[i], scheme)
-                   for i, scheme in keys}
-        yield lambda i, scheme: futures.pop((i, scheme)).result()
+        _RUNS.update((lr.layer.name, lr) for lr in runs)
+        order = sorted(schemes, key=_SUBMIT_ORDER.index)
+        for lr in sorted(runs, key=lambda lr: -len(lr.ops)):   # ties keep serial order
+            for scheme in order:
+                _FUTURES[lr.layer.name, scheme] = pool.submit(
+                    _simulate, lr.layer.name, make_params(cfg, scheme))
+        yield
+    except BrokenProcessPool:
+        raise SimulationError(
+            "a simulation worker ended without an answer") from None
     finally:
-        # drop the runs not yet started and end every worker, even one
-        # still simulating, so that every thread returns
-        pool.shutdown(wait=False, cancel_futures=True)
-        for w in workers:
-            w.kill()
-        pool.shutdown()
-        for w in workers:
-            w.reap()
+        pool.shutdown(cancel_futures=True)
+        _RUNS.clear()
+        _FUTURES.clear()
 
 
 def run_experiment(cfg, out_dir, characterize=False, log=print):
@@ -428,11 +359,11 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
     counters = {}
     failures = []
     avail_rows = []
-    with _simulations(cfg, runs, schemes) as result:
-        for i, lr in enumerate(runs):
+    with _simulations(cfg, runs, schemes):
+        for lr in runs:
             baseline_stats = None
             for scheme in schemes:
-                stats, res = result(i, scheme)
+                stats, res = run_one(cfg, lr, scheme)
                 if scheme == "baseline":
                     baseline_stats = stats
                     avail_rows.append((lr.layer.name, stats.probe_misses,

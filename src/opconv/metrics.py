@@ -20,7 +20,6 @@ class SimStats:
     table_cfg: str = "-"
     total_ops: int = 0
     total_cycles: int = 0
-    instructions_issued: int = 0
     stall_cycles_per_sm: list = field(default_factory=list)
     assist_cycles: int = 0
     l1_hits: int = 0
@@ -55,6 +54,12 @@ class SimStats:
     def stall_cycles(self):
         return sum(self.stall_cycles_per_sm)
 
+    @property
+    def instructions_issued(self):
+        """Ops issued: executed, memoized or forwarded at issue.  A bounced
+        op was issued once, as a forward, and executes out of band."""
+        return self.normal_done + self.predicted_used + self.forwards - self.bounces
+
     def retired(self):
         return self.normal_done + self.predicted_used + self.assigned_done
 
@@ -69,6 +74,7 @@ class SimStats:
     def to_dict(self):
         d = asdict(self)
         d["stall_cycles"] = self.stall_cycles
+        d["instructions_issued"] = self.instructions_issued
         return d
 
 

@@ -274,7 +274,6 @@ class Simulation:
         """Hand op i to the SM that owns its operand blocks."""
         stats = self.stats
         stats.forwards += 1
-        stats.instructions_issued += 1
         stats.fills_avoided += n_missing
         self.hier.charge_message(sm_id, owner)
         self._schedule(now + self.params.forward_latency,
@@ -448,7 +447,6 @@ class Simulation:
                         if result is not None:
                             add(out_addr[i], result)
                             stats.predicted_used += 1
-                            stats.instructions_issued += 1
                             cost = 1
                         else:
                             blocks = operand_blocks(ia, wa, block_mask)
@@ -485,7 +483,6 @@ class Simulation:
                     if execute:
                         add(out_addr[i], dot(ia, wa))
                         stats.normal_done += 1
-                        stats.instructions_issued += 1
                         if missed and forwarding:
                             self._register_pair(sm_id, missed)
                         if speculate:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from opconv import cli
+from opconv import cli, smcore
 from opconv.metrics import EnergyWeights
 from opconv.oracle import CompareResult, MemoryImage
 from opconv.smcore import SimParams, Simulation, SimulationError
@@ -356,15 +356,18 @@ def test_default_run_is_byte_identical_serial_and_parallel(
         [sys.executable, "-c", _SERIAL_MAIN, *argv, str(tmp_path / "serial")],
         env=src_env(), cwd=tmp_path, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True)
-    answered = []   # the pid of the worker that answered each run
-    simulate = cli._Worker.simulate
+    # the pid of the process that simulated each run; the workers inherit
+    # the wrapper at fork, so each writes its own lines
+    answered = tmp_path / "answered"
+    simulate = smcore.run_simulation
 
-    def noting_simulate(self, name, params):
-        value = simulate(self, name, params)
-        answered.append(self.pid)
+    def noting_simulate(*args):
+        value = simulate(*args)
+        with open(answered, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
         return value
 
-    monkeypatch.setattr(cli._Worker, "simulate", noting_simulate)
+    monkeypatch.setattr(smcore, "run_simulation", noting_simulate)
     try:
         forked = workers(2)
         assert cli.main([*argv, str(tmp_path / "parallel")]) == 0
@@ -372,7 +375,8 @@ def test_default_run_is_byte_identical_serial_and_parallel(
     finally:
         serial_log, serial_err = serial.communicate(timeout=60)
     # every run went to a worker, and no worker sat idle
-    assert len(answered) == 20 and set(answered) == set(forked)
+    pids = [int(line) for line in answered.read_text().split()]
+    assert len(pids) == 20 and set(pids) == set(forked)
     assert serial.returncode == 0, serial_err
     assert_no_child_process()
     log = capsys.readouterr().out
@@ -447,6 +451,66 @@ def test_a_worker_that_dies_stops_the_run(tmp_path, monkeypatch, workers):
         cli.run_experiment(cfg, None, log=lambda _line: None)
     assert len(forked) == 2
     assert_no_child_process()
+
+
+def test_no_future_outlives_its_experiment(tmp_path, monkeypatch, workers):
+    # as in a sweep, a clean experiment follows one whose inter run raised;
+    # a run left over from the first would answer the second's run with the
+    # outputs of another operand image
+    cfg = experiment_cfg(tmp_path)
+    clean = dict(cfg, **{"run.seed": 7})
+    workers(1)
+    serial_log = []
+    cli.run_experiment(clean, str(tmp_path / "serial"), log=serial_log.append)
+    run = Simulation.run
+
+    def run_or_refuse(self):
+        if self.params.scheme == "inter":
+            raise ConfigError("planted in the inter run")
+        return run(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(Simulation, "run", run_or_refuse)
+        workers(2)
+        with pytest.raises(ConfigError, match="planted in the inter run"):
+            cli.run_experiment(cfg, None, log=lambda _line: None)
+    assert cli._RUNS == {} and cli._FUTURES == {}
+    for n in (1, 2):
+        workers(n)
+        log = []
+        cli.run_experiment(clean, str(tmp_path / f"after{n}"), log=log.append)
+        assert cli._RUNS == {} and cli._FUTURES == {}
+        assert log == serial_log
+        for name in ("report.csv", "counters.json"):
+            assert (tmp_path / f"after{n}" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes(), name
+    assert_no_child_process()
+
+
+# runs `opconv` with as many usable CPUs as its first argument says, then
+# prints its exit status and the process pool's modules it loaded
+_POOL_IMPORTS = """
+import os, sys
+from opconv import cli
+os.sched_getaffinity = lambda _pid: set(range(int(sys.argv[1])))
+status = cli.main(sys.argv[2:])
+print(status, *(m for m in ("concurrent.futures", "multiprocessing")
+                if m in sys.modules))
+"""
+
+
+def test_a_serial_run_loads_no_pool_module(tmp_path):
+    cfg_path = write_config(tmp_path, write_workload(tmp_path))
+    loaded = {}
+    for cpus in (1, 2):
+        proc = subprocess.run(
+            [sys.executable, "-c", _POOL_IMPORTS, str(cpus), "--config",
+             str(cfg_path), "--scheme", "all", "--out", str(tmp_path / str(cpus))],
+            env=src_env(), cwd=tmp_path, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded[cpus] = proc.stdout.splitlines()[-1]
+    assert loaded == {1: "0", 2: "0 concurrent.futures multiprocessing"}
 
 
 # --------------------------------------------------------------------- sweep

@@ -20,12 +20,12 @@ from opconv.metrics import (
 def sample_stats():
     return SimStats(
         layer="L", scheme="intra", table_cfg="pc256",
-        total_ops=30, total_cycles=100, instructions_issued=30,
+        total_ops=30, total_cycles=100,
         stall_cycles_per_sm=[10, 20], assist_cycles=8,
         l1_hits=10, l1_misses=5, l2_hits=2, l2_misses=3,
         dram_accesses=3, noc_flit_hops=7,
         precompute_accesses=4, assign_accesses=6, table_instances=2,
-        normal_done=20, predicted_used=5, assigned_done=5,
+        normal_done=20, predicted_used=5, assigned_done=5, forwards=5,
         predictions_made=10,
         probe_misses=8, probe_found_elsewhere=6,
     )
@@ -51,6 +51,9 @@ def test_simple_ratios():
     assert inter_sm_availability(s) == pytest.approx(0.75)
     assert inter_sm_availability(SimStats()) == 0.0
     assert s.stall_cycles == 30
+    # a bounced op is issued once, as its forward, and executes out of band
+    bounced = SimStats(normal_done=3, predicted_used=2, forwards=2, bounces=1)
+    assert bounced.instructions_issued == 6
 
 
 def test_distribution_sums_to_one():
@@ -69,7 +72,7 @@ def test_conservation_check():
 
 
 def test_normalize_against_baseline():
-    base = SimStats(total_ops=30, total_cycles=200, instructions_issued=30,
+    base = SimStats(total_ops=30, total_cycles=200,
                     stall_cycles_per_sm=[60], l1_hits=60, normal_done=30)
     s = sample_stats()
     norm = normalize(s, base)
@@ -82,14 +85,14 @@ def test_normalize_against_baseline():
     with pytest.raises(ValueError):
         normalize(s, SimStats())
     # stall-free baseline: zero stays zero, anything else is infinite
-    free = SimStats(total_cycles=10, instructions_issued=1, normal_done=1,
+    free = SimStats(total_cycles=10, normal_done=1,
                     stall_cycles_per_sm=[0], l1_hits=1, total_ops=1)
     assert normalize(free, free)["stall_norm"] == 0.0
     assert normalize(s, free)["stall_norm"] == float("inf")
 
 
 def test_report_row_follows_columns():
-    base = SimStats(total_ops=30, total_cycles=200, instructions_issued=30,
+    base = SimStats(total_ops=30, total_cycles=200,
                     stall_cycles_per_sm=[60], l1_hits=60, normal_done=30)
     row = report_row(sample_stats(), base)
     assert list(row) == REPORT_COLUMNS
@@ -105,7 +108,7 @@ def test_report_row_follows_columns():
 
 
 def test_format_report_layout():
-    base = SimStats(total_ops=30, total_cycles=200, instructions_issued=30,
+    base = SimStats(total_ops=30, total_cycles=200,
                     stall_cycles_per_sm=[60], l1_hits=60, normal_done=30)
     text = format_report([report_row(sample_stats(), base)],
                          config_echo_lines=["run.seed = 0"])
