@@ -378,16 +378,20 @@ FINGERPRINT_CASES = {
 }
 
 
-def _random_machines(count, seed):
+def _random_machines(count, seed, prefix="random", schemes_only=False):
     """Seeded tiny layers on random tiny machines: 1-16 SMs, 1-64-entry
-    tables, packed and pitched layouts, and short or zero latencies."""
+    tables, packed and pitched layouts, and short or zero latencies.
+
+    With `schemes_only`, a drawn machine is kept only if both schemes can
+    act on it: a filter taller than the stride, so that an input row meets
+    a later filter row and predictions exist, and at least two SMs."""
     rng = random.Random(seed)
     cases = {}
     while len(cases) < count:
         stride = rng.randint(1, 2)
         fh = rng.randint(1, 3)
         h = fh + stride * rng.randint(1, 6)
-        layer = LayerSpec(f"fp_random_{len(cases):02d}", rng.randint(1, 3),
+        layer = LayerSpec(f"fp_{prefix}_{len(cases):02d}", rng.randint(1, 3),
                           rng.randint(1, 4), h, h, fh, fh, stride)
         sm_count = rng.randint(1, 16)
         # cluster counts that leave no cluster empty and hold at most 8 SMs
@@ -400,11 +404,19 @@ def _random_machines(count, seed):
                   forward_latency=rng.randint(0, 9),
                   purge_period=rng.randint(1, 60),
                   l1=rng.choice([SMALL_L1, SimParams().l1]))
-        cases[f"random_{len(cases):02d}"] = (layer, rng.choice([0, 4096]), hw)
+        row_pitch = rng.choice([0, 4096])
+        if schemes_only and (fh <= stride or sm_count < 2):
+            continue
+        cases[f"{prefix}_{len(cases):02d}"] = (layer, row_pitch, hw)
     return cases
 
 
 FINGERPRINT_CASES.update(_random_machines(20, seed=2024))
+# of the machines above, those with filter_h <= stride predict nothing and
+# forward nothing, so these are drawn where the schemes have work
+SCHEME_MACHINES = _random_machines(8, seed=2026, prefix="schemes",
+                                   schemes_only=True)
+FINGERPRINT_CASES.update(SCHEME_MACHINES)
 FINGERPRINTS = Path(__file__).with_name("counter_fingerprints.json")
 
 
@@ -423,6 +435,15 @@ def test_counter_fingerprint(case, scheme):
     assert out.adds == stats.total_ops
     expected = json.loads(FINGERPRINTS.read_text())[f"{case}/{scheme}"]
     assert stats.to_dict() == expected
+
+
+def test_scheme_machines_predict():
+    """Every scheme machine makes a prediction under intra, so its entries
+    pin the speculation path; test_counter_fingerprint ties each recorded
+    entry to the simulator."""
+    recorded = json.loads(FINGERPRINTS.read_text())
+    assert [case for case in sorted(SCHEME_MACHINES)
+            if not recorded[f"{case}/intra"]["predictions_made"]] == []
 
 
 # Table faults the per-step check of CheckedSimulation must catch: an L1
