@@ -18,7 +18,6 @@ from .workload import (
     TensorLayout,
     alexnet_conv_layers,
     backward_specs,
-    block_pair_of,
     enumerate_ops,
     lenet5_layers,
     make_layouts,
@@ -28,7 +27,6 @@ from .workload import (
 )
 from .cachehier import (
     CacheGeometry,
-    LruCache,
     MemoryHierarchy,
     NocModel,
     mesh_placement,
@@ -59,12 +57,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssignTable", "CacheGeometry", "ConfigError", "DEFAULTS",
-    "EnergyWeights", "LayerGeometry", "LayerSpec", "LruCache",
+    "EnergyWeights", "LayerGeometry", "LayerSpec",
     "MemoryHierarchy", "MemoryImage", "NocModel", "OpStream", "OutputBuffer",
     "PRESETS",
     "Pass", "PrecomputeTable", "SimParams", "SimStats",
     "Simulation", "SimulationError", "TensorLayout",
-    "alexnet_conv_layers", "backward_specs", "block_pair_of",
+    "alexnet_conv_layers", "backward_specs",
     "build_layers", "cluster_map", "compare", "computation_distribution",
     "energy", "enumerate_ops", "inter_sm_availability", "ipc",
     "lenet5_layers", "make_layouts", "map_to_warps", "mesh_placement",

@@ -12,6 +12,9 @@ Every method that reads fill state takes that cycle and decides landing
 from the fill's ready cycle, so whether a block is still in flight depends
 on simulated time alone and never on when a caller last looked.  The cycles
 passed for one SM never decrease.
+
+The LRU rule lives in `MemoryHierarchy` alone; the tests' independent
+model of it is `LruCache` in `tests/lru.py`.
 """
 
 from __future__ import annotations
@@ -43,67 +46,6 @@ class CacheGeometry:
 
 def _unaligned(block):
     return ConfigError(f"unaligned block address 0x{block:x}")
-
-
-class LruCache:
-    """Set-associative LRU cache over aligned block addresses.
-
-    Each set is a dict kept in recency order, least recently used first: a
-    hit moves its block to the end and the victim is the first block.
-    `hits` and `misses` count `touch` calls.  `MemoryHierarchy` keeps its
-    own set dicts under the same rule; tests use this class as its model."""
-
-    def __init__(self, geometry):
-        self.block_bits = geometry.block_size.bit_length() - 1
-        self.offset_mask = geometry.block_size - 1
-        self.n_sets = geometry.sets
-        self.ways = geometry.ways
-        self.sets = [dict() for _ in range(geometry.sets)]  # block -> None
-        self.hits = 0
-        self.misses = 0
-
-    def contains(self, block):
-        """Pure presence probe; never touches recency."""
-        if block & self.offset_mask:
-            raise _unaligned(block)
-        return block in self.sets[(block >> self.block_bits) % self.n_sets]
-
-    def touch(self, block):
-        """Recency-updating lookup. True on hit, False (no state change) on miss."""
-        if block & self.offset_mask:
-            raise _unaligned(block)
-        s = self.sets[(block >> self.block_bits) % self.n_sets]
-        if block in s:
-            del s[block]
-            s[block] = None
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def install(self, block):
-        """Insert a block, evicting the LRU victim if the set is full.
-
-        Returns the victim block address or None."""
-        if block & self.offset_mask:
-            raise _unaligned(block)
-        s = self.sets[(block >> self.block_bits) % self.n_sets]
-        if block in s:
-            return None
-        victim = None
-        if len(s) >= self.ways:
-            victim = next(iter(s))
-            del s[victim]
-        s[block] = None
-        return victim
-
-    def access(self, block):
-        """Combined lookup: hit updates recency, miss installs (LRU victim out).
-
-        Returns (hit, evicted)."""
-        if self.touch(block):
-            return True, None
-        return False, self.install(block)
 
 
 class NocModel:
@@ -171,11 +113,10 @@ REQUEST_BYTES = 16  # one address flit
 class MemoryHierarchy:
     """All cache and interconnect state for one simulation.
 
-    `l1[sm_id]` and `l2[mc]` are lists of set dicts, each in recency order
-    as in `LruCache`: a hit moves its block to the end of its set, and a
-    full set evicts its first block.  The L1 and L2 hit and miss counters
-    are the hierarchy's own; tests check the rule against `LruCache` as the
-    reference model."""
+    `l1[sm_id]` and `l2[mc]` are lists of set dicts, each in recency order,
+    least recently used first: a hit moves its block to the end of its set,
+    and a full set evicts its first block.  The tests check this rule
+    against their own reference model, `LruCache` in `tests/lru.py`."""
 
     def __init__(self, n_sms, l1_geom, l2_geom, n_mcs, noc, latencies,
                  sm_nodes=None, mc_nodes=None):
@@ -375,13 +316,3 @@ class MemoryHierarchy:
             ready_at = self.ready_at[sm_id]
             if ready_at.get(victim, 0) <= now:
                 ready_at.pop(victim, None)
-
-    def warm(self, sm_id, addrs):
-        """Preload blocks into an L1 at cycle 0 without touching any counter
-        (tests)."""
-        sets = self.l1[sm_id]
-        for addr in addrs:
-            block = self.block_of(addr)
-            s = sets[(block >> self.block_bits) % self._l1_n_sets]
-            if block not in s:
-                self._install(sm_id, s, block, 0)

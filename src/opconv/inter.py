@@ -39,23 +39,16 @@ class AssignTable:
         self.entries = {}   # pair -> owner SM id, insertion ordered
         self.by_block = {}  # block -> list of the pairs naming it
         self.lookups = 0
-        self.lookup_hits = 0
         self.registrations = 0
         self.evictions = 0
         self.invalidated = 0
         self.accesses = 0
 
-    def __len__(self):
-        return len(self.entries)
-
     def lookup(self, pair):
         """Owner SM id for the pair, or None."""
         self.lookups += 1
         self.accesses += 1
-        owner = self.entries.get(pair)
-        if owner is not None:
-            self.lookup_hits += 1
-        return owner
+        return self.entries.get(pair)
 
     def register(self, pair, sm_id):
         """Record that sm_id holds both blocks of the pair (called post-fill).

@@ -112,7 +112,6 @@ class PrecomputeTable:
         self.seq = 0
         # counters
         self.lookups = 0
-        self.hits = 0
         self.pendings = 0
         self.inserts = 0
         self.duplicates = 0
@@ -164,7 +163,6 @@ class PrecomputeTable:
             return None
         self._remove(entry)
         if entry.complete:
-            self.hits += 1
             return entry.result
         self.pendings += 1
         return None
@@ -214,15 +212,16 @@ class PrecomputeTable:
         Returns (status, payload): ("memo", result) when a completed
         speculative entry already holds the answer, ("staged", entry) when a
         pending work item was created, ("full", None) when the table is
-        saturated with assigned work and the op must bounce."""
+        saturated with assigned work or already stages key, and the op must
+        bounce."""
         self.accesses += 1
         existing = self.speculative.get(key)
         if existing is not None:
             self._remove(existing)  # answered, or replaced by the request
             if existing.complete:
-                self.hits += 1
                 return "memo", existing.result
-        if len(self) >= self.capacity and not self._evict_oldest_spec():
+        if key in self.assigned or (len(self) >= self.capacity
+                                    and not self._evict_oldest_spec()):
             return "full", None
         entry = PrecomputeEntry(key, blocks, ASSIGNED, self.seq,
                                 op=op, src_sm=src_sm)

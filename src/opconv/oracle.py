@@ -50,18 +50,6 @@ class MemoryImage:
         for i in range(len(self.weight_words)):
             self.weight_words[i] = rng.randint(-8, 8)
 
-    def input_vec(self, addr, length):
-        idx = (addr - self.input_base) // WORD_SIZE
-        if idx < 0 or idx + length > len(self.input_words):
-            raise ConfigError(f"input read outside region: 0x{addr:x}")
-        return self.input_words[idx:idx + length]
-
-    def weight_vec(self, addr, length):
-        idx = (addr - self.weight_base) // WORD_SIZE
-        if idx < 0 or idx + length > len(self.weight_words):
-            raise ConfigError(f"weight read outside region: 0x{addr:x}")
-        return self.weight_words[idx:idx + length]
-
     def check_reads(self, ops):
         """Raise ConfigError unless every op of the OpStream `ops` reads both
         its vectors inside the image.  `dot` checks nothing itself, since

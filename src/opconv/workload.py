@@ -289,11 +289,6 @@ def operand_blocks(input_addr, weight_addr, block_mask):
     return (input_addr & block_mask, weight_addr & block_mask)
 
 
-def block_pair_of(ops, i, block_size):
-    """The (input block, weight block) pair holding op i's operands."""
-    return operand_blocks(ops.inp[i], ops.wgt[i], _block_mask(block_size))
-
-
 def reuse_histogram(ops, block_size):
     """Count ops per computing block pair and bucket the counts.
 

@@ -26,7 +26,7 @@ class CheckedSimulation(Simulation):
                 raise AssertionError(
                     f"SM {sm_id} precompute table over capacity")
         for at in self.assign_tables:
-            if len(at) > at.capacity:
+            if len(at.entries) > at.capacity:
                 raise AssertionError(
                     f"cluster {at.cluster_id} assign table over capacity")
             # only members register, and an owner's L1 eviction drops its

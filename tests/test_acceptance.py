@@ -12,9 +12,10 @@ import random
 import time
 
 from checked import CheckedSimulation
+from lru import LruCache
 
 from opconv import cli
-from opconv.cachehier import CacheGeometry, LruCache
+from opconv.cachehier import CacheGeometry
 from opconv.intra import ASSIGNED, PrecomputeTable
 from opconv.metrics import energy, ipc, prediction_accuracy
 from opconv.oracle import MemoryImage, compare, reference_convolution

@@ -8,11 +8,11 @@ were touched since the previous access to the same block.
 import random
 
 import pytest
+from lru import LruCache, warm
 
 from opconv.cachehier import (
     REQUEST_BYTES,
     CacheGeometry,
-    LruCache,
     MemoryHierarchy,
     NocModel,
     mesh_placement,
@@ -270,7 +270,7 @@ def test_listeners_fire_on_install_and_evict():
 
 def test_warm_preloads_without_counters():
     hier = one_sm_hier()
-    hier.warm(0, [0, 130, 256])   # 130 shares block 128
+    warm(hier, 0, [0, 130, 256])   # 130 shares block 128
     assert hier.probe_sm(0, (0, 128, 256))
     assert hier.l1_misses == 0 and hier.l2_misses == 0 and hier.noc_flit_hops == 0
     assert hier.holders[128] == 1
@@ -318,6 +318,6 @@ def test_fill_record_holds_no_more_than_the_l1s_blocks():
         "present_elsewhere"])
 def test_hierarchy_rejects_unaligned_blocks(call):
     hier = one_sm_hier()
-    hier.warm(0, [0])       # the aligned block 0 is found, then 3 is checked
+    warm(hier, 0, [0])       # the aligned block 0 is found, then 3 is checked
     with pytest.raises(ConfigError, match="unaligned"):
         call(hier)

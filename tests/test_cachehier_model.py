@@ -1,4 +1,4 @@
-"""MemoryHierarchy against a model built on LruCache.
+"""MemoryHierarchy against a model built on the tests' LruCache.
 
 The hierarchy applies the LRU rule to its own set dicts; the model here
 goes through LruCache's methods and keeps its own in-flight fills and
@@ -13,7 +13,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from opconv.cachehier import CacheGeometry, LruCache, MemoryHierarchy, NocModel
+from lru import LruCache
+
+from opconv.cachehier import CacheGeometry, MemoryHierarchy, NocModel
 
 L1 = CacheGeometry(128, 2, 2)     # 32 B blocks, 2 sets of 2 ways
 L2 = CacheGeometry(192, 2, 3)     # 2 sets of 3 ways per slice

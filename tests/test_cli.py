@@ -16,7 +16,7 @@ from opconv import cli, smcore
 from opconv.metrics import EnergyWeights
 from opconv.oracle import CompareResult, MemoryImage
 from opconv.smcore import SimParams, Simulation, SimulationError
-from opconv.workload import ConfigError, Pass
+from opconv.workload import WORD_SIZE, ConfigError, Pass
 
 
 def make_args(**kw):
@@ -665,9 +665,11 @@ def test_verification_catches_a_faulty_dot(tmp_path, monkeypatch):
     # the simulator's dot drops its last product; the reference reads the
     # operand words itself, so every scheme's outputs must fail the check
     def dot_without_last_product(self, input_addr, weight_addr):
-        a = self.input_vec(input_addr, self.length)
-        b = self.weight_vec(weight_addr, self.length)
-        return sum(map(mul, a[:-1], b[:-1]))
+        i = (input_addr - self.input_base) // WORD_SIZE
+        w = (weight_addr - self.weight_base) // WORD_SIZE
+        n = self.length - 1
+        return sum(map(mul, self.input_words[i:i + n],
+                       self.weight_words[w:w + n]))
 
     monkeypatch.setattr(MemoryImage, "dot", dot_without_last_product)
     # a simulation takes its products from MemoryImage.products

@@ -40,8 +40,8 @@ def test_register_lookup_and_ownership_moves():
     assert t.lookup(p) == 3
     t.register(p, 5)                 # most recent filler wins
     assert t.lookup(p) == 5
-    assert len(t) == 1
-    assert (t.lookups, t.lookup_hits, t.registrations) == (3, 2, 2)
+    assert len(t.entries) == 1
+    assert (t.lookups, t.registrations) == (3, 2)
 
 
 def test_fifo_eviction_with_refresh():
@@ -76,7 +76,7 @@ class ModelTable:
     def __init__(self, capacity):
         self.capacity = capacity
         self.d = {}  # pair -> owner
-        self.lookups = self.lookup_hits = self.registrations = 0
+        self.lookups = self.registrations = 0
         self.evictions = self.invalidated = self.accesses = 0
 
     def register(self, pair, sm):
@@ -92,9 +92,7 @@ class ModelTable:
     def lookup(self, pair):
         self.accesses += 1
         self.lookups += 1
-        owner = self.d.get(pair)
-        self.lookup_hits += owner is not None
-        return owner
+        return self.d.get(pair)
 
     def on_evict(self, block, sm):
         naming = [p for p in self.d if block in p]
@@ -107,8 +105,8 @@ class ModelTable:
         return len(doomed)
 
 
-COUNTERS = ("lookups", "lookup_hits", "registrations", "evictions",
-            "invalidated", "accesses")
+COUNTERS = ("lookups", "registrations", "evictions", "invalidated",
+            "accesses")
 
 
 def test_randomized_equivalence_with_model():
@@ -131,8 +129,8 @@ def test_randomized_equivalence_with_model():
             block = rng.choice(blocks_a + blocks_b)
             sm = rng.randrange(7)
             assert t.on_evict(block, sm) == m.on_evict(block, sm)
-        assert len(t) == len(m.d)
-        assert len(t) <= t.capacity
+        assert len(t.entries) == len(m.d)
+        assert len(t.entries) <= t.capacity
         assert [getattr(t, c) for c in COUNTERS] == \
             [getattr(m, c) for c in COUNTERS]
     assert t.entries == m.d

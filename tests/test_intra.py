@@ -112,13 +112,13 @@ def insert(t, key, blocks=None):
 
 
 def decode(t, key):
-    """t.lookup(key) with the case it took, told apart by the counters:
-    ("hit", result), ("pending", None) or ("absent", None)."""
-    hits, pendings = t.hits, t.pendings
+    """t.lookup(key) with the case it took: ("hit", result), since a hit
+    never returns None, or ("pending", None) or ("absent", None), told
+    apart by the pendings counter."""
+    pendings = t.pendings
     result = t.lookup(key)
-    if t.hits > hits:
+    if result is not None:
         return "hit", result
-    assert result is None
     return ("pending" if t.pendings > pendings else "absent"), None
 
 
@@ -138,7 +138,7 @@ def test_insert_lookup_consume_cycle():
     assert entry.complete
     assert decode(t, k) == ("hit", -2)       # consumed
     assert decode(t, k) == ("absent", None)
-    assert (t.lookups, t.hits, t.pendings, t.inserts, t.duplicates) == (4, 1, 1, 2, 1)
+    assert (t.lookups, t.pendings, t.inserts, t.duplicates) == (4, 1, 2, 1)
 
 
 def test_insert_predictions_takes_an_ops_pairs_in_order():
@@ -206,6 +206,21 @@ def test_stage_assigned_memo_and_replacement():
     assert status == "staged" and entry.kind == ASSIGNED
     assert entry.op == 5 and entry.src_sm == 2 and entry.absent == 0
     assert decode(t, k) == ("absent", None)           # assigned never matched
+
+
+def test_stage_assigned_refuses_a_key_it_stages():
+    """A second op staged under a key the table already stages is refused
+    as a full table refuses it, so the caller bounces it, and the first
+    stays the table's one entry for the key."""
+    t = PrecomputeTable(8, L1(), 0)
+    k = key_of(2)
+    status, first = t.stage_assigned(k, blocks_of(k), 3, src_sm=1)
+    assert status == "staged"
+    assert t.stage_assigned(k, blocks_of(k), 4, src_sm=2) == ("full", None)
+    assert len(t) == 1 and t.inserts == 1
+    assert t.next_assist() is first
+    t.finish(first, 0)
+    assert len(t) == 0 and not t.by_block and t.next_assist() is None
 
 
 def test_next_assist_prefers_assigned_then_oldest():

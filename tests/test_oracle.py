@@ -11,13 +11,25 @@ import numpy as np
 import pytest
 
 from opconv.oracle import MemoryImage, compare, reference_convolution
-from opconv.workload import (ConfigError, LayerSpec, OpStream, enumerate_ops,
-                             make_layouts)
+from opconv.workload import (WORD_SIZE, ConfigError, LayerSpec, OpStream,
+                             enumerate_ops, make_layouts)
 
 
 def build(layer, row_pitch=0, seed=0):
     geom = make_layouts(layer, row_pitch)
     return geom, MemoryImage(geom, seed)
+
+
+def input_words(img, addr, n):
+    """The n input words from addr, sliced from the image by word index."""
+    i = (addr - img.input_base) // WORD_SIZE
+    return img.input_words[i:i + n]
+
+
+def weight_words(img, addr, n):
+    """The n weight words from addr, sliced from the image by word index."""
+    i = (addr - img.weight_base) // WORD_SIZE
+    return img.weight_words[i:i + n]
 
 
 # --------------------------------------------------------------------- image
@@ -55,11 +67,12 @@ def test_int_values_stay_small():
 def test_padding_cells_are_zero():
     layer = LayerSpec("pad", 2, 2, 6, 6, 3, 3, padding=1)
     geom, img = build(layer)
-    top = img.input_vec(geom.input_vec_addr(0, 0, 0), layer.padded_w)
+    top = input_words(img, geom.input_vec_addr(0, 0, 0), layer.padded_w)
     assert top == [0] * layer.padded_w
-    left = [img.input_vec(geom.input_vec_addr(1, r, 0), 1)[0]
+    left = [input_words(img, geom.input_vec_addr(1, r, 0), 1)[0]
             for r in range(layer.padded_h)]
-    right = [img.input_vec(geom.input_vec_addr(1, r, layer.padded_w - 1), 1)[0]
+    right = [input_words(img, geom.input_vec_addr(1, r, layer.padded_w - 1),
+                         1)[0]
              for r in range(layer.padded_h)]
     assert left == right == [0] * layer.padded_h
 
@@ -67,16 +80,18 @@ def test_padding_cells_are_zero():
 def test_reads_outside_region_rejected():
     layer = LayerSpec("toy", 1, 1, 4, 4, 3, 3)
     geom, img = build(layer)
-    with pytest.raises(ConfigError):
-        img.input_vec(geom.input_vec_addr(0, 3, 3), 4)  # runs past the end
-    with pytest.raises(ConfigError):
-        img.weight_vec(geom.weight.base_address - 4, 3)
-    # dot checks nothing; check_reads rejects a stream with that read
+    # dot checks nothing; check_reads rejects a stream with a read that runs
+    # past the end of the input words or starts before the weight words
     reads_past_end = OpStream(array("q", [geom.input_vec_addr(0, 3, 2)]),
                               array("q", [geom.weight.base_address]),
                               array("q", [geom.output_addr(0, 0, 0)]))
     with pytest.raises(ConfigError, match="toy: op stream reads input"):
         img.check_reads(reads_past_end)
+    reads_before_start = OpStream(array("q", [geom.input_vec_addr(0, 0, 0)]),
+                                  array("q", [geom.weight.base_address - 4]),
+                                  array("q", [geom.output_addr(0, 0, 0)]))
+    with pytest.raises(ConfigError, match="toy: op stream reads weight"):
+        img.check_reads(reads_before_start)
 
 
 def test_dot_on_planted_vectors():
@@ -107,15 +122,15 @@ def numpy_convolution(geom, image):
     inp = np.zeros((layer.in_channels, layer.padded_h, layer.padded_w), np.int64)
     for ic in range(layer.in_channels):
         for r in range(layer.padded_h):
-            inp[ic, r] = image.input_vec(geom.input_vec_addr(ic, r, 0),
-                                         layer.padded_w)
+            inp[ic, r] = input_words(image, geom.input_vec_addr(ic, r, 0),
+                                     layer.padded_w)
     wgt = np.zeros((layer.out_channels, layer.in_channels,
                     layer.filter_h, layer.filter_w), np.int64)
     for oc in range(layer.out_channels):
         for ic in range(layer.in_channels):
             for fr in range(layer.filter_h):
-                wgt[oc, ic, fr] = image.weight_vec(
-                    geom.weight_vec_addr(oc, ic, fr), layer.filter_w)
+                wgt[oc, ic, fr] = weight_words(
+                    image, geom.weight_vec_addr(oc, ic, fr), layer.filter_w)
     s = layer.stride
     out = {}
     for oc in range(layer.out_channels):

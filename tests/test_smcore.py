@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from checked import CheckedSimulation
+from lru import warm
 
 from opconv.cachehier import CacheGeometry
 from opconv.inter import AssignTable
@@ -127,7 +128,7 @@ def test_warm_run_is_pure_issue_occupancy():
     for i in range(len(ops)):
         blocks.add(sim.hier.block_of(ops.inp[i]))
         blocks.add(sim.hier.block_of(ops.wgt[i]))
-    sim.hier.warm(0, blocks)
+    warm(sim.hier, 0, blocks)
     stats, out = sim.run()
     # 12 ops x 4 cycles each, including the last op's occupancy tail
     assert stats.total_cycles == 48

@@ -16,11 +16,11 @@ from opconv.workload import (
     Pass,
     alexnet_conv_layers,
     backward_specs,
-    block_pair_of,
     enumerate_ops,
     lenet5_layers,
     make_layouts,
     map_to_warps,
+    operand_blocks,
     reuse_histogram,
     shrink_layer,
 )
@@ -273,11 +273,11 @@ def test_block_pair_masks_addresses():
     layer = LayerSpec("t44", 1, 1, 4, 4, 3, 3)
     geom = make_layouts(layer, 0)
     ops = enumerate_ops(layer, geom)
-    ib, wb = block_pair_of(ops, 0, 128)
+    ib, wb = operand_blocks(ops.inp[0], ops.wgt[0], ~127)
     assert ib == ops.inp[0] & ~127
     assert wb == ops.wgt[0] & ~127
     with pytest.raises(ConfigError):
-        block_pair_of(ops, 0, 100)
+        reuse_histogram(ops, 100)   # blocks are a power of two in size
 
 
 def test_block_masking_properties():
@@ -285,7 +285,7 @@ def test_block_masking_properties():
     geom = make_layouts(layer, 0)
     ops = enumerate_ops(layer, geom)
     for i in range(len(ops)):
-        ib, wb = block_pair_of(ops, i, 128)
+        ib, wb = operand_blocks(ops.inp[i], ops.wgt[i], ~127)
         # idempotent: a block address is its own block
         assert ib & ~127 == ib and wb & ~127 == wb
         # order-preserving: addresses never precede their block base
@@ -299,6 +299,7 @@ def test_histogram_conserves_ops_and_pairs():
     ops = enumerate_ops(layer, geom)
     counts, buckets = reuse_histogram(ops, 128)
     assert sum(counts.values()) == len(ops)
-    assert counts == Counter(block_pair_of(ops, i, 128) for i in range(len(ops)))
+    assert counts == Counter(operand_blocks(ops.inp[i], ops.wgt[i], ~127)
+                             for i in range(len(ops)))
     assert sum(buckets.values()) == len(counts)
     assert set(buckets) == {"1-100", "101-800", ">800"}
