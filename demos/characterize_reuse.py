@@ -17,6 +17,7 @@ Usage:
 
 import argparse
 
+from opconv.cli import AUTO_SHRINK, DEFAULTS
 from opconv.metrics import inter_sm_availability
 from opconv.oracle import MemoryImage
 from opconv.smcore import SimParams, run_simulation
@@ -37,30 +38,32 @@ def main():
     ap.add_argument("--sms", type=int, default=8)
     args = ap.parse_args()
 
+    shrink = args.shrink or AUTO_SHRINK[args.network]
     if args.network == "lenet5":
-        layers = lenet5_layers(args.shrink or 2)
+        layers = lenet5_layers(shrink)
     else:
-        layers = alexnet_conv_layers(args.shrink or 8)
+        layers = alexnet_conv_layers(shrink)
+    params = SimParams(sm_count=args.sms)
+    block = params.l1.block_size
+    row_pitch = DEFAULTS["layout.row_pitch"]
 
-    print(f"{args.network}: block-pair reuse per layer (128-byte blocks)")
+    print(f"{args.network}: block-pair reuse per layer ({block}-byte blocks)")
     print(f"{'layer':>8} {'ops':>9} {'pairs':>7} {'1-100':>7} {'101-800':>8} {'>800':>6}")
     for layer in layers:
-        geom = make_layouts(layer, row_pitch=4096)
-        ops = enumerate_ops(layer, geom)
-        counts, buckets = reuse_histogram(ops, 128)
+        ops = enumerate_ops(make_layouts(layer, row_pitch))
+        counts, buckets = reuse_histogram(ops, block)
         print(f"{layer.name:>8} {len(ops):>9} {len(counts):>7} "
               f"{buckets['1-100']:>7} {buckets['101-800']:>8} {buckets['>800']:>6}")
 
     print()
     print(f"baseline availability across {args.sms} SMs "
           "(share of L1 misses held by a peer)")
-    params = SimParams(sm_count=args.sms)
     for layer in layers:
         if layer.filter_h == 1 and layer.in_height == 1:
             continue  # fully-connected layers stream with no cross-SM reuse
-        geom = make_layouts(layer, row_pitch=4096)
-        image = MemoryImage(geom, seed=0)
-        stats, _ = run_simulation(params, enumerate_ops(layer, geom), image, geom)
+        geom = make_layouts(layer, row_pitch)
+        image = MemoryImage(geom, DEFAULTS["run.seed"])
+        stats, _ = run_simulation(params, enumerate_ops(geom), image, geom)
         avail = inter_sm_availability(stats)
         print(f"{layer.name:>8}: {stats.probe_found_elsewhere}/{stats.probe_misses}"
               f" = {avail:.3f}")

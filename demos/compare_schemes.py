@@ -14,6 +14,7 @@ Usage:
 
 import argparse
 
+from opconv.cli import AUTO_SHRINK, DEFAULTS
 from opconv.metrics import computation_distribution, energy, ipc, normalize
 from opconv.oracle import MemoryImage, compare, reference_convolution
 from opconv.smcore import SimParams, run_simulation
@@ -21,20 +22,21 @@ from opconv.workload import enumerate_ops, lenet5_layers, make_layouts
 
 
 def main():
+    default = SimParams()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--layer", default="C1", help="LeNet-5 layer name")
-    ap.add_argument("--shrink", type=int, default=2)
+    ap.add_argument("--shrink", type=int, default=AUTO_SHRINK["lenet5"])
     ap.add_argument("--sms", type=int, default=8)
     ap.add_argument("--clusters", type=int, default=2)
-    ap.add_argument("--pc-entries", type=int, default=256)
-    ap.add_argument("--at-entries", type=int, default=512)
+    ap.add_argument("--pc-entries", type=int, default=default.pc_entries)
+    ap.add_argument("--at-entries", type=int, default=default.at_entries)
     args = ap.parse_args()
 
     layers = {l.name: l for l in lenet5_layers(args.shrink)}
     layer = layers[args.layer]
-    geom = make_layouts(layer, row_pitch=4096)
-    image = MemoryImage(geom, seed=0)
-    ops = enumerate_ops(layer, geom)
+    geom = make_layouts(layer, DEFAULTS["layout.row_pitch"])
+    image = MemoryImage(geom, DEFAULTS["run.seed"])
+    ops = enumerate_ops(geom)
     expected = reference_convolution(geom, image)
 
     print(f"layer {layer.name}: {layer.op_count()} vector-MAC ops "

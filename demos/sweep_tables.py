@@ -11,13 +11,13 @@ Usage:
 
 import argparse
 
-from opconv.cli import DEFAULTS, PRESETS, sweep
+from opconv.cli import AUTO_SHRINK, DEFAULTS, PRESETS, sweep
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="out/sweep_report.csv")
-    ap.add_argument("--shrink", type=int, default=2)
+    ap.add_argument("--shrink", type=int, default=AUTO_SHRINK["lenet5"])
     ap.add_argument("--presets", nargs="*", default=[
         "intraSM_C1", "intraSM_C2", "interSM_C1", "interSM_C2",
         "combined_C1", "combined_C2"])

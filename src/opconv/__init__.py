@@ -4,8 +4,8 @@ many-core GPU running direct-convolution layers.
 Two cooperating schemes are modeled on top of a baseline machine: per-SM
 memoization of predicted future computations executed by an assistant during
 stall cycles, and per-cluster forwarding of computations to the SM that
-already holds the operand blocks.  Every run can be checked against a naive
-reference convolution, so the schemes change only where and when work
+already holds the operand blocks.  `opconv` checks every run against a
+naive reference convolution, so the schemes change only where and when work
 happens, never its arithmetic result.
 """
 

@@ -54,8 +54,7 @@ class NocModel:
     latency = hops * hop_cycles + pipeline_stages + ceil(payload / flit_bytes)
     """
 
-    def __init__(self, mesh_w=8, mesh_h=8, flit_bytes=16, hop_cycles=1,
-                 pipeline_stages=2):
+    def __init__(self, mesh_w, mesh_h, flit_bytes, hop_cycles, pipeline_stages):
         if mesh_w < 1 or mesh_h < 1 or flit_bytes < 1:
             raise ConfigError("mesh dimensions and flit size must be positive")
         self.mesh_w = mesh_w
@@ -85,7 +84,7 @@ class NocModel:
         return self.flits(payload_bytes) * self.hops(src, dst)
 
 
-def mesh_placement(n_sms, n_mcs, mesh_w=8, mesh_h=8):
+def mesh_placement(n_sms, n_mcs, mesh_w, mesh_h):
     """Fixed node map: MCs sit on the two opposite edge columns (left column
     even rows first, then right column odd rows), SMs fill the remaining
     nodes in row-major order.  Returns (sm_nodes, mc_nodes)."""

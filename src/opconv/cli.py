@@ -8,8 +8,8 @@ writes report.csv / counters.json / config.echo into the output directory.
 
 Exit status is 0 only if every run completed and every verification passed;
 1 if a verification failed, 2 on a configuration error, and 3 if a
-simulation stopped without finishing (a `SimulationError`, such as the
-`run.max_idle` watchdog firing).
+simulation stopped without finishing or did not retire each op exactly
+once (a `SimulationError`, such as the `run.max_idle` watchdog firing).
 
 An experiment's (layer, scheme) runs share only read-only inputs, so they
 are simulated on a `ProcessPoolExecutor` whose workers are forked, one per
@@ -51,7 +51,6 @@ CLI_KNOBS = (
     Knob("workload.file", ""),
     Knob("workload.passes", "forward", choices=("forward", "backward", "all")),
     Knob("run.seed", 0),
-    Knob("run.verify", True),
     Knob("run.schemes", "baseline"),
 )
 
@@ -77,13 +76,6 @@ PRESETS = {
 def _coerce(key, text, where=""):
     ref = DEFAULTS[key]
     try:
-        if isinstance(ref, bool):
-            low = text.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(text)
         if isinstance(ref, int):
             return int(text, 0)
         if isinstance(ref, float):
@@ -129,8 +121,6 @@ def resolve_config(args):
     if args.scheme:
         cfg["run.schemes"] = ("baseline,intra,inter,both"
                               if args.scheme == "all" else args.scheme)
-    if args.verify is not None:
-        cfg["run.verify"] = args.verify
     validate_config(cfg)
     return cfg
 
@@ -246,27 +236,24 @@ def energy_weights(cfg):
 
 
 class LayerRun:
-    """One layer's shared inputs: geometry, op stream, operand image."""
+    """One layer's shared inputs: geometry, op stream, operand image and
+    reference outputs."""
 
     def __init__(self, cfg, layer):
         self.layer = layer
         self.geom = workload.make_layouts(layer, cfg["layout.row_pitch"])
-        self.ops = workload.enumerate_ops(layer, self.geom)
+        self.ops = workload.enumerate_ops(self.geom)
         self.image = MemoryImage(self.geom, cfg["run.seed"])
-        self.expected = (reference_convolution(self.geom, self.image)
-                         if cfg["run.verify"] else None)
+        self.expected = reference_convolution(self.geom, self.image)
 
 
 def run_one(cfg, lr, scheme):
-    """Simulate one (layer, scheme) pair; returns (stats, CompareResult|None)."""
+    """Simulate one (layer, scheme) pair; returns (stats, CompareResult)."""
     params = make_params(cfg, scheme)
     stats, out = run_simulation(params, lr.ops, lr.image, lr.geom)
     stats.layer = lr.layer.name
     stats.table_cfg = table_cfg_label(cfg, scheme)
-    res = None
-    if lr.expected is not None:
-        res = compare(out.values, lr.expected)
-    return stats, res
+    return stats, compare(out.values, lr.expected)
 
 
 # the LayerRuns of the experiment on the process pool, by layer name, which
@@ -374,9 +361,7 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
                 record["energy"] = metrics.energy(stats, weights)
                 record["ipc"] = metrics.ipc(stats)
                 counters[f"{lr.layer.name}/{scheme}"] = record
-                if res is None:
-                    verdict = "verify=skipped"
-                elif res.ok:
+                if res.ok:
                     verdict = f"verify=OK ({res.checked} outputs)"
                 else:
                     verdict = f"verify=FAIL {res.message()}"
@@ -460,8 +445,6 @@ def main(argv=None):
     ap.add_argument("--shrink", type=int,
                     help="spatial shrink factor (0 = per-workload default)")
     ap.add_argument("--seed", type=int, help="operand image seed")
-    ap.add_argument("--verify", action=argparse.BooleanOptionalAction,
-                    help="check outputs against the reference convolution")
     ap.add_argument("--characterize", action="store_true",
                     help="also write per-layer block-pair reuse histograms")
     ap.add_argument("--out", default="results", help="output directory")

@@ -63,14 +63,6 @@ class SimStats:
     def retired(self):
         return self.normal_done + self.predicted_used + self.assigned_done
 
-    def check_conservation(self):
-        """Every enumerated op retires through exactly one path."""
-        if self.retired() != self.total_ops:
-            raise AssertionError(
-                f"{self.layer}/{self.scheme}: {self.retired()} retirements "
-                f"for {self.total_ops} ops")
-        return True
-
     def to_dict(self):
         d = asdict(self)
         d["stall_cycles"] = self.stall_cycles

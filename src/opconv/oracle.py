@@ -29,7 +29,7 @@ class MemoryImage:
     filter_w words long.
     """
 
-    def __init__(self, geom, seed=0):
+    def __init__(self, geom, seed):
         layer = geom.layer
         self.name = layer.name
         self.length = layer.filter_w

@@ -31,17 +31,16 @@ ascending id order.  An SM's state holds until its next step, so its stall
 or assist cycles are charged when it next steps, and once more when the run
 ends and its coroutine is closed.
 
-An SM is not woken when its step could change nothing:
+An SM is not woken when its step could change nothing.  After a blocked
+issue at cycle t the SM is busy through t + 1.  If at that point no warp is
+ready, no blocked warp wakes by t + 1, and either an assist is already in
+flight or the table has no assist to start, the step at t + 1 would only
+change the SM's state.  The SM takes that state (ASSIST or STALLED) from
+t + 1 and next wakes when its assist finishes or its first blocked warp
+wakes, or at the next purge if that comes first.
 
-* After a blocked issue at cycle t the SM is busy through t + 1.  If at that
-  point no warp is ready, no blocked warp wakes by t + 1, and either an
-  assist is already in flight or the table has no assist to start, the step
-  at t + 1 would only change the SM's state.  The SM takes that state
-  (ASSIST or STALLED) from t + 1 and next wakes when its assist finishes or
-  its first blocked warp wakes, or at the next purge if that comes first.
-* A stalled or idle SM with no assist in flight and no speculative table
-  entry skips purges: a purge of that table changes nothing, and the overdue
-  purge slots are passed over at the SM's next step.
+A run that ends with a retirement count other than its op count raises a
+`SimulationError` naming the layer and the scheme.
 """
 
 from __future__ import annotations
@@ -379,9 +378,6 @@ class Simulation:
         if table is not None:
             lookup = table.lookup
             next_assist = table.next_assist
-            speculative = table.speculative
-        else:
-            speculative = ()
         forwarding = self.forwarding
         if forwarding:
             assign_table = self.assign_tables[self.cluster_of[sm_id]]
@@ -528,10 +524,6 @@ class Simulation:
                         # no ready warp: any unfinished warp is blocked
                         state = STALLED if blocked else IDLE
                         nxt = blocked[0][0] if blocked else INF
-                        if not speculative:
-                            # a purge of a table without speculation changes
-                            # nothing: skip the purge wakeups
-                            continue
                 if next_purge < nxt:
                     nxt = next_purge
         except GeneratorExit:
@@ -616,7 +608,10 @@ class Simulation:
         for sm in sms:
             sm.close()
         self._collect(stats)
-        stats.check_conservation()
+        if stats.retired() != stats.total_ops:
+            raise SimulationError(
+                f"{self.image.name}/{self.params.scheme}: {stats.retired()} "
+                f"retirements for {stats.total_ops} ops")
         return stats, out
 
     def _collect(self, stats):

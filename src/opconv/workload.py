@@ -174,7 +174,7 @@ class LayerGeometry:
         return self.layer.out_channels * self.output.channel_stride
 
 
-def make_layouts(layer, row_pitch=0):
+def make_layouts(layer, row_pitch):
     """Build the three region layouts for a layer.
 
     row_pitch = 0 packs input rows back to back (row_stride = padded width in
@@ -222,16 +222,15 @@ class OpStream:
         return len(self.out)
 
 
-def enumerate_ops(layer, geom):
-    """Every op of a layer, as an OpStream.
+def enumerate_ops(geom):
+    """Every op of the layer `geom` lays out, as an OpStream.
 
     Windows are walked row-major per output channel (sliding horizontally,
     then down); within one window the in_channels * filter_h row products are
     in channel-then-row order, so all ops of one output element are
     consecutive.
     """
-    if geom.layer != layer:
-        raise ConfigError("geometry was built for a different layer")
+    layer = geom.layer
     s = layer.stride
     rows = [(ic, fr) for ic in range(layer.in_channels)
             for fr in range(layer.filter_h)]

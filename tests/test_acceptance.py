@@ -45,7 +45,7 @@ def _inputs(layer):
         geom = make_layouts(layer, ROW_PITCH)
         image = MemoryImage(geom, SEED)
         expected = reference_convolution(geom, image)
-        _INPUTS[layer.name] = (geom, image, enumerate_ops(layer, geom), expected)
+        _INPUTS[layer.name] = (geom, image, enumerate_ops(geom), expected)
     return _INPUTS[layer.name]
 
 
@@ -115,7 +115,7 @@ def test_03_reuse_concentration():
     """On the full-size first layer most block pairs cover many computations."""
     layer = lenet5_layers(1)[0]
     geom = make_layouts(layer, ROW_PITCH)
-    counts, buckets = reuse_histogram(enumerate_ops(layer, geom), 128)
+    counts, buckets = reuse_histogram(enumerate_ops(geom), 128)
     heavy = sum(1 for c in counts.values() if c > 100)
     frac = heavy / len(counts)
     ok = frac >= 0.80

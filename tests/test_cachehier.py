@@ -120,7 +120,7 @@ def test_noc_latency_components():
     with pytest.raises(ConfigError):
         noc.flits(0)
     with pytest.raises(ConfigError):
-        NocModel(0, 8)
+        NocModel(0, 8, 16, 1, 2)
 
 
 def test_noc_latency_properties():
@@ -136,13 +136,13 @@ def test_noc_latency_properties():
 
 
 def test_mesh_placement_layout():
-    sm_nodes, mc_nodes = mesh_placement(56, 8)
+    sm_nodes, mc_nodes = mesh_placement(56, 8, 8, 8)
     assert mc_nodes == [0, 16, 32, 48, 15, 31, 47, 63]
     assert len(sm_nodes) == 56
     assert sm_nodes[0] == 1 and sm_nodes[-1] == 62
     assert not set(sm_nodes) & set(mc_nodes)
     with pytest.raises(ConfigError):
-        mesh_placement(60, 8)
+        mesh_placement(60, 8, 8, 8)
 
 
 # --------------------------------------------------------------- miss timing

@@ -16,12 +16,13 @@ from opconv import cli, smcore
 from opconv.metrics import EnergyWeights
 from opconv.oracle import CompareResult, MemoryImage
 from opconv.smcore import SimParams, Simulation, SimulationError
-from opconv.workload import WORD_SIZE, ConfigError, Pass
+from opconv.workload import (WORD_SIZE, ConfigError, Pass, enumerate_ops,
+                             lenet5_layers, make_layouts)
 
 
 def make_args(**kw):
     base = dict(workload=None, scheme=None, preset=None, shrink=None,
-                seed=None, verify=None, config=None)
+                seed=None, config=None)
     base.update(kw)
     return argparse.Namespace(**base)
 
@@ -50,13 +51,9 @@ def write_config(tmp_path, workload_file, extra=(), name="run.cfg"):
 # ------------------------------------------------------------- config basics
 
 def test_coerce_types():
-    assert cli._coerce("run.verify", "yes") is True
-    assert cli._coerce("run.verify", "OFF") is False
     assert cli._coerce("sm.count", "0x10") == 16
     assert cli._coerce("intra.purge_fraction", "0.5") == 0.5
     assert cli._coerce("workload.name", " lenet5 ") == "lenet5"
-    with pytest.raises(ConfigError):
-        cli._coerce("run.verify", "maybe")
     with pytest.raises(ConfigError):
         cli._coerce("sm.count", "many", where="f:3: ")
 
@@ -638,6 +635,47 @@ def test_invalid_configs_exit_2_before_any_run(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error:"), (line, err)
         assert key in lines[0], (line, err)
         assert not (tmp_path / f"out{i}" / "report.csv").exists(), line
+
+
+def test_removed_verify_switch_exits_2_before_any_run(tmp_path, capsys):
+    # every run is checked against the reference: no flag or key turns it off
+    for flag in ("--verify", "--no-verify"):
+        with pytest.raises(SystemExit) as stop:
+            cli.main([flag, "--out", str(tmp_path / "flag")])
+        assert stop.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg_path = write_config(tmp_path, write_workload(tmp_path),
+                            extra=("run.verify = false",))
+    assert cli.main(["--config", str(cfg_path),
+                     "--out", str(tmp_path / "key")]) == 2
+    assert "unknown key 'run.verify'" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
+
+
+def test_conservation_check(tmp_path, capsys, monkeypatch):
+    # a planted fault: an op forwarded to its owner adds its result without
+    # counting its retirement
+    def add_without_counting(self, table, i, key, value, now):
+        self.out.add(self.ops.out[i], value)
+
+    monkeypatch.setattr(Simulation, "_assigned_done", add_without_counting)
+    geom = make_layouts(lenet5_layers(2)[0], cli.DEFAULTS["layout.row_pitch"])
+    sim = Simulation(SimParams(scheme="inter"), enumerate_ops(geom),
+                     MemoryImage(geom, 0), geom)
+    with pytest.raises(SimulationError,
+                       match=r"^C1/inter: \d+ retirements for 4320 ops$"):
+        sim.run()
+
+    cfg_path = tmp_path / "c1.cfg"
+    cfg_path.write_text(
+        f"workload.name = custom\nworkload.file = "
+        f"{write_workload(tmp_path, ('C1,forward,1,6,32,32,5,5,1,0',))}\n"
+        "workload.shrink = 2\n")
+    assert cli.main(["--config", str(cfg_path), "--scheme", "inter",
+                     "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: simulation stopped: C1/inter: \d+ "
+                        r"retirements for 4320 ops\n", err), err
 
 
 def test_cache_geometry_errors_name_their_keys(tmp_path, capsys):

@@ -7,7 +7,7 @@ from opconv.workload import LayerSpec, enumerate_ops, make_layouts, operand_bloc
 def pitched_ops(layer, pitch=4096):
     """The layer's geometry and its ops as (input, weight) address pairs."""
     geom = make_layouts(layer, pitch)
-    ops = enumerate_ops(layer, geom)
+    ops = enumerate_ops(geom)
     return geom, list(zip(ops.inp, ops.wgt))
 
 

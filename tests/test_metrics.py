@@ -63,14 +63,6 @@ def test_distribution_sums_to_one():
     assert empty == {"normal": 0.0, "predicted": 0.0, "assigned": 0.0}
 
 
-def test_conservation_check():
-    s = sample_stats()
-    assert s.check_conservation()
-    s.normal_done -= 1
-    with pytest.raises(AssertionError):
-        s.check_conservation()
-
-
 def test_normalize_against_baseline():
     base = SimStats(total_ops=30, total_cycles=200,
                     stall_cycles_per_sm=[60], l1_hits=60, normal_done=30)

@@ -178,7 +178,7 @@ def test_products_equal_dot_on_every_op(layer, scale):
     geom, img = build(layer, seed=5)
     img.input_words[:] = [scale * v for v in img.input_words]
     img.weight_words[:] = [scale * v - (scale > 1) for v in img.weight_words]
-    ops = enumerate_ops(layer, geom)
+    ops = enumerate_ops(geom)
     product = img.products(ops)
     assert product != img.dot                      # the packed form
     assert [product(ia, wa) for ia, wa in zip(ops.inp, ops.wgt)] == \
@@ -189,7 +189,7 @@ def test_products_of_a_stream_without_weight_reuse_are_dot():
     # every op of a 1x1-output layer has its own filter row
     layer = LayerSpec("once", 2, 4, 3, 3, 3, 3)
     geom, img = build(layer)
-    assert img.products(enumerate_ops(layer, geom)) == img.dot
+    assert img.products(enumerate_ops(geom)) == img.dot
 
 
 def test_reference_single_window_by_hand():
@@ -206,7 +206,7 @@ def test_reference_covers_op_stream_accumulation():
     layer = LayerSpec("toy", 2, 3, 8, 8, 3, 3)
     geom, img = build(layer)
     acc = {}
-    ops = enumerate_ops(layer, geom)
+    ops = enumerate_ops(geom)
     for ia, wa, addr in zip(ops.inp, ops.wgt, ops.out):
         acc[addr] = acc.get(addr, 0) + img.dot(ia, wa)
     assert acc == reference_convolution(geom, img)

@@ -65,7 +65,7 @@ def test_every_scheme_is_exact_and_conserving(layer, row_pitch, hw, seed):
     expected = reference_convolution(geom, image)
     for scheme in SCHEMES:
         params = SimParams(scheme=scheme, **hw)
-        ops = enumerate_ops(layer, geom)
+        ops = enumerate_ops(geom)
         columns = (ops.inp.tobytes(), ops.wgt.tobytes(), ops.out.tobytes())
         stats, out = CheckedSimulation(params, ops, image, geom).run()
         assert compare(out.values, expected).ok, scheme

@@ -32,7 +32,7 @@ from opconv.workload import (
 
 def build_run(layer, row_pitch=0, seed=0):
     geom = make_layouts(layer, row_pitch)
-    return geom, MemoryImage(geom, seed), enumerate_ops(layer, geom)
+    return geom, MemoryImage(geom, seed), enumerate_ops(geom)
 
 
 T44 = LayerSpec("t44", 1, 1, 4, 4, 3, 3)   # 4 outputs x 3 ops, 1 warp

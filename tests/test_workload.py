@@ -186,7 +186,7 @@ def independent_ops(layer, input_base=INPUT_BASE, weight_base=WEIGHT_BASE,
 ])
 def test_enumeration_matches_independent_loop(layer):
     geom = make_layouts(layer, 0)
-    ops = enumerate_ops(layer, geom)
+    ops = enumerate_ops(geom)
     want = independent_ops(layer)
     assert len(ops) == layer.op_count()
     assert list(zip(ops.inp, ops.wgt, ops.out)) == want
@@ -196,7 +196,7 @@ def test_ops_grouped_by_output_element():
     layer = LayerSpec("toy", 2, 2, 6, 6, 3, 3)
     geom = make_layouts(layer, 0)
     seen = []
-    for addr in enumerate_ops(layer, geom).out:
+    for addr in enumerate_ops(geom).out:
         if not seen or seen[-1] != addr:
             seen.append(addr)
     # each output address appears as exactly one consecutive run
@@ -208,7 +208,7 @@ def test_ops_grouped_by_output_element():
 def test_single_warp_mapping():
     layer = LayerSpec("t44", 1, 1, 4, 4, 3, 3)  # 4 outputs x 3 ops
     geom = make_layouts(layer, 0)
-    ops = enumerate_ops(layer, geom)
+    ops = enumerate_ops(geom)
     assert map_to_warps(ops, 32, 4) == [(0, 0, 12)]
     # one lane per output element: four consecutive runs of three ops
     outs = list(ops.out[0:12])
@@ -220,7 +220,7 @@ def test_single_warp_mapping():
 def test_round_robin_warp_distribution():
     layer = LayerSpec("t1010", 1, 1, 10, 10, 3, 3)  # 64 output elements
     geom = make_layouts(layer, 0)
-    ops = enumerate_ops(layer, geom)
+    ops = enumerate_ops(geom)
     warps = map_to_warps(ops, 32, 2)
     assert [sm for sm, _, _ in warps] == [0, 1]
     assert [len(set(ops.out[start:end])) for _, start, end in warps] == [32, 32]
@@ -238,7 +238,7 @@ def test_round_robin_warp_distribution():
 def test_warp_mapping_partitions_op_stream(warp_size, n_sms):
     layer = LayerSpec("toy", 2, 2, 6, 6, 3, 3, padding=1)
     geom = make_layouts(layer, 0)
-    ops = enumerate_ops(layer, geom)
+    ops = enumerate_ops(geom)
     warps = map_to_warps(ops, warp_size, n_sms)
     starts = [start for _, start, _ in warps]
     ends = [end for _, _, end in warps]
@@ -256,7 +256,7 @@ def test_op_stream_memory_per_op():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ops = enumerate_ops(layer, geom)
+        ops = enumerate_ops(geom)
         warps = map_to_warps(ops, 32, 56)
         held, peak = tracemalloc.get_traced_memory()
     finally:
@@ -272,7 +272,7 @@ def test_op_stream_memory_per_op():
 def test_block_pair_masks_addresses():
     layer = LayerSpec("t44", 1, 1, 4, 4, 3, 3)
     geom = make_layouts(layer, 0)
-    ops = enumerate_ops(layer, geom)
+    ops = enumerate_ops(geom)
     ib, wb = operand_blocks(ops.inp[0], ops.wgt[0], ~127)
     assert ib == ops.inp[0] & ~127
     assert wb == ops.wgt[0] & ~127
@@ -283,7 +283,7 @@ def test_block_pair_masks_addresses():
 def test_block_masking_properties():
     layer = LayerSpec("toy", 2, 3, 8, 8, 3, 3)
     geom = make_layouts(layer, 0)
-    ops = enumerate_ops(layer, geom)
+    ops = enumerate_ops(geom)
     for i in range(len(ops)):
         ib, wb = operand_blocks(ops.inp[i], ops.wgt[i], ~127)
         # idempotent: a block address is its own block
@@ -296,7 +296,7 @@ def test_block_masking_properties():
 def test_histogram_conserves_ops_and_pairs():
     layer = LayerSpec("toy", 2, 3, 8, 8, 3, 3)
     geom = make_layouts(layer, 0)
-    ops = enumerate_ops(layer, geom)
+    ops = enumerate_ops(geom)
     counts, buckets = reuse_histogram(ops, 128)
     assert sum(counts.values()) == len(ops)
     assert counts == Counter(operand_blocks(ops.inp[i], ops.wgt[i], ~127)
