@@ -142,7 +142,8 @@ class MemoryHierarchy:
         self.rt_flit_hops = [[noc.flit_hops(s, m, REQUEST_BYTES)
                               + noc.flit_hops(m, s, self.block_size)
                               for m in mc_nodes] for s in sm_nodes]
-        # block -> count of SMs with an installed copy, for O(1) probing
+        # block -> count of SMs with an installed copy; a block leaves it
+        # with its last copy
         self.holders = {}
         # per SM, block -> ready cycle of its latest fill; in flight while
         # now < ready.  Holds resident blocks and blocks evicted in flight.
@@ -168,33 +169,11 @@ class MemoryHierarchy:
         self._on_install[sm_id] = on_install
         self._on_evict[sm_id] = on_evict
 
-    def probe_sm(self, sm_id, blocks):
-        """Whether sm_id's L1 holds every one of blocks, landed or not; no
-        recency update."""
-        sets = self.l1[sm_id]
-        off, bits, n_sets = self._offset_mask, self.block_bits, self._l1_n_sets
-        for b in blocks:
-            if b & off:
-                raise _unaligned(b)
-            if b not in sets[(b >> bits) % n_sets]:
-                return False
-        return True
-
-    def present_elsewhere(self, sm_id, block):
-        """Whether an L1 other than sm_id's holds block."""
-        if block & self._offset_mask:
-            raise _unaligned(block)
-        n = self.holders.get(block, 0)
-        if n != 1:
-            return n > 1
-        # the one copy: is it ours?
-        s = self.l1[sm_id][(block >> self.block_bits) % self._l1_n_sets]
-        return block not in s
-
     def absent_for_compute(self, sm_id, blocks, now):
         """Bit k set for each blocks[k] that an assistant may not read at
         now: not installed in sm_id's L1, or installed by a fill that has
-        not landed.  0 when every block may be read; no recency update."""
+        not landed.  0 when every block may be read; no recency update.
+        At now = INF, 0 when every block is installed, landed or not."""
         ready_at = self.ready_at[sm_id]
         sets = self.l1[sm_id]
         off, bits, n_sets = self._offset_mask, self.block_bits, self._l1_n_sets

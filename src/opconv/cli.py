@@ -9,7 +9,8 @@ writes report.csv / counters.json / config.echo into the output directory.
 Exit status is 0 only if every run completed and every verification passed;
 1 if a verification failed, 2 on a configuration error, and 3 if a
 simulation stopped without finishing or did not retire each op exactly
-once (a `SimulationError`, such as the `run.max_idle` watchdog firing).
+once (a `SimulationError`, such as the watchdog firing after
+`smcore.MAX_IDLE_CYCLES` cycles without a retirement).
 
 An experiment's (layer, scheme) runs share only read-only inputs, so they
 are simulated on a `ProcessPoolExecutor` whose workers are forked, one per
@@ -345,7 +346,6 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
     rows = []
     counters = {}
     failures = []
-    avail_rows = []
     with _simulations(cfg, runs, schemes):
         for lr in runs:
             baseline_stats = None
@@ -353,9 +353,6 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
                 stats, res = run_one(cfg, lr, scheme)
                 if scheme == "baseline":
                     baseline_stats = stats
-                    avail_rows.append((lr.layer.name, stats.probe_misses,
-                                       stats.probe_found_elsewhere,
-                                       metrics.inter_sm_availability(stats)))
                 rows.append(metrics.report_row(stats, baseline_stats, weights))
                 record = stats.to_dict()
                 record["energy"] = metrics.energy(stats, weights)
@@ -394,8 +391,13 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
                 w = csv.writer(fh)
                 w.writerow(["layer", "probe_misses", "found_elsewhere",
                             "availability"])
-                for name, misses, found, frac in avail_rows:
-                    w.writerow([name, misses, found, f"{frac:.6f}"])
+                # each layer's baseline run: its counters and report row
+                for row in rows:
+                    if row["scheme"] == "baseline":
+                        rec = counters[f"{row['layer']}/baseline"]
+                        w.writerow([row["layer"], rec["probe_misses"],
+                                    rec["probe_found_elsewhere"],
+                                    f"{row['avail']:.6f}"])
     return rows, counters, failures
 
 

@@ -37,7 +37,6 @@ class SimStats:
     assigned_done: int = 0
     # prediction bookkeeping
     predictions_made: int = 0
-    predictions_completed: int = 0
     predictions_invalidated: int = 0
     predictions_purged: int = 0
     # forwarding bookkeeping
@@ -60,6 +59,13 @@ class SimStats:
         op was issued once, as a forward, and executes out of band."""
         return self.normal_done + self.predicted_used + self.forwards - self.bounces
 
+    @property
+    def predictions_completed(self):
+        """Speculative assists executed: every other executed assist is an
+        assigned op, which retires as a forward that did not hit the memo."""
+        return self.assists_executed - (self.assigned_done
+                                        - self.forward_memo_hits)
+
     def retired(self):
         return self.normal_done + self.predicted_used + self.assigned_done
 
@@ -67,6 +73,7 @@ class SimStats:
         d = asdict(self)
         d["stall_cycles"] = self.stall_cycles
         d["instructions_issued"] = self.instructions_issued
+        d["predictions_completed"] = self.predictions_completed
         return d
 
 

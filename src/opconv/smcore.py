@@ -57,6 +57,11 @@ from .workload import ConfigError, check_knobs, knob, map_to_warps, operand_bloc
 
 INF = float("inf")
 
+# the run watchdog: a run that retires nothing for this many cycles has
+# stopped.  No LeNet C1 or C2 run leaves more than about 200 cycles between
+# two retirements.
+MAX_IDLE_CYCLES = 1_000_000
+
 # per-step SM states
 BUSY, ASSIST, STALLED, IDLE = range(4)
 
@@ -141,7 +146,6 @@ class SimParams:
     at_entries: int = knob("inter.table_entries", 512, lo=1)
     clusters: int = knob("inter.clusters", 8, lo=1)
     forward_latency: int = knob("inter.forward_latency", 8, lo=0)
-    max_idle_cycles: int = knob("run.max_idle", 1_000_000, lo=1)
 
     def __post_init__(self):
         check_knobs(self)
@@ -320,14 +324,14 @@ class Simulation:
         value = self.dot(ops.inp[i], ops.wgt[i])
         self.out.add(ops.out[i], value)
         self.stats.normal_done += 1
-        if self.forwarding:
-            self._register_pair(
-                src, operand_blocks(ops.inp[i], ops.wgt[i], self.block_mask))
+        # only forwarding bounces
+        self._register_pair(
+            src, operand_blocks(ops.inp[i], ops.wgt[i], self.block_mask))
 
     def _register_pair(self, sm_id, blocks):
         """Name sm_id the owner of an op's operand blocks if it still holds
-        them all."""
-        if self.hier.probe_sm(sm_id, blocks):
+        them all, landed or not."""
+        if not self.hier.absent_for_compute(sm_id, blocks, INF):
             self.assign_tables[self.cluster_of[sm_id]].register(blocks, sm_id)
 
     # ---- table work off the common path ----------------------------------
@@ -361,7 +365,7 @@ class Simulation:
         hier = self.hier
         lookup_blocks = hier.lookup
         fill = hier.fill
-        present_elsewhere = hier.present_elsewhere
+        holders = hier.holders
         dot = self.dot
         inp, wgt, out_addr = self.ops.inp, self.ops.wgt, self.ops.out
         p = self.params
@@ -415,8 +419,6 @@ class Simulation:
                         if entry.kind == intra_mod.ASSIGNED:
                             self._assigned_done(table, entry.op, entry.key,
                                                 value, now)
-                        else:
-                            stats.predictions_completed += 1
                 if now >= next_purge:
                     table.purge(purge_fraction)
                     while next_purge <= now:
@@ -452,8 +454,10 @@ class Simulation:
                             else:
                                 if missing:
                                     stats.probe_misses += len(missing)
+                                    # this SM just missed them, so any
+                                    # holder is another SM
                                     for b in missing:
-                                        if present_elsewhere(sm_id, b):
+                                        if b in holders:
                                             stats.probe_found_elsewhere += 1
                                 owner = None
                                 if missing and forwarding:
@@ -547,7 +551,6 @@ class Simulation:
         heapreplace = heapq.heapreplace
         out = self.out
         total_ops = stats.total_ops
-        max_idle = self.params.max_idle_cycles
         sms = [self._sm(sm_id) for sm_id in range(self.params.sm_count)]
         steps = []
         for sm_id, sm in enumerate(sms):
@@ -591,7 +594,7 @@ class Simulation:
             if out.adds != last_progress_count:
                 last_progress_count = out.adds
                 last_progress_cycle = now
-            elif now - last_progress_cycle > max_idle:
+            elif now - last_progress_cycle > MAX_IDLE_CYCLES:
                 raise SimulationError(
                     f"no progress since cycle {last_progress_cycle}: "
                     f"{out.adds}/{stats.total_ops} ops retired, "

@@ -1,6 +1,6 @@
 """A simulation that checks the scheme tables after every SM step."""
 
-from opconv.smcore import Simulation
+from opconv.smcore import INF, Simulation
 
 
 class CheckedSimulation(Simulation):
@@ -34,7 +34,7 @@ class CheckedSimulation(Simulation):
             # stranger as the owner
             for pair, owner in at.entries.items():
                 if self.cluster_of[owner] != at.cluster_id or \
-                        not self.hier.probe_sm(owner, pair):
+                        self.hier.absent_for_compute(owner, pair, INF):
                     raise AssertionError(
                         f"cluster {at.cluster_id} assign table names SM "
                         f"{owner} the owner of {pair}")

@@ -17,6 +17,7 @@ from opconv.cachehier import (
     NocModel,
     mesh_placement,
 )
+from opconv.smcore import INF
 from opconv.workload import ConfigError
 
 L1_GEOM = CacheGeometry(16 * 1024, 32, 4)   # 128B blocks
@@ -165,7 +166,7 @@ def test_miss_path_latency_frozen():
     # push block 0 out of its L1 set; the refill then hits in L2
     for i in range(1, 5):
         hier.fill(0, i * 32 * 128, now=0)
-    assert not hier.probe_sm(0, (0,))
+    assert hier.absent_for_compute(0, (0,), INF)
     t = hier.fill(0, 0, now=1000)
     assert t - 1000 == 4 + 30 + 11
     assert hier.l2_hits == 1
@@ -193,11 +194,11 @@ def test_landed_fill_is_not_joined():
     hier.set_listeners(0, installs.append, None)
     for i in range(1, 5):                     # push block 0 out of its set
         hier.fill(0, i * 32 * 128, now=0)
-    assert not hier.probe_sm(0, (0,))
+    assert hier.absent_for_compute(0, (0,), INF)
     hops, l2_hits = hier.noc_flit_hops, hier.l2_hits
     r2 = hier.fill(0, 0, now=r1)
     assert r2 == r1 + 4 + 30 + 11             # an L2 hit, not the old fill
-    assert installs[-1] == 0 and hier.probe_sm(0, (0,))
+    assert installs[-1] == 0 and not hier.absent_for_compute(0, (0,), INF)
     assert (hier.l2_hits, hier.noc_flit_hops) == (l2_hits + 1, hops + 9)
 
     other = 4 * 32 * 128                      # still resident, landed at r1
@@ -228,8 +229,7 @@ def test_lookup_touches_a_whole_tuple_before_any_fill():
     assert hier.lookup(0, (b, x, a), 20) == ((x,), 185)
     assert (hier.l1_hits, hier.l1_misses) == (2, 1)
     hier.fill(0, x, 20)                       # a and b were touched: c goes
-    assert [hier.probe_sm(0, (blk,)) for blk in (a, b, c, d, x)] == \
-        [True, True, False, True, True]
+    assert hier.absent_for_compute(0, (a, b, c, d, x), INF) == 0b00100
     assert hier.lookup(0, (y, a, z), 170) == ((y, z), 0)  # a has landed
     assert hier.lookup(0, (y, b, z), 184) == ((y, z), 185)
 
@@ -246,12 +246,11 @@ def test_holders_and_probes():
     hier = MemoryHierarchy(2, L1_GEOM, L2_GEOM, 1, noc, (1, 30, 120),
                            sm_nodes=[1, 2], mc_nodes=[0])
     hier.fill(0, 0, 0)
-    assert hier.probe_sm(0, (0,)) and not hier.probe_sm(1, (0,))
-    assert hier.present_elsewhere(1, 0)
-    assert not hier.present_elsewhere(0, 0)   # only our own copy exists
+    assert hier.absent_for_compute(0, (0,), INF) == 0
+    assert hier.absent_for_compute(1, (0,), INF) == 1
+    assert hier.holders == {0: 1}
     hier.fill(1, 0, 0)
-    assert hier.present_elsewhere(0, 0)
-    assert hier.holders[0] == 2
+    assert hier.holders == {0: 2}
 
 
 def test_listeners_fire_on_install_and_evict():
@@ -262,16 +261,15 @@ def test_listeners_fire_on_install_and_evict():
         hier.fill(0, i * 32 * 128, now=0)
     assert len(installs) == 5
     assert evicts == [0]
+    # the directory and residency agree as soon as the eviction fires
     assert 0 not in hier.holders
-    # probes agree with the directory as soon as the eviction fires
-    assert not hier.probe_sm(0, (0,))
-    assert not hier.present_elsewhere(0, 0)
+    assert hier.absent_for_compute(0, (0,), INF) == 1
 
 
 def test_warm_preloads_without_counters():
     hier = one_sm_hier()
     warm(hier, 0, [0, 130, 256])   # 130 shares block 128
-    assert hier.probe_sm(0, (0, 128, 256))
+    assert hier.absent_for_compute(0, (0, 128, 256), INF) == 0
     assert hier.l1_misses == 0 and hier.l2_misses == 0 and hier.noc_flit_hops == 0
     assert hier.holders[128] == 1
 
@@ -312,10 +310,8 @@ def test_fill_record_holds_no_more_than_the_l1s_blocks():
     lambda h: h.lookup(0, (0, 3), 0),
     lambda h: h.fill(0, 3, 0),
     lambda h: h.absent_for_compute(0, (0, 3), 0),
-    lambda h: h.probe_sm(0, (0, 3)),
-    lambda h: h.present_elsewhere(0, 3),
-], ids=["lookup", "fill", "absent_for_compute", "probe_sm",
-        "present_elsewhere"])
+    lambda h: h.absent_for_compute(0, (0, 3), INF),
+], ids=["lookup", "fill", "absent_for_compute", "absent_for_compute_inf"])
 def test_hierarchy_rejects_unaligned_blocks(call):
     hier = one_sm_hier()
     warm(hier, 0, [0])       # the aligned block 0 is found, then 3 is checked

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from lru import LruCache
 
 from opconv.cachehier import CacheGeometry, MemoryHierarchy, NocModel
+from opconv.smcore import INF
 
 L1 = CacheGeometry(128, 2, 2)     # 32 B blocks, 2 sets of 2 ways
 L2 = CacheGeometry(192, 2, 3)     # 2 sets of 3 ways per slice
@@ -81,9 +82,10 @@ class Model:
 
 
 blocks = st.integers(0, 9).map(lambda i: i * BLOCK)
-# "access" is the engine's issue path: look a tuple up, then fill its misses
+# "access" is the engine's issue path: look a tuple up, then fill its misses;
+# "resident" asks for installed blocks, landed or not
 steps = st.lists(st.tuples(
-    st.sampled_from(["access"] * 4 + ["fill", "absent", "elsewhere", "probe"]),
+    st.sampled_from(["access"] * 4 + ["fill", "absent", "resident"]),
     st.integers(0, N_SMS - 1),
     st.integers(0, 20),                          # cycles since the last step
     st.lists(blocks, min_size=1, max_size=3, unique=True).map(tuple)),
@@ -118,15 +120,10 @@ def test_hierarchy_matches_lru_model(trace):
                     hier.fill(sm, bs[0], now)
             else:
                 assert hier.fill(sm, bs[0], now) == want
-        elif kind == "absent":
-            assert hier.absent_for_compute(sm, bs, now) == \
-                model.absent(sm, bs, now)
-        elif kind == "elsewhere":
-            assert hier.present_elsewhere(sm, bs[0]) == any(
-                model.l1[o].contains(bs[0]) for o in range(N_SMS) if o != sm)
         else:
-            assert hier.probe_sm(sm, bs) == all(
-                model.l1[sm].contains(b) for b in bs)
+            at = now if kind == "absent" else INF
+            assert hier.absent_for_compute(sm, bs, at) == \
+                model.absent(sm, bs, at)
         assert hier.l1_hits == sum(c.hits for c in model.l1)
         assert hier.l1_misses == sum(c.misses for c in model.l1)
         assert [[list(s) for s in sets] for sets in hier.l1] == \

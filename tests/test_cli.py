@@ -388,14 +388,23 @@ def test_default_run_is_byte_identical_serial_and_parallel(
             (tmp_path / "serial" / name).read_bytes(), name
 
 
-def test_parallel_run_exits_3_with_the_serial_message(tmp_path, capsys, workers):
-    # every run stops on the watchdog; the error is the first in serial order
-    idle_cfg = write_config(tmp_path, write_workload(tmp_path),
-                            extra=("run.max_idle = 1",))
+def strand_bounced_ops(monkeypatch):
+    """A planted fault: a bounced op finishes without retiring.  Under
+    `both` the SMs' purges keep waking them, so the run goes on until the
+    watchdog stops it; under `inter` nothing is left to run."""
+    monkeypatch.setattr(Simulation, "_bounce_finish",
+                        lambda self, src, i, now: None)
+
+
+def test_parallel_run_exits_3_with_the_serial_message(tmp_path, capsys,
+                                                      monkeypatch, workers):
+    # the both run stops on the watchdog, in a worker or in this process
+    strand_bounced_ops(monkeypatch)
+    cfg_path = write_config(tmp_path, write_workload(tmp_path))
     errors = []
     for n in (1, 2):
         forked = workers(n)
-        assert cli.main(["--config", str(idle_cfg), "--scheme", "all",
+        assert cli.main(["--config", str(cfg_path), "--scheme", "both",
                          "--out", str(tmp_path / f"idle{n}")]) == 3
         assert len(forked) == (n if n > 1 else 0)
         assert_no_child_process()
@@ -544,7 +553,7 @@ def test_sweep_refuses_mixed_workloads(tmp_path):
 
 # ---------------------------------------------------------------------- main
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, write_workload(tmp_path))
     assert cli.main(["--config", str(cfg_path), "--scheme", "both",
                      "--out", str(tmp_path / "out")]) == 0
@@ -556,28 +565,29 @@ def test_main_exit_codes(tmp_path, capsys):
     # rejected before any simulation: a zero purge period used to hang, a
     # negative DRAM latency used to report a shorter run, clusters left
     # without SMs were still charged as tables, a zero SIMT width or MC count
-    # divided by zero, a zero-entry assign table failed mid-run and a
-    # negative idle bound failed only after simulating
+    # divided by zero, and a zero-entry assign table failed mid-run
     for i, bad in enumerate(("l1.sets = 0", "intra.purge_period = 0",
                              "lat.dram = -500", "inter.clusters = 100",
                              "inter.clusters = 3", "sm.simt_width = 0",
                              "mem.mcs = 0", "inter.table_entries = 0",
-                             "intra.table_entries = -1", "run.max_idle = -1",
-                             "energy.dram = -5")):
+                             "intra.table_entries = -1", "energy.dram = -5")):
         bad_cfg = write_config(tmp_path, write_workload(tmp_path), extra=(bad,))
         assert cli.main(["--config", str(bad_cfg), "--scheme", "all",
                          "--out", str(tmp_path / f"bad{i}")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    # passes validation, then the watchdog stops the run: status 3, not the
-    # verification failure's 1, and one line instead of a traceback
-    idle_cfg = write_config(tmp_path, write_workload(tmp_path),
-                            extra=("run.max_idle = 1",))
-    assert cli.main(["--config", str(idle_cfg),
-                     "--out", str(tmp_path / "idle")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: simulation stopped: no progress since cycle")
-    assert err.count("\n") == 1
+    # a run that strands an op stops with status 3, not the verification
+    # failure's 1, and one line instead of a traceback: on the watchdog
+    # while purges keep its SMs waking, or when nothing is left to run
+    strand_bounced_ops(monkeypatch)
+    cfg_path = write_config(tmp_path, write_workload(tmp_path))
+    for scheme, message in (("both", "no progress since cycle"),
+                            ("inter", "nothing runnable at cycle")):
+        assert cli.main(["--config", str(cfg_path), "--scheme", scheme,
+                         "--out", str(tmp_path / f"idle_{scheme}")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: simulation stopped: {message}"), err
+        assert err.count("\n") == 1
 
 
 # runs `opconv` once per argument list in one process; prints the exit
@@ -650,6 +660,17 @@ def test_removed_verify_switch_exits_2_before_any_run(tmp_path, capsys):
                      "--out", str(tmp_path / "key")]) == 2
     assert "unknown key 'run.verify'" in capsys.readouterr().err
     assert not (tmp_path / "flag").exists() and not (tmp_path / "key").exists()
+
+
+def test_removed_idle_key_exits_2_before_any_run(tmp_path, capsys):
+    # the watchdog's threshold is a constant of the engine, not a machine
+    # parameter
+    cfg_path = write_config(tmp_path, write_workload(tmp_path),
+                            extra=("run.max_idle = 1000",))
+    assert cli.main(["--config", str(cfg_path),
+                     "--out", str(tmp_path / "key")]) == 2
+    assert "unknown key 'run.max_idle'" in capsys.readouterr().err
+    assert not (tmp_path / "key").exists()
 
 
 def test_conservation_check(tmp_path, capsys, monkeypatch):

@@ -54,6 +54,12 @@ def test_simple_ratios():
     # a bounced op is issued once, as its forward, and executes out of band
     bounced = SimStats(normal_done=3, predicted_used=2, forwards=2, bounces=1)
     assert bounced.instructions_issued == 6
+    # of ten executed assists, three retired forwarded ops: the fourth
+    # forwarded op hit the owner's memo and needed no assist
+    forwarded = SimStats(assists_executed=10, assigned_done=4,
+                         forward_memo_hits=1)
+    assert forwarded.predictions_completed == 7
+    assert forwarded.to_dict()["predictions_completed"] == 7
 
 
 def test_distribution_sums_to_one():
