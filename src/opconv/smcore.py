@@ -235,7 +235,6 @@ class Simulation:
         self.sm_bits = p.sm_count.bit_length()
         self.armed = list(range(p.sm_count))  # every SM steps at cycle 0
         self.now = 0
-        self.assists_in_flight = 0
         self.max_busy_until = 0
 
     # ---- listeners -------------------------------------------------------
@@ -410,7 +409,6 @@ class Simulation:
                     entry = assist_entry
                     assist_entry = None
                     assist_until = INF
-                    self.assists_in_flight -= 1
                     # absent -1: removed (bounced or invalidated) mid-flight
                     if entry.absent != -1:
                         value = dot(*entry.key)
@@ -519,7 +517,6 @@ class Simulation:
                         if entry is not None:
                             assist_entry = entry
                             assist_until = now + assist_latency
-                            self.assists_in_flight += 1
                     if assist_until != INF:
                         state = ASSIST
                         # zero latency finishes at once; step again next cycle
@@ -587,9 +584,10 @@ class Simulation:
             next_t = wakeups[0] >> bits if wakeups else INF
             if events and events[0][0] < next_t:
                 next_t = events[0][0]
-            # an op not yet retired is on a warp, in an event or in a table
-            if not (out.adds < total_ops or self.assists_in_flight
-                    or self.max_busy_until > now):
+            # an op not yet retired is on a warp, in an event or in a table;
+            # a speculative assist still in flight when the last op retires
+            # computes a result nothing reads, and the layer ends without it
+            if not (out.adds < total_ops or self.max_busy_until > now):
                 break
             if out.adds != last_progress_count:
                 last_progress_count = out.adds

@@ -19,7 +19,14 @@ from opconv.cachehier import CacheGeometry
 from opconv.inter import AssignTable
 from opconv.intra import PrecomputeTable
 from opconv.oracle import MemoryImage, compare, reference_convolution
-from opconv.smcore import SimParams, Simulation, WarpContext, gto_select, run_simulation
+from opconv.smcore import (
+    OutputBuffer,
+    SimParams,
+    Simulation,
+    WarpContext,
+    gto_select,
+    run_simulation,
+)
 from opconv.workload import (
     ConfigError,
     LayerSpec,
@@ -259,6 +266,35 @@ def test_assistant_consumes_stall_cycles():
     assert stats.normal_done + stats.predicted_used == layer.op_count()
 
 
+class TimedOutput(OutputBuffer):
+    """An output buffer that notes the cycle of its simulation's last add."""
+
+    def __init__(self, sim):
+        super().__init__()
+        self.sim = sim
+        self.last_add = 0
+
+    def add(self, addr, value):
+        super().add(addr, value)
+        self.last_add = self.sim.now
+
+
+@pytest.mark.parametrize("row_pitch", [4096, 0])
+@pytest.mark.parametrize("scheme", ["baseline", "intra", "inter", "both"])
+def test_a_layer_ends_when_its_last_op_retires(scheme, row_pitch):
+    """A run ends once its last op has retired and left the issue slot: a
+    speculative assist still in flight then computes a result that nothing
+    reads.  When runs waited for those assists, LeNet C1 at shrink 2 under
+    intra ended at cycle 7,641, 68 cycles after its last add."""
+    geom, image, ops = build_run(lenet5_layers(2)[0], row_pitch=row_pitch)
+    params = SimParams(scheme=scheme)
+    sim = Simulation(params, ops, image, geom)
+    sim.out = out = TimedOutput(sim)
+    stats, _ = sim.run()
+    assert out.adds == stats.total_ops
+    assert stats.total_cycles <= out.last_add + params.issue_cost
+
+
 def test_assistance_adds_no_memory_traffic():
     # assistants only touch operands already resident, so the demand-miss
     # stream is identical to the baseline run on the same op stream
@@ -470,6 +506,29 @@ def test_checked_simulation_catches_table_faults(monkeypatch):
                                         image, geom)
                 with pytest.raises(AssertionError, match=message):
                     sim.run()
+
+
+def test_checked_simulation_closes_each_sm_coroutine(monkeypatch):
+    """CheckedSimulation closes each SM's coroutine itself when the run
+    closes its wrapper, so every stall and assist tail is charged before the
+    counters are collected, even while something else still holds the
+    coroutine.  Packed LeNet C1 under intra ends with assists in flight on
+    15 SMs, whose tails add to assist_cycles."""
+    geom, image, ops = build_run(lenet5_layers(2)[0], row_pitch=0)
+    params = SimParams(scheme="intra")
+    plain, _ = Simulation(params, ops, image, geom).run()
+    held = []
+    sm = Simulation._sm
+
+    def holding_sm(self, sm_id):
+        held.append(sm(self, sm_id))
+        return held[-1]
+
+    monkeypatch.setattr(Simulation, "_sm", holding_sm)
+    checked, _ = CheckedSimulation(params, ops, image, geom).run()
+    assert len(held) == params.sm_count
+    assert checked.to_dict() == plain.to_dict()
+    assert all(coroutine.gi_frame is None for coroutine in held)
 
 
 # Per-run sums of the table counters that no SimStats field holds, so the
