@@ -39,8 +39,11 @@ change the SM's state.  The SM takes that state (ASSIST or STALLED) from
 t + 1 and next wakes when its assist finishes or its first blocked warp
 wakes, or at the next purge if that comes first.
 
-A run that ends with a retirement count other than its op count raises a
-`SimulationError` naming the layer and the scheme.
+A run ends once its last op has retired and left the issue slot.  A
+speculative assist still in flight then computes a result nothing reads,
+so the run does not wait for it; its SM's assist cycles are charged up to
+the final cycle.  A run that ends with a retirement count other than its
+op count raises a `SimulationError` naming the layer and the scheme.
 """
 
 from __future__ import annotations
@@ -585,8 +588,7 @@ class Simulation:
             if events and events[0][0] < next_t:
                 next_t = events[0][0]
             # an op not yet retired is on a warp, in an event or in a table;
-            # a speculative assist still in flight when the last op retires
-            # computes a result nothing reads, and the layer ends without it
+            # a speculative assist in flight keeps nothing running
             if not (out.adds < total_ops or self.max_busy_until > now):
                 break
             if out.adds != last_progress_count:
