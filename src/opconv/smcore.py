@@ -61,8 +61,8 @@ from .workload import ConfigError, check_knobs, knob, map_to_warps, operand_bloc
 INF = float("inf")
 
 # the run watchdog: a run that retires nothing for this many cycles has
-# stopped.  No LeNet C1 or C2 run leaves more than about 200 cycles between
-# two retirements.
+# stopped.  On the default machine no LeNet C1 or C2 run at shrink 1 or 2
+# goes 200 cycles between two retirements.
 MAX_IDLE_CYCLES = 1_000_000
 
 # per-step SM states
