@@ -10,7 +10,7 @@ Exit status is 0 only if every run completed and every verification passed;
 1 if a verification failed, 2 on a configuration error, and 3 if a
 simulation stopped without finishing or did not retire each op exactly
 once (a `SimulationError`, such as the watchdog firing after
-`smcore.MAX_IDLE_CYCLES` cycles without a retirement).
+`smcore.Simulation.idle_limit` cycles without a retirement).
 
 An experiment's (layer, scheme) runs share only read-only inputs, so they
 are simulated on a `ProcessPoolExecutor` whose workers are forked, one per
@@ -346,14 +346,14 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
     rows = []
     counters = {}
     failures = []
+    baselines = []   # each layer's baseline stats, in layer order
     with _simulations(cfg, runs, schemes):
         for lr in runs:
-            baseline_stats = None
             for scheme in schemes:
                 stats, res = run_one(cfg, lr, scheme)
                 if scheme == "baseline":
-                    baseline_stats = stats
-                rows.append(metrics.report_row(stats, baseline_stats, weights))
+                    baselines.append(stats)
+                rows.append(metrics.report_row(stats, baselines[-1], weights))
                 record = stats.to_dict()
                 record["energy"] = metrics.energy(stats, weights)
                 record["ipc"] = metrics.ipc(stats)
@@ -391,13 +391,10 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
                 w = csv.writer(fh)
                 w.writerow(["layer", "probe_misses", "found_elsewhere",
                             "availability"])
-                # each layer's baseline run: its counters and report row
-                for row in rows:
-                    if row["scheme"] == "baseline":
-                        rec = counters[f"{row['layer']}/baseline"]
-                        w.writerow([row["layer"], rec["probe_misses"],
-                                    rec["probe_found_elsewhere"],
-                                    f"{row['avail']:.6f}"])
+                for lr, base in zip(runs, baselines):
+                    w.writerow([lr.layer.name, base.probe_misses,
+                                base.probe_found_elsewhere,
+                                f"{metrics.inter_sm_availability(base):.6f}"])
     return rows, counters, failures
 
 

@@ -60,10 +60,9 @@ from .workload import ConfigError, check_knobs, knob, map_to_warps, operand_bloc
 
 INF = float("inf")
 
-# the run watchdog: a run that retires nothing for this many cycles has
-# stopped.  On the default machine no LeNet C1 or C2 run at shrink 1 or 2
-# goes 200 cycles between two retirements.
-MAX_IDLE_CYCLES = 1_000_000
+# the run watchdog: a run that retires nothing for this many times its
+# longest single wait (`Simulation.idle_limit`) has stopped
+IDLE_WAITS = 100
 
 # per-step SM states
 BUSY, ASSIST, STALLED, IDLE = range(4)
@@ -539,6 +538,17 @@ class Simulation:
 
     # ---- main loop -------------------------------------------------------
 
+    @property
+    def idle_limit(self):
+        """The watchdog's threshold: `IDLE_WAITS` times the longest of one
+        issue, one DRAM fill over the longest round trip, one assist, one
+        forward and one purge period (1,000,000 cycles by default)."""
+        p = self.params
+        fill = (p.lat_l1 + max(map(max, self.hier.rt_latency)) + p.lat_l2
+                + p.lat_dram)
+        return IDLE_WAITS * max(p.issue_cost, fill, p.assist_latency,
+                                p.forward_latency, p.purge_period)
+
     def run(self):
         stats = self.stats
         events = self.events
@@ -560,6 +570,7 @@ class Simulation:
         now = 0
         last_progress_count = -1
         last_progress_cycle = 0
+        idle_limit = self.idle_limit
         while True:
             self.now = now
             if events and events[0][0] <= now:
@@ -594,7 +605,7 @@ class Simulation:
             if out.adds != last_progress_count:
                 last_progress_count = out.adds
                 last_progress_cycle = now
-            elif now - last_progress_cycle > MAX_IDLE_CYCLES:
+            elif now - last_progress_cycle > idle_limit:
                 raise SimulationError(
                     f"no progress since cycle {last_progress_cycle}: "
                     f"{out.adds}/{stats.total_ops} ops retired, "

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from operator import mul
 from pathlib import Path
 
@@ -398,18 +399,41 @@ def strand_bounced_ops(monkeypatch):
 
 def test_parallel_run_exits_3_with_the_serial_message(tmp_path, capsys,
                                                       monkeypatch, workers):
-    # the both run stops on the watchdog, in a worker or in this process
+    # two runs fail: inter finds nothing runnable and both stops on the
+    # watchdog.  The error is inter's, the first in serial order, even though
+    # a worker holds inter back until both has failed, so that both's error
+    # arrives first
     strand_bounced_ops(monkeypatch)
+    both_failed = tmp_path / "both_failed"
+    parent = os.getpid()
+    run = Simulation.run
+
+    def run_inter_last(self):
+        scheme = self.params.scheme
+        if scheme == "inter" and os.getpid() != parent:
+            deadline = time.monotonic() + 30
+            while not both_failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        try:
+            return run(self)
+        except SimulationError:
+            if scheme == "both":
+                both_failed.touch()
+            raise
+
+    monkeypatch.setattr(Simulation, "run", run_inter_last)
     cfg_path = write_config(tmp_path, write_workload(tmp_path))
     errors = []
     for n in (1, 2):
         forked = workers(n)
-        assert cli.main(["--config", str(cfg_path), "--scheme", "both",
+        assert cli.main(["--config", str(cfg_path), "--scheme", "all",
                          "--out", str(tmp_path / f"idle{n}")]) == 3
         assert len(forked) == (n if n > 1 else 0)
         assert_no_child_process()
+        # the serial run stops at inter, before both runs
+        assert both_failed.exists() == (n > 1)
         errors.append(capsys.readouterr().err)
-    assert errors[0].startswith("error: simulation stopped: no progress since cycle")
+    assert errors[0].startswith("error: simulation stopped: nothing runnable at cycle")
     assert errors[1] == errors[0]
 
 
@@ -663,14 +687,30 @@ def test_removed_verify_switch_exits_2_before_any_run(tmp_path, capsys):
 
 
 def test_removed_idle_key_exits_2_before_any_run(tmp_path, capsys):
-    # the watchdog's threshold is a constant of the engine, not a machine
-    # parameter
+    # the watchdog's threshold follows from the machine's latencies; it is
+    # not a parameter of its own
     cfg_path = write_config(tmp_path, write_workload(tmp_path),
                             extra=("run.max_idle = 1000",))
     assert cli.main(["--config", str(cfg_path),
                      "--out", str(tmp_path / "key")]) == 2
     assert "unknown key 'run.max_idle'" in capsys.readouterr().err
     assert not (tmp_path / "key").exists()
+
+
+def test_watchdog_waits_out_the_longest_single_wait(tmp_path, capsys):
+    # a million cycles on the default machine, a hundred purge periods
+    geom = make_layouts(lenet5_layers(2)[0], cli.DEFAULTS["layout.row_pitch"])
+    sim = Simulation(SimParams(), enumerate_ops(geom), MemoryImage(geom, 0), geom)
+    assert sim.idle_limit == 1_000_000
+    # a single DRAM fill longer than a million cycles is not a stall: every
+    # run completes, and retires nothing for over a million cycles
+    cfg_path = write_config(tmp_path, write_workload(tmp_path),
+                            extra=("lat.dram = 2000000",))
+    assert cli.main(["--config", str(cfg_path), "--scheme", "all",
+                     "--out", str(tmp_path / "out")]) == 0
+    counters = json.loads((tmp_path / "out" / "counters.json").read_text())
+    assert all(rec["total_cycles"] > 2_000_000 for rec in counters.values())
+    capsys.readouterr()
 
 
 def test_conservation_check(tmp_path, capsys, monkeypatch):
