@@ -6,13 +6,17 @@ their values, and its timing never depends on them.  Every experiment can
 therefore be checked against the plain loop-nest convolution computed here,
 element for element.  The reference reads the operand words by index and
 shares no code with MemoryImage.dot or MemoryImage.products, the products
-the simulator computes with.
+the simulator computes with.  It gathers each filter's words once and each
+window's words once per output row, both in the order the op stream
+accumulates (input channel, then filter row, then column), and takes every
+output as one sum over a window's products with a filter.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 
 from .workload import WORD_SIZE, ConfigError
@@ -131,9 +135,14 @@ def reference_convolution(geom, image):
 
     It reads image.input_words and image.weight_words by word index, with
     its own stride arithmetic, and shares no code with MemoryImage.dot,
-    MemoryImage.products or the op stream: a fault there shows as a mismatch instead of corrupting
-    the expected outputs too.  Accumulation walks channels then filter rows
-    then columns, matching the enumeration order of the op stream.  A read
+    MemoryImage.products or the op stream: a fault there shows as a
+    mismatch instead of corrupting the expected outputs too.  Each output
+    channel's filter is gathered once into one word list, and each output
+    row's windows once into one word list per window, read by every output
+    channel.  Both lists run channels, then filter rows, then columns, so
+    an output's one sum over its window's products with its filter still
+    accumulates in the enumeration order of the op stream.  The outputs come
+    in op stream order too: output channel, then row, then column.  A read
     past the end of either word list, or an output outside the int32 range,
     raises ConfigError: the simulated machine computes in 32-bit integers,
     which Python's unbounded ints would otherwise not show.
@@ -149,40 +158,50 @@ def reference_convolution(geom, image):
     out_row = geom.output.row_stride
     out_ch = geom.output.channel_stride
     out_base = geom.output.base_address
-    # (input, weight) word offsets of the filter rows, in accumulation order
-    rows = [(ic * in_ch + fr * in_row, ic * w_ch + fr * w_row)
-            for ic in range(layer.in_channels) for fr in range(layer.filter_h)]
+    # word offsets of the filter rows, in accumulation order: from a
+    # window's first input word and from a filter's first weight word
+    in_rows = [ic * in_ch + fr * in_row
+               for ic in range(layer.in_channels) for fr in range(layer.filter_h)]
+    w_rows = [ic * w_ch + fr * w_row
+              for ic in range(layer.in_channels) for fr in range(layer.filter_h)]
 
     # slices truncate silently, so the furthest word each side reads is
     # checked once here
-    last_in = rows[-1][0] + (layer.out_h - 1) * s * in_row \
+    last_in = in_rows[-1] + (layer.out_h - 1) * s * in_row \
         + (layer.out_w - 1) * s + fw
-    last_w = (layer.out_channels - 1) * w_filter + rows[-1][1] + fw
+    last_w = (layer.out_channels - 1) * w_filter + w_rows[-1] + fw
     for side, last, words in (("input", last_in, inp), ("weight", last_w, wgt)):
         if last > len(words):
             raise ConfigError(
                 f"{layer.name}: reference reads {side} word {last - 1}, past "
                 f"the image's {len(words)} {side} words")
 
-    out = {}
-    for oc in range(layer.out_channels):
-        w0 = oc * w_filter
-        filt = [(i_off, wgt[w0 + w_off:w0 + w_off + fw]) for i_off, w_off in rows]
-        for oy in range(layer.out_h):
-            row_base = oy * s * in_row
-            addr = out_base + oc * out_ch + oy * out_row
-            for ox in range(layer.out_w):
-                base = row_base + ox * s
-                acc = 0
-                for i_off, w in filt:
-                    i = base + i_off
-                    acc += sum(map(mul, inp[i:i + fw], w))
-                if not INT32_MIN <= acc <= INT32_MAX:
-                    raise ConfigError(
-                        f"{layer.name}: reference output at 0x{addr:x} is "
-                        f"{acc}, outside int32")
-                out[addr] = acc
-                addr += WORD_SIZE
+    def gather(words, rows, first):
+        """The fw words at each of `rows` from word `first`, in order."""
+        return list(chain.from_iterable(words[first + r:first + r + fw]
+                                        for r in rows))
+
+    filters = [gather(wgt, w_rows, oc * w_filter)
+               for oc in range(layer.out_channels)]
+    values = [[] for _ in filters]   # each output channel's, row after row
+    for oy in range(layer.out_h):
+        row = oy * s * in_row
+        windows = [gather(inp, in_rows, row + ox * s)
+                   for ox in range(layer.out_w)]
+        for filt, vals in zip(filters, values):
+            vals.extend([sum(map(mul, window, filt)) for window in windows])
+    rows = [out_base + oc * out_ch + oy * out_row
+            for oc in range(layer.out_channels) for oy in range(layer.out_h)]
+    addrs = chain.from_iterable(range(a, a + layer.out_w * WORD_SIZE, WORD_SIZE)
+                                for a in rows)
+    out = dict(zip(addrs, chain.from_iterable(values)))
+    # the scan in key order names the first output outside int32
+    if min(out.values()) < INT32_MIN or max(out.values()) > INT32_MAX:
+        for addr, acc in out.items():
+            if not INT32_MIN <= acc <= INT32_MAX:
+                raise ConfigError(
+                    f"{layer.name}: reference output at 0x{addr:x} is "
+                    f"{acc}, outside int32")
     return out
 
 

@@ -15,7 +15,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import ne
 
 WORD_SIZE = 4
@@ -229,23 +229,37 @@ def enumerate_ops(geom):
     then down); within one window the in_channels * filter_h row products are
     in channel-then-row order, so all ops of one output element are
     consecutive.
+
+    The columns are built per layer, not per op.  The input column of one
+    output channel is the same for every channel, so it is built once and
+    repeated.  A channel's weight column is its filter rows repeated once
+    per window.  The output column repeats each output address once per
+    row product; it walks the output addresses as one range, because
+    `make_layouts` packs the output region (rows out_w words apart,
+    channels out_h rows apart), so the outputs in enumeration order are
+    consecutive words.
     """
     layer = geom.layer
     s = layer.stride
     rows = [(ic, fr) for ic in range(layer.in_channels)
             for fr in range(layer.filter_h)]
-    # an output element's input rows, as offsets from its window's first row
+    windows = layer.out_h * layer.out_w
+    # an output element's input and filter rows, as offsets from its
+    # window's first row and its filter's first row
     offsets = [geom.input_vec_addr(ic, fr, 0) - geom.input_vec_addr(0, 0, 0)
                for ic, fr in rows]
-    ops = OpStream()
+    w_offsets = [geom.weight_vec_addr(0, ic, fr) - geom.weight_vec_addr(0, 0, 0)
+                 for ic, fr in rows]
+    firsts = [geom.input_vec_addr(0, oy * s, ox * s)
+              for oy in range(layer.out_h) for ox in range(layer.out_w)]
+    channel_inp = array("q", [first + off for first in firsts for off in offsets])
+    ops = OpStream(inp=channel_inp * layer.out_channels)
     for oc in range(layer.out_channels):
-        filt = array("q", [geom.weight_vec_addr(oc, ic, fr) for ic, fr in rows])
-        for oy in range(layer.out_h):
-            for ox in range(layer.out_w):
-                first = geom.input_vec_addr(0, oy * s, ox * s)
-                ops.inp.extend(map(first.__add__, offsets))
-                ops.wgt.extend(filt)
-                ops.out.extend(repeat(geom.output_addr(oc, oy, ox), len(rows)))
+        filt = array("q", map(geom.weight_vec_addr(oc, 0, 0).__add__, w_offsets))
+        ops.wgt.extend(filt * windows)
+    out_base = geom.output.base_address
+    outputs = range(out_base, out_base + geom.output_extent(), WORD_SIZE)
+    ops.out.extend(chain.from_iterable(map(repeat, outputs, repeat(len(rows)))))
     return ops
 
 

@@ -9,6 +9,9 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from strategies import layers
 
 from opconv.oracle import MemoryImage, compare, reference_convolution
 from opconv.workload import (WORD_SIZE, ConfigError, LayerSpec, OpStream,
@@ -164,6 +167,17 @@ def test_reference_agrees_with_numpy(layer, row_pitch):
     alt = numpy_convolution(geom, img)
     assert ref.keys() == alt.keys()
     assert ref == alt
+    # the outputs come in the order the op stream first writes them
+    assert list(ref) == list(dict.fromkeys(enumerate_ops(geom).out))
+
+
+@given(layer=layers(channels=4, filters=5, strides=3, paddings=2),
+       row_pitch=st.sampled_from([0, 64, 4096]), seed=st.integers(0, 3))
+def test_reference_agrees_with_numpy_on_drawn_layers(layer, row_pitch, seed):
+    geom, img = build(layer, row_pitch, seed)
+    ref = reference_convolution(geom, img)
+    assert ref == numpy_convolution(geom, img)
+    assert list(ref) == list(dict.fromkeys(enumerate_ops(geom).out))
 
 
 @pytest.mark.parametrize("scale", [1, 0, -3, 2**20])

@@ -10,30 +10,14 @@ from the hypothesis profile in conftest.py.
 from checked import CheckedSimulation
 from hypothesis import given
 from hypothesis import strategies as st
+from strategies import layers
 
 from opconv.cachehier import CacheGeometry
 from opconv.oracle import MemoryImage, compare, reference_convolution
 from opconv.smcore import SCHEMES, SimParams, run_simulation
-from opconv.workload import LayerSpec, enumerate_ops, make_layouts
+from opconv.workload import enumerate_ops, make_layouts
 
 SMALL_L1 = CacheGeometry(1024, 4, 2)
-
-
-@st.composite
-def layers(draw):
-    """Stride 1-2, filters 1-3, padding 0-1, 1-3 channels each way."""
-    stride = draw(st.integers(1, 2))
-    padding = draw(st.integers(0, 1))
-    fh, fw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    # padded extent = filter + stride * steps, with at least one unpadded row
-    h = fh + stride * draw(st.integers(0, 4)) - 2 * padding
-    w = fw + stride * draw(st.integers(0, 4)) - 2 * padding
-    if h < 1:
-        h += 2 * stride
-    if w < 1:
-        w += 2 * stride
-    return LayerSpec("prop", draw(st.integers(1, 3)), draw(st.integers(1, 3)),
-                     h, w, fh, fw, stride, padding)
 
 
 def _cluster_counts(sm_count):

@@ -8,6 +8,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from strategies import layers
 
 from opconv.workload import (
     ConfigError,
@@ -151,11 +153,11 @@ def test_region_overlap_rejected():
 
 # ---------------------------------------------------------------- enumeration
 
-def independent_ops(layer, input_base=INPUT_BASE, weight_base=WEIGHT_BASE,
+def independent_ops(layer, row, input_base=INPUT_BASE, weight_base=WEIGHT_BASE,
                     output_base=OUTPUT_BASE):
-    """Reference enumeration with addresses spelled out longhand."""
+    """Reference enumeration with addresses spelled out longhand; `row` is
+    the input row stride in bytes."""
     w = 4
-    row = layer.padded_w * w
     ch = layer.padded_h * row
     w_row = layer.filter_w * w
     w_ch = layer.filter_h * w_row
@@ -178,6 +180,14 @@ def independent_ops(layer, input_base=INPUT_BASE, weight_base=WEIGHT_BASE,
     return out
 
 
+def assert_enumeration_matches(layer, row_pitch):
+    packed = layer.padded_w * 4
+    row = -(-packed // row_pitch) * row_pitch if row_pitch else packed
+    ops = enumerate_ops(make_layouts(layer, row_pitch))
+    assert len(ops) == layer.op_count()
+    assert list(zip(ops.inp, ops.wgt, ops.out)) == independent_ops(layer, row)
+
+
 @pytest.mark.parametrize("layer", [
     LayerSpec("plain", 2, 3, 8, 8, 3, 3),
     LayerSpec("padded", 2, 2, 6, 6, 3, 3, padding=1),
@@ -185,11 +195,24 @@ def independent_ops(layer, input_base=INPUT_BASE, weight_base=WEIGHT_BASE,
     LayerSpec("fc", 5, 4, 1, 1, 1, 1),
 ])
 def test_enumeration_matches_independent_loop(layer):
-    geom = make_layouts(layer, 0)
-    ops = enumerate_ops(geom)
-    want = independent_ops(layer)
-    assert len(ops) == layer.op_count()
-    assert list(zip(ops.inp, ops.wgt, ops.out)) == want
+    assert_enumeration_matches(layer, 0)
+
+
+# at pitch 64 a drawn row of up to 16 words takes one pitch and a longer
+# one two; at 4096 every row starts a page apart
+@pytest.mark.parametrize("row_pitch", [0, 64, 4096])
+@given(layer=layers(channels=4, filters=5, strides=3, paddings=2))
+def test_enumeration_matches_independent_loop_on_drawn_layers(layer, row_pitch):
+    assert_enumeration_matches(layer, row_pitch)
+
+
+@pytest.mark.parametrize("row_pitch", [0, 4096])
+@pytest.mark.parametrize("which", [0, 1], ids=["bwd_in", "bwd_w"])
+def test_enumeration_matches_independent_loop_on_backward_specs(which, row_pitch):
+    # the input-gradient pass pads by filter - 1 at stride 1, the
+    # weight-gradient pass keeps the forward stride and padding
+    square = LayerSpec("sq", 2, 3, 7, 7, 3, 3, stride=2, padding=1)
+    assert_enumeration_matches(backward_specs(square)[which], row_pitch)
 
 
 def test_ops_grouped_by_output_element():
