@@ -185,15 +185,15 @@ def reference_convolution(geom, image):
                for oc in range(layer.out_channels)]
     values = [[] for _ in filters]   # each output channel's, row after row
     for oy in range(layer.out_h):
-        row = oy * s * in_row
-        windows = [gather(inp, in_rows, row + ox * s)
+        top = oy * s * in_row     # the first word of the row's first window
+        windows = [gather(inp, in_rows, top + ox * s)
                    for ox in range(layer.out_w)]
         for filt, vals in zip(filters, values):
             vals.extend([sum(map(mul, window, filt)) for window in windows])
-    rows = [out_base + oc * out_ch + oy * out_row
-            for oc in range(layer.out_channels) for oy in range(layer.out_h)]
+    out_rows = [out_base + oc * out_ch + oy * out_row
+                for oc in range(layer.out_channels) for oy in range(layer.out_h)]
     addrs = chain.from_iterable(range(a, a + layer.out_w * WORD_SIZE, WORD_SIZE)
-                                for a in rows)
+                                for a in out_rows)
     out = dict(zip(addrs, chain.from_iterable(values)))
     # the scan in key order names the first output outside int32
     if min(out.values()) < INT32_MIN or max(out.values()) > INT32_MAX:
