@@ -8,8 +8,9 @@ from opconv.workload import LayerSpec
 @st.composite
 def layers(draw, channels=3, filters=3, strides=2, paddings=1):
     """A valid layer of 1-`channels` channels each way, filter sides
-    1-`filters`, stride 1-`strides`, padding 0-`paddings` and 1 to 5 windows
-    along each axis."""
+    1-`filters`, stride 1-`strides` and padding 0-`paddings`, with 1 to 5
+    windows along each axis, or more where the padding would otherwise
+    leave no unpadded row or column."""
     stride = draw(st.integers(1, strides))
     padding = draw(st.integers(0, paddings))
     fh, fw = draw(st.integers(1, filters)), draw(st.integers(1, filters))

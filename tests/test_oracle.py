@@ -146,6 +146,16 @@ def numpy_convolution(geom, image):
     return out
 
 
+def assert_reference_agrees(layer, row_pitch, seed):
+    geom, img = build(layer, row_pitch, seed)
+    ref = reference_convolution(geom, img)
+    alt = numpy_convolution(geom, img)
+    assert ref.keys() == alt.keys()
+    assert ref == alt
+    # the outputs come in the order the op stream first writes them
+    assert list(ref) == list(dict.fromkeys(enumerate_ops(geom).out))
+
+
 # each id names the layer and the arithmetic both routes compute in.  The
 # reference does its own stride arithmetic, so the last two cover padding,
 # stride, several channels and a non-square filter together, packed and with
@@ -162,22 +172,13 @@ MIXED = LayerSpec("mixed", 3, 2, 7, 7, 3, 5, stride=2, padding=1)
 ], ids=["layer0-int32", "layer1-int32", "layer2-int32", "layer3-int32",
         "layer3-pitched-int32"])
 def test_reference_agrees_with_numpy(layer, row_pitch):
-    geom, img = build(layer, row_pitch)
-    ref = reference_convolution(geom, img)
-    alt = numpy_convolution(geom, img)
-    assert ref.keys() == alt.keys()
-    assert ref == alt
-    # the outputs come in the order the op stream first writes them
-    assert list(ref) == list(dict.fromkeys(enumerate_ops(geom).out))
+    assert_reference_agrees(layer, row_pitch, 0)
 
 
 @given(layer=layers(channels=4, filters=5, strides=3, paddings=2),
        row_pitch=st.sampled_from([0, 64, 4096]), seed=st.integers(0, 3))
 def test_reference_agrees_with_numpy_on_drawn_layers(layer, row_pitch, seed):
-    geom, img = build(layer, row_pitch, seed)
-    ref = reference_convolution(geom, img)
-    assert ref == numpy_convolution(geom, img)
-    assert list(ref) == list(dict.fromkeys(enumerate_ops(geom).out))
+    assert_reference_agrees(layer, row_pitch, seed)
 
 
 @pytest.mark.parametrize("scale", [1, 0, -3, 2**20])

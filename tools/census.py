@@ -4,8 +4,8 @@ Counts the bytecodes Python executes, in one process, in two parts:
 
 - set-up: `cli.build_layers` plus one `cli.LayerRun` per layer (layout,
   op stream, operand image and reference outputs) at `run.seed` 0, for
-  three layer sets on the default machine and layout: the default LeNet
-  run, AlexNet conv1 at shrink 8, and LeNet C1 and C2 at full size;
+  each perfbench workload's config: the default LeNet run, AlexNet conv1
+  at shrink 8, and LeNet C1 and C2 at full size;
 - simulation: inside `smcore.run_simulation`, for LeNet C1 and C2 at the
   default shrink under every scheme.
 
@@ -14,33 +14,26 @@ where wall time cannot.
 
     PYTHONPATH=src python3 tools/census.py
 
-Prints one count per layer set and per (layer, scheme) run, and the total
-of each part.  Stdlib only; the count runs under `sys.settrace` with
-opcode events, which makes it several times slower than an untraced run.
+Prints one count per workload set-up and per (layer, scheme) run, and
+the total of each part.  Stdlib only; the count runs under `sys.settrace`
+with opcode events, which makes it several times slower than an untraced
+run.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 import sys
 import tempfile
 
 from opconv import cli, smcore
 
-LAYERS = ("C1", "C2")
+# the set-up part runs perfbench's own workload configs
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+import workloads
 
-# set-up layer sets: name -> (config overrides, layer file rows or None)
-SETUPS = {
-    "lenet5": ({}, None),
-    "conv1/8": ({"workload.name": "custom", "workload.shrink": 8},
-                [["conv1", "forward", 3, 96, 227, 227, 11, 11, 4, 0]]),
-    "C1+C2/1": ({"workload.name": "custom", "workload.shrink": 1},
-                [["C1", "forward", 1, 6, 32, 32, 5, 5, 1, 0],
-                 ["C2", "forward", 6, 16, 14, 14, 5, 5, 1, 0]]),
-}
-LAYER_COLUMNS = ["name", "pass", "in_channels", "out_channels", "in_height",
-                 "in_width", "filter_h", "filter_w", "stride", "padding"]
+LAYERS = ("C1", "C2")
 
 
 def count_bytecodes(fn, *args):
@@ -72,18 +65,12 @@ def set_up(cfg):
 
 def setup_census(work_dir):
     total = 0
-    for name, (overrides, rows) in SETUPS.items():
-        cfg = dict(cli.DEFAULTS, **overrides)
-        cfg["run.seed"] = 0
-        if rows is not None:
-            path = os.path.join(work_dir, "layers.csv")
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerows([LAYER_COLUMNS, *rows])
-            cfg["workload.file"] = path
+    for name in workloads.WORKLOADS:
+        cfg, _ = workloads.make_config(cli.DEFAULTS, name, 0, work_dir)
         _, n = count_bytecodes(set_up, cfg)
         total += n
-        print(f"set-up {name:<9} {n:>12,}")
-    print(f"set-up total     {total:>12,}")
+        print(f"{'set-up ' + name:<17} {n:>12,}")
+    print(f"{'set-up total':<17} {total:>12,}")
 
 
 def main():
@@ -99,8 +86,8 @@ def main():
             _, n = count_bytecodes(smcore.run_simulation, params, lr.ops,
                                    lr.image, lr.geom)
             total += n
-            print(f"{lr.layer.name}/{scheme:<8} {n:>12,}")
-    print(f"simulation total {total:>12,}")
+            print(f"{lr.layer.name + '/' + scheme:<17} {n:>12,}")
+    print(f"{'simulation total':<17} {total:>12,}")
 
 
 if __name__ == "__main__":
