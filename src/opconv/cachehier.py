@@ -117,8 +117,7 @@ class MemoryHierarchy:
     and a full set evicts its first block.  The tests check this rule
     against their own reference model, `LruCache` in `tests/lru.py`."""
 
-    def __init__(self, n_sms, l1_geom, l2_geom, n_mcs, noc, latencies,
-                 sm_nodes=None, mc_nodes=None):
+    def __init__(self, n_sms, l1_geom, l2_geom, n_mcs, noc, latencies):
         self.block_size = l1_geom.block_size
         if l2_geom.block_size != l1_geom.block_size:
             raise ConfigError("L1 and L2 block sizes must match")
@@ -130,8 +129,7 @@ class MemoryHierarchy:
         self.n_mcs = n_mcs
         self.noc = noc
         self.lat_l1, self.lat_l2, self.lat_dram = latencies
-        if sm_nodes is None or mc_nodes is None:
-            sm_nodes, mc_nodes = mesh_placement(n_sms, n_mcs, noc.mesh_w, noc.mesh_h)
+        sm_nodes, mc_nodes = mesh_placement(n_sms, n_mcs, noc.mesh_w, noc.mesh_h)
         self.sm_nodes = sm_nodes
         self.mc_nodes = mc_nodes
         self.block_bits = l1_geom.block_size.bit_length() - 1

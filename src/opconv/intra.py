@@ -75,7 +75,7 @@ class PrecomputeEntry:
     key: tuple           # (input_vec_addr, weight_vec_addr)
     blocks: tuple        # the pair's operand blocks (workload.operand_blocks)
     kind: int            # SPECULATIVE or ASSIGNED
-    seq: int
+    seq: int             # the table's `inserts` count when it was made
     absent: int = 0      # bit k: blocks[k] not resident; -1: entry removed
     complete: bool = False
     result: object = None
@@ -109,7 +109,6 @@ class PrecomputeTable:
         # (seq, entry) of speculative entries that were eligible when
         # pushed; removed, complete and ineligible ones are dropped lazily
         self.eligible_heap = []
-        self.seq = 0
         # counters
         self.lookups = 0
         self.pendings = 0
@@ -171,38 +170,31 @@ class PrecomputeTable:
         """Queue predicted (key, blocks) items at cycle now, in order.  An
         item whose key is in the table is a duplicate, and one that finds
         the table full of assigned work is rejected.  Returns the number
-        accepted.  Residency is asked once for every block the items read."""
+        accepted.  Residency is asked for each entry's blocks just before
+        the entry is made, so never for a duplicate or a rejected item."""
         if not items:
             return 0
         self.accesses += len(items)
-        flat = ()
-        for _, blocks in items:
-            flat += blocks
-        absent_all = self.l1.absent_for_compute(self.sm_id, flat, now)
+        absent_for_compute = self.l1.absent_for_compute
+        sm_id = self.sm_id
         spec = self.speculative
         assigned = self.assigned
         capacity = self.capacity
         heap = self.eligible_heap
-        first = seq = self.seq
+        first = seq = self.inserts
         for key, blocks in items:
-            if absent_all:
-                width = len(blocks)
-                absent = absent_all & ((1 << width) - 1)
-                absent_all >>= width
-            else:
-                absent = 0
             if key in spec or key in assigned:
                 self.duplicates += 1
             elif len(spec) + len(assigned) < capacity or \
                     self._evict_oldest_spec():
+                absent = absent_for_compute(sm_id, blocks, now)
                 entry = PrecomputeEntry(key, blocks, SPECULATIVE, seq, absent)
                 spec[key] = entry
                 self._index(entry)
                 if not absent:
                     heapq.heappush(heap, (seq, entry))
                 seq += 1
-        self.seq = seq
-        self.inserts += seq - first
+        self.inserts = seq
         return seq - first
 
     def stage_assigned(self, key, blocks, op, src_sm):
@@ -223,12 +215,11 @@ class PrecomputeTable:
         if key in self.assigned or (len(self) >= self.capacity
                                     and not self._evict_oldest_spec()):
             return "full", None
-        entry = PrecomputeEntry(key, blocks, ASSIGNED, self.seq,
+        entry = PrecomputeEntry(key, blocks, ASSIGNED, self.inserts,
                                 op=op, src_sm=src_sm)
-        self.seq += 1
+        self.inserts += 1
         self.assigned[key] = entry
         self._index(entry)  # an eviction of its blocks bounces it
-        self.inserts += 1
         return "staged", entry
 
     def _evict_oldest_spec(self):
@@ -261,11 +252,8 @@ class PrecomputeTable:
         entry.complete = True
         entry.result = result
         # a computed result no longer waits on its operands, and block events
-        # would only revisit it
+        # would only revisit it; next_assist drops it from the heap
         self._unindex(entry)
-        heap = self.eligible_heap
-        if heap and heap[0][1] is entry:
-            heapq.heappop(heap)  # next_assist would drop it anyway
 
     def block_installed(self, block):
         bucket = self.by_block.get(block)

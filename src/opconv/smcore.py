@@ -33,11 +33,12 @@ ends and its coroutine is closed.
 
 An SM is not woken when its step could change nothing.  After a blocked
 issue at cycle t the SM is busy through t + 1.  If at that point no warp is
-ready, no blocked warp wakes by t + 1, and either an assist is already in
-flight or the table has no assist to start, the step at t + 1 would only
-change the SM's state.  The SM takes that state (ASSIST or STALLED) from
-t + 1 and next wakes when its assist finishes or its first blocked warp
-wakes, or at the next purge if that comes first.
+ready, no blocked warp wakes by t + 1, no assist is in flight and the table
+has no assist to start, the step at t + 1 would only stall the SM.  The SM
+takes the STALLED state from t + 1 and next wakes when its first blocked
+warp wakes, or at the next purge if that comes first.  With an assist in
+flight or one to start, it steps at t + 1, where the no-ready-warp branch
+takes the ASSIST state.
 
 A run ends once its last op has retired and left the issue slot.  A
 speculative assist still in flight then computes a result nothing reads,
@@ -430,7 +431,7 @@ class Simulation:
                     state = BUSY
                     nxt = busy_until
                 elif ready:
-                    warp = ready[0] if len(ready) == 1 else gto_select(ready, last)
+                    warp = gto_select(ready, last)
                     i = warp.pc
                     ia = inp[i]
                     wa = wgt[i]
@@ -499,18 +500,16 @@ class Simulation:
                     else:
                         # a blocked attempt holds issue for one cycle
                         busy_until = nxt = now + 1
-                        if not ready and blocked[0][0] > nxt:
-                            # the step at now + 1 could only change the
-                            # state; a warp whose fill lands before the
-                            # assist finishes waits for the assist
-                            if assist_until != INF:
-                                state = ASSIST
-                                since = nxt
-                                nxt = assist_until
-                            elif table is None or next_assist() is None:
-                                state = STALLED
-                                since = nxt
-                                nxt = blocked[0][0]
+                        if not ready and blocked[0][0] > nxt and \
+                                assist_until == INF and \
+                                (table is None or next_assist() is None):
+                            # the step at now + 1 would only take the
+                            # STALLED state; with an assist in flight or one
+                            # to start, the SM steps then and the
+                            # no-ready-warp branch takes ASSIST
+                            state = STALLED
+                            since = nxt
+                            nxt = blocked[0][0]
                     if busy_until > self.max_busy_until:
                         self.max_busy_until = busy_until
                 else:

@@ -149,10 +149,10 @@ def test_mesh_placement_layout():
 # --------------------------------------------------------------- miss timing
 
 def one_sm_hier():
-    """Single SM one hop away from a single MC; request 1 flit, reply 8."""
+    """Single SM one hop away from a single MC (`mesh_placement` puts them
+    at nodes 1 and 0); request 1 flit, reply 8."""
     noc = NocModel(8, 8, 16, 1, 2)
-    return MemoryHierarchy(1, L1_GEOM, L2_GEOM, 1, noc, (1, 30, 120),
-                           sm_nodes=[1], mc_nodes=[0])
+    return MemoryHierarchy(1, L1_GEOM, L2_GEOM, 1, noc, (1, 30, 120))
 
 
 def test_miss_path_latency_frozen():
@@ -236,15 +236,13 @@ def test_lookup_touches_a_whole_tuple_before_any_fill():
 
 def test_home_mc_interleaves_block_index():
     noc = NocModel(8, 8, 16, 1, 2)
-    hier = MemoryHierarchy(2, L1_GEOM, L2_GEOM, 4, noc, (1, 30, 120),
-                           sm_nodes=[1, 2], mc_nodes=[0, 16, 32, 48])
+    hier = MemoryHierarchy(2, L1_GEOM, L2_GEOM, 4, noc, (1, 30, 120))
     assert [hier.home_mc(i * 128) for i in range(6)] == [0, 1, 2, 3, 0, 1]
 
 
 def test_holders_and_probes():
     noc = NocModel(8, 8, 16, 1, 2)
-    hier = MemoryHierarchy(2, L1_GEOM, L2_GEOM, 1, noc, (1, 30, 120),
-                           sm_nodes=[1, 2], mc_nodes=[0])
+    hier = MemoryHierarchy(2, L1_GEOM, L2_GEOM, 1, noc, (1, 30, 120))
     hier.fill(0, 0, 0)
     assert hier.absent_for_compute(0, (0,), INF) == 0
     assert hier.absent_for_compute(1, (0,), INF) == 1
@@ -278,7 +276,7 @@ def test_block_size_mismatch_rejected():
     noc = NocModel(8, 8, 16, 1, 2)
     with pytest.raises(ConfigError):
         MemoryHierarchy(1, L1_GEOM, CacheGeometry(64 * 1024, 64, 16), 1, noc,
-                        (1, 30, 120), sm_nodes=[1], mc_nodes=[0])
+                        (1, 30, 120))
 
 
 def test_fill_of_a_landed_resident_block_is_refused():

@@ -158,6 +158,40 @@ def test_insert_predictions_takes_an_ops_pairs_in_order():
     assert t.next_assist().key == k2                  # k1 not resident
 
 
+class RecordingL1(L1):
+    """L1 that records each residency question as (sm_id, blocks, now)."""
+
+    def __init__(self, resident=None):
+        super().__init__(resident)
+        self.asked = []
+
+    def absent_for_compute(self, sm_id, blocks, now):
+        self.asked.append((sm_id, blocks, now))
+        return super().absent_for_compute(sm_id, blocks, now)
+
+
+def test_insert_asks_residency_only_for_the_entries_it_makes():
+    """A duplicate or a rejected item makes no entry, so its blocks are not
+    asked about; each entry made is asked about its own blocks, in order."""
+    ka, kb, kc, k1, k2 = map(key_of, range(5))
+    l1 = RecordingL1(set(blocks_of(k1)))
+    t = PrecomputeTable(3, l1, 3)
+    for k in (ka, kb, kc):
+        assert t.stage_assigned(k, blocks_of(k), 0, 1)[0] == "staged"
+    # a duplicate of assigned work, then an item that finds no room
+    assert t.insert_predictions([(ka, blocks_of(ka)), (k1, blocks_of(k1))],
+                                5) == 0
+    assert l1.asked == []
+    t.finish(t.next_assist(), 0)
+    t.finish(t.next_assist(), 0)                   # kc alone is left
+    items = [(kc, blocks_of(kc)), (k1, blocks_of(k1)), (k1, blocks_of(k1)),
+             (k2, blocks_of(k2))]
+    assert t.insert_predictions(items, 7) == 2
+    assert l1.asked == [(3, blocks_of(k1), 7), (3, blocks_of(k2), 7)]
+    assert [t.speculative[k].absent for k in (k1, k2)] == [0, 0b11]
+    assert (t.inserts, t.duplicates) == (5, 3)
+
+
 def test_finish_keeps_an_older_entry_that_became_eligible():
     k0, k1 = key_of(0), key_of(1)
     resident = set(blocks_of(k1))
