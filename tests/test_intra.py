@@ -89,14 +89,17 @@ def blocks_of(key):
 
 
 class L1:
-    """Residency answers for a lone table (SM 0): the blocks in `resident`
-    are installed and landed and every other block is absent; None means
-    every block is resident."""
+    """Residency answers for a lone table: the blocks in `resident` are
+    installed and landed and every other block is absent; None means every
+    block is resident.  `asked` records each question as (sm_id, blocks,
+    now)."""
 
     def __init__(self, resident=None):
         self.resident = resident
+        self.asked = []
 
-    def absent_for_compute(self, _sm_id, blocks, _now):
+    def absent_for_compute(self, sm_id, blocks, now):
+        self.asked.append((sm_id, blocks, now))
         if self.resident is None:
             return 0
         return sum(1 << k for k, b in enumerate(blocks)
@@ -158,23 +161,11 @@ def test_insert_predictions_takes_an_ops_pairs_in_order():
     assert t.next_assist().key == k2                  # k1 not resident
 
 
-class RecordingL1(L1):
-    """L1 that records each residency question as (sm_id, blocks, now)."""
-
-    def __init__(self, resident=None):
-        super().__init__(resident)
-        self.asked = []
-
-    def absent_for_compute(self, sm_id, blocks, now):
-        self.asked.append((sm_id, blocks, now))
-        return super().absent_for_compute(sm_id, blocks, now)
-
-
 def test_insert_asks_residency_only_for_the_entries_it_makes():
     """A duplicate or a rejected item makes no entry, so its blocks are not
     asked about; each entry made is asked about its own blocks, in order."""
     ka, kb, kc, k1, k2 = map(key_of, range(5))
-    l1 = RecordingL1(set(blocks_of(k1)))
+    l1 = L1(set(blocks_of(k1)))
     t = PrecomputeTable(3, l1, 3)
     for k in (ka, kb, kc):
         assert t.stage_assigned(k, blocks_of(k), 0, 1)[0] == "staged"
