@@ -120,8 +120,8 @@ def resolve_config(args):
     if args.seed is not None:
         cfg["run.seed"] = args.seed
     if args.scheme:
-        cfg["run.schemes"] = ("baseline,intra,inter,both"
-                              if args.scheme == "all" else args.scheme)
+        cfg["run.schemes"] = (",".join(SCHEMES) if args.scheme == "all"
+                              else args.scheme)
     validate_config(cfg)
     return cfg
 
@@ -218,22 +218,14 @@ def _cache_geometry(keys, capacity_bytes, sets, ways):
         raise ConfigError(f"{keys}: {exc}") from None
 
 
-def l1_geometry(cfg):
-    return _cache_geometry("l1.kb/l1.sets/l1.ways", cfg["l1.kb"] * 1024,
-                           cfg["l1.sets"], cfg["l1.ways"])
-
-
 def make_params(cfg, scheme):
-    l1 = l1_geometry(cfg)
+    l1 = _cache_geometry("l1.kb/l1.sets/l1.ways", cfg["l1.kb"] * 1024,
+                         cfg["l1.sets"], cfg["l1.ways"])
     # L2 slices share L1's block size, so their set count is derived
     l2_sets = cfg["l2.kb"] * 1024 // (cfg["l2.ways"] * l1.block_size)
     l2 = _cache_geometry("l2.kb/l2.ways", cfg["l2.kb"] * 1024, l2_sets,
                          cfg["l2.ways"])
     return from_config(SimParams, cfg, l1=l1, l2=l2, scheme=scheme)
-
-
-def energy_weights(cfg):
-    return from_config(EnergyWeights, cfg)
 
 
 class LayerRun:
@@ -341,7 +333,7 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
     schemes = ["baseline"] + [s for s in scheme_list(cfg) if s != "baseline"]
     layers = build_layers(cfg)
     runs = [LayerRun(cfg, layer) for layer in layers]
-    weights = energy_weights(cfg)
+    weights = from_config(EnergyWeights, cfg)
 
     rows = []
     counters = {}
@@ -377,7 +369,7 @@ def run_experiment(cfg, out_dir, characterize=False, log=print):
         with open(os.path.join(out_dir, "config.echo"), "w") as fh:
             fh.write("\n".join(echo) + "\n")
         if characterize:
-            block = l1_geometry(cfg).block_size
+            block = make_params(cfg, "baseline").l1.block_size
             for lr in runs:
                 _, buckets = workload.reuse_histogram(lr.ops, block)
                 path = os.path.join(out_dir, f"reuse_{lr.layer.name}.csv")

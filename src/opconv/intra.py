@@ -54,9 +54,8 @@ def predictor(geom, block_mask):
         j = ((weight_addr - w_base) // w_row) % filter_h
         if j < s:
             return ()
+        # the op's input row is its window's top row oy*s plus j
         base_row = ((input_addr - i_base) % i_channel) // i_row - j
-        if base_row % s:
-            return ()
         # k = 1, 2, ... while the weight row j - k*s exists and the output
         # row base_row/s + k is still in the layer
         moves = min(j // s, last_row - base_row // s)
@@ -133,11 +132,11 @@ class PrecomputeTable:
     def _unindex(self, entry):
         by_block = self.by_block
         for b in entry.blocks:
-            bucket = by_block.get(b)
-            if bucket is not None:
-                bucket.pop(entry.seq, None)
-                if not bucket:
-                    del by_block[b]
+            # an indexed entry sits in the bucket of each of its blocks
+            bucket = by_block[b]
+            del bucket[entry.seq]
+            if not bucket:
+                del by_block[b]
 
     def _remove(self, entry):
         if entry.kind == SPECULATIVE:
@@ -265,8 +264,10 @@ class PrecomputeTable:
             absent = entry.absent
             if absent & bit:
                 entry.absent = absent = absent ^ bit
-                # a bucket never holds a complete entry (see finish)
-                if not absent and entry.kind == SPECULATIVE:
+                # a bucket never holds a complete entry (see finish), nor an
+                # assigned one with a bit set: it is staged resident and
+                # leaves at the first eviction of one of its blocks
+                if not absent:
                     heapq.heappush(heap, (entry.seq, entry))
 
     def block_evicted(self, block):

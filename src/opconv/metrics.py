@@ -94,13 +94,12 @@ class EnergyWeights:
 
 
 def energy(stats, weights=EnergyWeights()):
-    macs = stats.normal_done + stats.predicted_used + stats.assigned_done
     return (weights.l1_access * (stats.l1_hits + stats.l1_misses)
             + weights.l2_access * (stats.l2_hits + stats.l2_misses)
             + weights.dram_access * stats.dram_accesses
             + weights.noc_flit_hop * stats.noc_flit_hops
             + weights.table_access * (stats.precompute_accesses + stats.assign_accesses)
-            + weights.mac_op * macs
+            + weights.mac_op * stats.retired()
             + weights.table_static_per_cycle * stats.total_cycles * stats.table_instances)
 
 

@@ -2,7 +2,8 @@
 
 Each SM issues one vector-MAC instruction at a time (issue occupancy is
 warp_size / simt_width cycles) from its warps under greedy-then-oldest
-scheduling.  A warp blocks on its own L1 miss; once a fill is requested the
+scheduling: it stays on the warp that last issued while that warp is
+ready, and otherwise takes the oldest ready warp.  A warp blocks on its own L1 miss; once a fill is requested the
 data is delivered to the warp at the ready cycle even if the block is
 evicted again meanwhile, so execution never replays the access.
 
@@ -100,16 +101,6 @@ class WarpContext:
 
 
 _age = attrgetter("age")
-
-
-def gto_select(ready, last):
-    """Greedy-then-oldest: stay on the last issued warp while it is ready,
-    otherwise pick the ready warp with the smallest age stamp.
-
-    `ready` holds exactly the warps that are neither blocked nor finished."""
-    if last in ready:
-        return last
-    return min(ready, key=_age)
 
 
 SCHEMES = ("baseline", "intra", "inter", "both")
@@ -234,9 +225,10 @@ class Simulation:
         # heap of cycle << sm_bits | sm_id: one int per (cycle, SM), ordered
         # by cycle, then SM id.  armed[sm_id] is the key the SM is due at;
         # a popped key that differs from it is stale and skipped.
-        self.wakeups = []
+        # every SM steps at cycle 0; a sorted list is already a heap
+        self.wakeups = list(range(p.sm_count))
         self.sm_bits = p.sm_count.bit_length()
-        self.armed = list(range(p.sm_count))  # every SM steps at cycle 0
+        self.armed = list(range(p.sm_count))
         self.now = 0
         self.max_busy_until = 0
 
@@ -262,18 +254,6 @@ class Simulation:
         """Call handler(dest, payload, cycle) at `cycle`, then wake SM dest."""
         heapq.heappush(self.events, (cycle, self.event_seq, handler, dest, payload))
         self.event_seq += 1
-
-    def _deliver_due(self, now):
-        events = self.events
-        armed = self.armed
-        bits = self.sm_bits
-        while events and events[0][0] <= now:
-            _, _, handler, dest, payload = heapq.heappop(events)
-            handler(dest, payload, now)
-            key = now << bits | dest
-            if armed[dest] != key:
-                armed[dest] = key
-                heapq.heappush(self.wakeups, key)
 
     def _forward(self, sm_id, owner, i, n_missing, now):
         """Hand op i to the SM that owns its operand blocks."""
@@ -431,7 +411,8 @@ class Simulation:
                     state = BUSY
                     nxt = busy_until
                 elif ready:
-                    warp = gto_select(ready, last)
+                    # greedy-then-oldest
+                    warp = last if last in ready else min(ready, key=_age)
                     i = warp.pc
                     ia = inp[i]
                     wa = wgt[i]
@@ -561,19 +542,23 @@ class Simulation:
         out = self.out
         total_ops = stats.total_ops
         sms = [self._sm(sm_id) for sm_id in range(self.params.sm_count)]
-        steps = []
-        for sm_id, sm in enumerate(sms):
+        for sm in sms:
             next(sm)
-            steps.append(sm.send)
-            heappush(wakeups, armed[sm_id])
+        steps = [sm.send for sm in sms]
         now = 0
         last_progress_count = -1
         last_progress_cycle = 0
         idle_limit = self.idle_limit
         while True:
             self.now = now
-            if events and events[0][0] <= now:
-                self._deliver_due(now)
+            # deliver the events due now, each waking its SM at now
+            while events and events[0][0] <= now:
+                _, _, handler, dest, payload = heappop(events)
+                handler(dest, payload, now)
+                key = now << bits | dest
+                if armed[dest] != key:
+                    armed[dest] = key
+                    heappush(wakeups, key)
             # heap order steps the SMs due now in ascending id order; an SM
             # re-arms strictly after now, so no SM steps twice in a cycle
             limit = (now + 1) << bits

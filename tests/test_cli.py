@@ -159,7 +159,7 @@ def test_every_declared_bound_is_enforced():
 def test_library_and_cli_default_machines_agree():
     for scheme in cli.SCHEMES:
         assert cli.make_params(cli.DEFAULTS, scheme) == SimParams(scheme=scheme)
-    assert cli.energy_weights(cli.DEFAULTS) == EnergyWeights()
+    assert cli.from_config(EnergyWeights, cli.DEFAULTS) == EnergyWeights()
 
 
 def test_table_cfg_labels():

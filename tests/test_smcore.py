@@ -23,8 +23,6 @@ from opconv.smcore import (
     OutputBuffer,
     SimParams,
     Simulation,
-    WarpContext,
-    gto_select,
     run_simulation,
 )
 from opconv.workload import (
@@ -78,51 +76,48 @@ def test_simparams_validation():
 
 # ----------------------------------------------------------------- scheduler
 
-def test_gto_sticks_to_last_issued_then_oldest():
-    a, b, c = (WarpContext(i, 0, 1) for i in range(3))
-    ready = [a, b, c]
-    assert gto_select(ready, None) is a     # oldest first
-    assert gto_select(ready, b) is b        # greedy on the running warp
-    ready.remove(b)                         # b blocks on a miss
-    assert gto_select(ready, b) is a        # falls back to oldest ready
-    ready.append(b)                         # b's fill lands
-    assert gto_select(ready, b) is b        # greedy resumes after the wake
+class OrderedOutput(OutputBuffer):
+    """An output buffer that notes each add's address and cycle, in order."""
+
+    def __init__(self, sim):
+        super().__init__()
+        self.sim = sim
+        self.log = []
+
+    def add(self, addr, value):
+        super().add(addr, value)
+        self.log.append((addr, self.sim.now))
 
 
-def test_gto_selection_properties():
-    # the SM loop's bookkeeping: ready warps in a list, blocked ones in a
-    # heap of (wake, age, warp), finished ones dropped
-    rng = random.Random(41)
-    warps = [WarpContext(i, 0, rng.randint(1, 6)) for i in range(8)]
-    ready = list(warps)
-    blocked = []
-    last = None
-    now = 0
-    issued = 0
-    while ready or blocked:
-        while blocked and blocked[0][0] <= now:
-            ready.append(heapq.heappop(blocked)[2])
-        if not ready:
-            now = blocked[0][0]
-            continue
-        pick = gto_select(ready, last)
-        assert pick in ready
-        if last is not None and last in ready:
-            assert pick is last                       # greedy wins while ready
+def test_gto_stays_on_the_warp_that_took_over_from_a_blocked_one():
+    # one SM, five warps of eight outputs each (the last of four), every
+    # block warm but input row 0, which only warp 0 reads: its first op
+    # blocks on the miss, the oldest ready warp (1) issues, and it keeps
+    # issuing after warp 0's fill lands, until it has no op left
+    layer = LayerSpec("gto", 1, 1, 8, 8, 3, 3)
+    params = SimParams(sm_count=1, warp_size=8, simt_width=8, lat_l2=0,
+                       lat_dram=0, hop_cycles=0, pipeline_stages=0)
+    # a block per input row, each in a set of its own
+    geom, image, ops = build_run(layer, row_pitch=128)
+    sim = Simulation(params, ops, image, geom)
+    row0 = sim.hier.block_of(ops.inp[0])
+    warm(sim.hier, 0, {sim.hier.block_of(a) for a in (*ops.inp, *ops.wgt)}
+         - {row0})
+    warp_of = {ops.out[i]: w.age for w in sim.warps[0]
+               for i in range(w.pc, w.end)}
+    sim.out = out = OrderedOutput(sim)
+    stats, _ = sim.run()
+    assert compare(out.values, reference_convolution(geom, image)).ok
+    assert stats.l1_misses == 1
+    runs = []    # (warp, ops retired in a row)
+    for addr, _ in out.log:
+        if runs and runs[-1][0] == warp_of[addr]:
+            runs[-1][1] += 1
         else:
-            assert pick.age == min(w.age for w in ready)
-        if rng.random() < 0.4:
-            ready.remove(pick)
-            heapq.heappush(blocked, (now + rng.randint(1, 7), pick.age, pick))
-        else:
-            last = pick
-            pick.pc += 1
-            issued += 1
-            if pick.pc == pick.end:
-                ready.remove(pick)
-        now += 1
-    assert issued == sum(w.end for w in warps)
-    assert all(w.pc == w.end for w in warps)
+            runs.append([warp_of[addr], 1])
+    assert runs == [[1, 24], [0, 24], [2, 24], [3, 24], [4, 12]]
+    # warp 0's fill landed while warp 1 still had ops to issue
+    assert sim.hier.ready_at[0][row0] < out.log[23][1]
 
 
 # ------------------------------------------------------------- issue timing
