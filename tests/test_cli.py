@@ -181,6 +181,16 @@ def test_build_layers_default_shrinks():
     assert cli.build_layers(cfg)[0].in_height == 32
 
 
+def test_alexnet_workload_flag_builds_conv1_to_conv4():
+    # built only: the four layers are not simulated here
+    cfg = cli.resolve_config(make_args(workload="alexnet"))
+    assert cfg["workload.name"] == "alexnet" and cfg["workload.shrink"] == 0
+    layers = cli.build_layers(cfg)          # auto shrink factor 8
+    assert [(l.name, l.op_count()) for l in layers] == [
+        ("conv1", 114_048), ("conv2", 1_966_080), ("conv3", 1_179_648),
+        ("conv4", 1_769_472)]
+
+
 def test_build_layers_custom_and_passes(tmp_path):
     cfg = dict(cli.DEFAULTS)
     cfg["workload.name"] = "custom"
@@ -195,6 +205,16 @@ def test_build_layers_custom_and_passes(tmp_path):
     names = [l.name for l in cli.build_layers(cfg)]
     assert names == ["t1", "t1_bwd_in", "t1_bwd_w"]
     assert all(l.pass_kind in set(Pass) for l in cli.build_layers(cfg))
+
+
+def test_a_layer_named_twice_exits_2(tmp_path, capsys):
+    t1 = "t1,forward,1,2,8,8,3,3,1,0"
+    cfg_path = write_config(tmp_path, write_workload(tmp_path, (t1, t1)))
+    assert cli.main(["--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: layer name 't1' appears twice\n", err
+    assert not (tmp_path / "out").exists()
 
 
 def test_read_layer_file_errors(tmp_path):
@@ -737,6 +757,44 @@ def test_conservation_check(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: simulation stopped: C1/inter: \d+ "
                         r"retirements for 4320 ops\n", err), err
+
+
+def test_watchdog_stops_a_run_that_retires_nothing(tmp_path, capsys,
+                                                  monkeypatch):
+    # a planted fault: the first op that inserts predictions adds its result
+    # without counting its retirement.  Under intra the purges keep waking
+    # the SMs, so only the watchdog stops the run, a million cycles after
+    # the last counted add
+    insert = Simulation._insert_predictions
+
+    def insert_uncounting_the_first(self, table, input_addr, weight_addr, now):
+        if not getattr(self, "uncounted", False):
+            self.uncounted = True
+            self.out.adds -= 1
+        insert(self, table, input_addr, weight_addr, now)
+
+    monkeypatch.setattr(Simulation, "_insert_predictions",
+                        insert_uncounting_the_first)
+    geom = make_layouts(lenet5_layers(2)[0], cli.DEFAULTS["layout.row_pitch"])
+    sim = Simulation(SimParams(scheme="intra"), enumerate_ops(geom),
+                     MemoryImage(geom, 0), geom)
+    with pytest.raises(SimulationError) as stop:
+        sim.run()
+    assert str(stop.value) == ("no progress since cycle 7573: 4319/4320 ops "
+                               "retired, 0 events queued")
+    # it fires at the first wakeup past the limit, a purge
+    assert sim.now == 1_010_000
+
+    cfg_path = tmp_path / "c1.cfg"
+    cfg_path.write_text(
+        f"workload.name = custom\nworkload.file = "
+        f"{write_workload(tmp_path, ('C1,forward,1,6,32,32,5,5,1,0',))}\n"
+        "workload.shrink = 2\n")
+    assert cli.main(["--config", str(cfg_path), "--scheme", "intra",
+                     "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "error: simulation stopped: no progress since cycle 7573: 4319/4320 "
+        "ops retired, 0 events queued\n")
 
 
 def test_cache_geometry_errors_name_their_keys(tmp_path, capsys):

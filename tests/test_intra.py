@@ -1,5 +1,9 @@
 """Prediction arithmetic and the per-SM precompute table state machine."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+from strategies import layers
+
 from opconv.intra import ASSIGNED, SPECULATIVE, PrecomputeTable, predictor
 from opconv.workload import LayerSpec, enumerate_ops, make_layouts, operand_blocks
 
@@ -56,6 +60,18 @@ def test_predicted_pairs_are_future_ops():
     for op in ops[:3]:
         for pair in predict(*op):
             assert pair not in seen or pair in all_pairs
+
+
+@given(layer=layers(), pitch=st.sampled_from([0, 64, 4096]))
+def test_predicted_pairs_are_later_ops_of_any_layer(layer, pitch):
+    # every pair names exactly one op, so a prediction must name a later one
+    geom, ops = pitched_ops(layer, pitch)
+    predict = pair_predictor(geom)
+    index = {op: i for i, op in enumerate(ops)}
+    assert len(index) == len(ops)
+    for i, op in enumerate(ops):
+        for pair in predict(*op):
+            assert index[pair] > i
 
 
 def test_predict_steps_by_stride():
