@@ -18,8 +18,12 @@ where wall time cannot.
 Prints one count per workload set-up and per (layer, scheme) run, the
 total of each section, and each section's count per `opconv` module (by
 the file of the code that ran; generated code such as dataclass
-`__init__`s and any non-`opconv` code count as "other").  Stdlib only;
-the count runs under `sys.settrace` with opcode events, which makes it
+`__init__`s and any non-`opconv` code count as "other").  Beside each
+bytecode count it prints the Python call events of the same frames: every
+call of a Python function, and every resume of a generator such as an SM
+coroutine.  A call costs the host far more than its few bytecodes show.
+Calls of builtins and C functions are not counted.  Stdlib only; the
+count runs under `sys.settrace` with opcode events, which makes it
 several times slower than an untraced run.
 """
 
@@ -54,12 +58,15 @@ def module_of(filename):
 
 def count_bytecodes(fn, *args):
     """(fn(*args), {code file: bytecodes executed in its Python frames
-    during the call})."""
+    during the call}, {code file: call events of those frames})."""
     counts = {}
+    calls = {}
 
+    # called on each call event: a frame's start and each generator resume
     def on_call(frame, event, arg):
         frame.f_trace_opcodes = True
         name = frame.f_code.co_filename
+        calls[name] = calls.get(name, 0) + 1
         n = 0
 
         # a frame reports its count when it returns or yields; a frame
@@ -78,7 +85,7 @@ def count_bytecodes(fn, *args):
         result = fn(*args)
     finally:
         sys.settrace(None)
-    return result, counts
+    return result, counts, calls
 
 
 class Section:
@@ -86,18 +93,26 @@ class Section:
 
     def __init__(self):
         self.modules = {}
+        self.module_calls = {}
 
-    def add(self, label, counts):
+    def add(self, label, counts, calls):
         for name, n in counts.items():
             module = module_of(name)
             self.modules[module] = self.modules.get(module, 0) + n
-        print(f"{label:<17} {sum(counts.values()):>12,}", flush=True)
+        for name, n in calls.items():
+            module = module_of(name)
+            self.module_calls[module] = self.module_calls.get(module, 0) + n
+        print(f"{label:<17} {sum(counts.values()):>12,} "
+              f"{sum(calls.values()):>10,} calls", flush=True)
 
     def close(self, label):
         total = sum(self.modules.values())
-        print(f"{label:<17} {total:>12,}")
+        total_calls = sum(self.module_calls.values())
+        print(f"{label:<17} {total:>12,} {total_calls:>10,} calls")
         for module, n in sorted(self.modules.items(), key=lambda kv: -kv[1]):
-            print(f"  {module:<15} {n:>12,} {100 * n / total:6.2f}%")
+            c = self.module_calls.get(module, 0)
+            print(f"  {module:<15} {n:>12,} {100 * n / total:6.2f}% "
+                  f"{c:>10,} {100 * c / total_calls:6.2f}%")
 
 
 def set_up(cfg):
@@ -109,8 +124,8 @@ def setup_census(work_dir):
     section = Section()
     for name in workloads.WORKLOADS:
         cfg, _ = workloads.make_config(cli.DEFAULTS, name, 0, work_dir)
-        _, counts = count_bytecodes(set_up, cfg)
-        section.add("set-up " + name, counts)
+        _, counts, calls = count_bytecodes(set_up, cfg)
+        section.add("set-up " + name, counts, calls)
     section.close("set-up total")
 
 
@@ -126,9 +141,9 @@ def main():
             lr = runs[name]
             for scheme in smcore.SCHEMES:
                 params = cli.make_params(cfg, scheme)
-                _, counts = count_bytecodes(smcore.run_simulation, params,
-                                            lr.ops, lr.image, lr.geom)
-                section.add(name + "/" + scheme, counts)
+                _, counts, calls = count_bytecodes(
+                    smcore.run_simulation, params, lr.ops, lr.image, lr.geom)
+                section.add(name + "/" + scheme, counts, calls)
         section.close(total_label)
 
 
