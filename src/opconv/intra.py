@@ -54,7 +54,7 @@ def predictor(geom, block_mask):
         j = ((weight_addr - w_base) // w_row) % filter_h
         if j < s:
             return ()
-        # the op's input row is its window's top row oy*s plus j
+        # the op's input row is its window's top row plus j: base_row = oy*s
         base_row = ((input_addr - i_base) % i_channel) // i_row - j
         # k = 1, 2, ... while the weight row j - k*s exists and the output
         # row base_row/s + k is still in the layer

@@ -3,9 +3,10 @@
 Each SM issues one vector-MAC instruction at a time (issue occupancy is
 warp_size / simt_width cycles) from its warps under greedy-then-oldest
 scheduling: it stays on the warp that last issued while that warp is
-ready, and otherwise takes the oldest ready warp.  A warp blocks on its own L1 miss; once a fill is requested the
-data is delivered to the warp at the ready cycle even if the block is
-evicted again meanwhile, so execution never replays the access.
+ready, and otherwise takes the oldest ready warp.  A warp blocks on its own
+L1 miss; once a fill is requested the data is delivered to the warp at the
+ready cycle even if the block is evicted again meanwhile, so execution never
+replays the access.
 
 A simulation takes a layer's OpStream and cuts it into warps itself, with
 its own warp size and SM count (`workload.map_to_warps`), so the warps always

@@ -6,7 +6,6 @@ for one cycle, and a blocked miss attempt for one busy cycle before the warp
 parks until its fill lands.
 """
 
-import heapq
 import json
 import random
 from pathlib import Path
