@@ -260,19 +260,6 @@ def test_assistant_consumes_stall_cycles():
     assert stats.normal_done + stats.predicted_used == layer.op_count()
 
 
-class TimedOutput(OutputBuffer):
-    """An output buffer that notes the cycle of its simulation's last add."""
-
-    def __init__(self, sim):
-        super().__init__()
-        self.sim = sim
-        self.last_add = 0
-
-    def add(self, addr, value):
-        super().add(addr, value)
-        self.last_add = self.sim.now
-
-
 @pytest.mark.parametrize("row_pitch", [4096, 0])
 @pytest.mark.parametrize("scheme", ["baseline", "intra", "inter", "both"])
 def test_a_layer_ends_when_its_last_op_retires(scheme, row_pitch):
@@ -283,10 +270,10 @@ def test_a_layer_ends_when_its_last_op_retires(scheme, row_pitch):
     geom, image, ops = build_run(lenet5_layers(2)[0], row_pitch=row_pitch)
     params = SimParams(scheme=scheme)
     sim = Simulation(params, ops, image, geom)
-    sim.out = out = TimedOutput(sim)
+    sim.out = out = OrderedOutput(sim)
     stats, _ = sim.run()
     assert out.adds == stats.total_ops
-    assert stats.total_cycles <= out.last_add + params.issue_cost
+    assert stats.total_cycles <= out.log[-1][1] + params.issue_cost
 
 
 def test_assistance_adds_no_memory_traffic():
