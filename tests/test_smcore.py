@@ -22,6 +22,7 @@ from opconv.smcore import (
     OutputBuffer,
     SimParams,
     Simulation,
+    WarpContext,
     run_simulation,
 )
 from opconv.workload import (
@@ -88,7 +89,7 @@ class OrderedOutput(OutputBuffer):
         self.log.append((addr, self.sim.now))
 
 
-def test_gto_stays_on_the_warp_that_took_over_from_a_blocked_one():
+def test_gto_sticks_to_last_issued_then_oldest():
     # one SM, five warps of eight outputs each (the last of four), every
     # block warm but input row 0, which only warp 0 reads: its first op
     # blocks on the miss, the oldest ready warp (1) issues, and it keeps
@@ -117,6 +118,74 @@ def test_gto_stays_on_the_warp_that_took_over_from_a_blocked_one():
     assert runs == [[1, 24], [0, 24], [2, 24], [3, 24], [4, 12]]
     # warp 0's fill landed while warp 1 still had ops to issue
     assert sim.hier.ready_at[0][row0] < out.log[23][1]
+
+
+def logged_warps(sim, sm_id, log):
+    """Swap the SM's warps for copies that note each pick: (cycle, age,
+    "retire") when the warp's pc moves on, (cycle, age, "block") when its op
+    blocks on the miss path."""
+
+    class LoggedWarp(WarpContext):
+        def __setattr__(self, name, value):
+            if name == "pc":
+                log.append((sim.now, self.age, "retire"))
+            elif name == "pending_blocks" and value is not None:
+                log.append((sim.now, self.age, "block"))
+            super().__setattr__(name, value)
+
+    sim.warps[sm_id] = [LoggedWarp(w.age, w.pc, w.end)
+                        for w in sim.warps[sm_id]]
+    log.clear()
+
+
+def test_gto_selection_properties():
+    # drawn one-SM machines, read through the warps' own picks: a warp that
+    # retired and has ops left issues next, and any other pick is older
+    # than every unfinished warp that has not blocked since it last issued
+    # (such a warp is ready)
+    rng = random.Random(41)
+    for _ in range(30):
+        c = rng.randint(1, 2)
+        f = rng.randint(2, 3)
+        layer = LayerSpec("gto", c, rng.randint(1, 2), rng.randint(f, 9),
+                          rng.randint(f, 9), f, f)
+        params = SimParams(sm_count=1, warp_size=rng.choice((8, 16)),
+                           simt_width=8,
+                           scheme=rng.choice(("baseline", "intra")),
+                           lat_l2=rng.randint(0, 20),
+                           lat_dram=rng.randint(0, 60),
+                           hop_cycles=rng.randint(0, 1))
+        geom, image, ops = build_run(layer, row_pitch=rng.choice((0, 64)))
+        sim = Simulation(params, ops, image, geom)
+        blocks = sorted({sim.hier.block_of(a) for a in (*ops.inp, *ops.wgt)})
+        warm(sim.hier, 0, rng.sample(blocks, rng.randint(0, len(blocks))))
+        log = []
+        logged_warps(sim, 0, log)
+        pc = {w.age: w.pc for w in sim.warps[0]}
+        end = {w.age: w.end for w in sim.warps[0]}
+        stats, out = sim.run()
+        assert compare(out.values, reference_convolution(geom, image)).ok
+        pending = set()   # warps whose op at pc has blocked
+        last = None       # last warp that retired an op
+        greedy = None     # the warp that must issue next
+        for _, age, kind in log:
+            assert pc[age] < end[age]
+            if greedy is not None:
+                assert age == greedy
+            elif age != last:
+                for w in pc:
+                    if w != age and pc[w] < end[w] and w not in pending:
+                        assert w > age
+            if kind == "retire":
+                pc[age] += 1
+                pending.discard(age)
+                last = age
+                greedy = age if pc[age] < end[age] else None
+            else:
+                pending.add(age)
+                greedy = None
+        assert pc == end
+        assert sum(kind == "retire" for _, _, kind in log) == len(ops)
 
 
 # ------------------------------------------------------------- issue timing
