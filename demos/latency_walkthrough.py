@@ -4,7 +4,9 @@
 Builds the default machine's hierarchy (`SimParams()`), then walks a single
 block request from an SM to its home memory controller and back, printing
 every latency component so the frozen miss-path numbers used in the tests
-are easy to re-derive by hand.
+are easy to re-derive by hand.  The coordinates, hops and flits are worked
+out here from the mesh nodes, by the formula in `opconv.cachehier`, and
+checked against the cycles `MemoryHierarchy.fill` returns.
 
 Usage:
     python3 demos/latency_walkthrough.py
@@ -13,7 +15,7 @@ Usage:
 
 import argparse
 
-from opconv.cachehier import REQUEST_BYTES, MemoryHierarchy, NocModel
+from opconv.cachehier import REQUEST_BYTES, MemoryHierarchy
 from opconv.smcore import SimParams
 
 
@@ -24,30 +26,40 @@ def main():
     args = ap.parse_args()
 
     p = SimParams()   # the default machine
-    noc = NocModel(p.mesh_w, p.mesh_h, p.flit_bytes, p.hop_cycles,
-                   p.pipeline_stages)
-    hier = MemoryHierarchy(p.sm_count, p.l1, p.l2, p.mc_count, noc,
-                           (p.lat_l1, p.lat_l2, p.lat_dram))
+    hier = MemoryHierarchy(p)
     sm_nodes, mc_nodes = hier.sm_nodes, hier.mc_nodes
+
+    def coords(node):   # nodes are numbered row-major
+        return node % p.mesh_w, node // p.mesh_w
+
+    def hops(a, b):
+        (ax, ay), (bx, by) = coords(a), coords(b)
+        return abs(ax - bx) + abs(ay - by)
+
+    def flits(n_bytes):
+        return -(-n_bytes // p.flit_bytes)
+
+    def latency(a, b, n_bytes):
+        return hops(a, b) * p.hop_cycles + p.pipeline_stages + flits(n_bytes)
 
     block = hier.block_of(args.block)
     mc = hier.home_mc(block)
     src, dst = sm_nodes[args.sm], mc_nodes[mc]
-    print(f"SM {args.sm} at mesh node {src} {noc.coords(src)} requests "
+    print(f"SM {args.sm} at mesh node {src} {coords(src)} requests "
           f"block 0x{block:x}")
-    print(f"home controller: MC {mc} at node {dst} {noc.coords(dst)}")
+    print(f"home controller: MC {mc} at node {dst} {coords(dst)}")
     print()
 
-    hops = noc.hops(src, dst)
-    req = noc.latency(src, dst, REQUEST_BYTES)
-    rep = noc.latency(dst, src, hier.block_size)
+    n_hops = hops(src, dst)
+    req = latency(src, dst, REQUEST_BYTES)
+    rep = latency(dst, src, hier.block_size)
     per_hop = f"hops x {p.hop_cycles} + {p.pipeline_stages} pipeline"
-    print(f"request : {hops} {per_hop} + "
-          f"{noc.flits(REQUEST_BYTES)} flit  = {req} cycles")
+    print(f"request : {n_hops} {per_hop} + "
+          f"{flits(REQUEST_BYTES)} flit  = {req} cycles")
     print(f"L2 slice: {p.lat_l2} cycles (tag + array)")
     print(f"DRAM    : {p.lat_dram} cycles on an L2 miss")
-    print(f"reply   : {hops} {per_hop} + "
-          f"{noc.flits(hier.block_size)} flits = {rep} cycles")
+    print(f"reply   : {n_hops} {per_hop} + "
+          f"{flits(hier.block_size)} flits = {rep} cycles")
     print()
 
     cold = hier.fill(args.sm, block, now=0)
@@ -58,8 +70,8 @@ def main():
     # a neighbouring SM fetching the same block now finds it in the home L2
     peer = (args.sm + 1) % p.sm_count
     psrc = sm_nodes[peer]
-    preq = noc.latency(psrc, dst, REQUEST_BYTES)
-    prep = noc.latency(dst, psrc, hier.block_size)
+    preq = latency(psrc, dst, REQUEST_BYTES)
+    prep = latency(dst, psrc, hier.block_size)
     warm = hier.fill(peer, block, now=cold) - cold
     print(f"SM {peer} fetches the same block: {warm} cycles "
           f"(= {preq} + {p.lat_l2} + {prep}, DRAM skipped)")

@@ -28,7 +28,6 @@ from .workload import (
 from .cachehier import (
     CacheGeometry,
     MemoryHierarchy,
-    NocModel,
     mesh_placement,
 )
 from .oracle import MemoryImage, compare, reference_convolution
@@ -58,7 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssignTable", "CacheGeometry", "ConfigError", "DEFAULTS",
     "EnergyWeights", "LayerGeometry", "LayerSpec",
-    "MemoryHierarchy", "MemoryImage", "NocModel", "OpStream", "OutputBuffer",
+    "MemoryHierarchy", "MemoryImage", "OpStream", "OutputBuffer",
     "PRESETS",
     "Pass", "PrecomputeTable", "SimParams", "SimStats",
     "Simulation", "SimulationError", "TensorLayout",

@@ -13,6 +13,13 @@ from the fill's ready cycle, so whether a block is still in flight depends
 on simulated time alone and never on when a caller last looked.  The cycles
 passed for one SM never decrease.
 
+The NoC is a 2D mesh, nodes numbered row-major (`mesh_placement` puts the
+SMs and MCs on them), with X-Y routing.  A transfer of f = ceil(bytes /
+flit_bytes) flits over hops = |x1 - x2| + |y1 - y2| links takes hops *
+hop_cycles + pipeline_stages + f cycles and makes f * hops flit-hops.
+`MemoryHierarchy` tabulates this once per (SM, MC) round trip and per
+(SM, SM) control message.
+
 The LRU rule lives in `MemoryHierarchy` alone; the tests' independent
 model of it is `LruCache` in `tests/lru.py`.
 """
@@ -48,42 +55,6 @@ def _unaligned(block):
     return ConfigError(f"unaligned block address 0x{block:x}")
 
 
-class NocModel:
-    """2D mesh, X-Y routing, wormhole-style serialization.
-
-    latency = hops * hop_cycles + pipeline_stages + ceil(payload / flit_bytes)
-    """
-
-    def __init__(self, mesh_w, mesh_h, flit_bytes, hop_cycles, pipeline_stages):
-        if mesh_w < 1 or mesh_h < 1 or flit_bytes < 1:
-            raise ConfigError("mesh dimensions and flit size must be positive")
-        self.mesh_w = mesh_w
-        self.mesh_h = mesh_h
-        self.flit_bytes = flit_bytes
-        self.hop_cycles = hop_cycles
-        self.pipeline_stages = pipeline_stages
-
-    def coords(self, node):
-        return node % self.mesh_w, node // self.mesh_w
-
-    def hops(self, src, dst):
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        return abs(sx - dx) + abs(sy - dy)
-
-    def flits(self, payload_bytes):
-        if payload_bytes < 1:
-            raise ConfigError("payload must be at least one byte")
-        return -(-payload_bytes // self.flit_bytes)
-
-    def latency(self, src, dst, payload_bytes):
-        return (self.hops(src, dst) * self.hop_cycles + self.pipeline_stages
-                + self.flits(payload_bytes))
-
-    def flit_hops(self, src, dst, payload_bytes):
-        return self.flits(payload_bytes) * self.hops(src, dst)
-
-
 def mesh_placement(n_sms, n_mcs, mesh_w, mesh_h):
     """Fixed node map: MCs sit on the two opposite edge columns (left column
     even rows first, then right column odd rows), SMs fill the remaining
@@ -117,29 +88,33 @@ class MemoryHierarchy:
     and a full set evicts its first block.  The tests check this rule
     against their own reference model, `LruCache` in `tests/lru.py`."""
 
-    def __init__(self, n_sms, l1_geom, l2_geom, n_mcs, noc, latencies):
-        self.block_size = l1_geom.block_size
-        if l2_geom.block_size != l1_geom.block_size:
-            raise ConfigError("L1 and L2 block sizes must match")
-        self.l1 = [[{} for _ in range(l1_geom.sets)] for _ in range(n_sms)]
-        self.l2 = [[{} for _ in range(l2_geom.sets)] for _ in range(n_mcs)]
-        self._l1_n_sets, self._l1_ways = l1_geom.sets, l1_geom.ways
-        self._l2_n_sets, self._l2_ways = l2_geom.sets, l2_geom.ways
+    def __init__(self, p):
+        """The hierarchy of the machine that SimParams p describes."""
+        n_sms, n_mcs = p.sm_count, p.mc_count
+        self.block_size = p.l1.block_size
+        self.l1 = [[{} for _ in range(p.l1.sets)] for _ in range(n_sms)]
+        self.l2 = [[{} for _ in range(p.l2.sets)] for _ in range(n_mcs)]
+        self._l1_n_sets, self._l1_ways = p.l1.sets, p.l1.ways
+        self._l2_n_sets, self._l2_ways = p.l2.sets, p.l2.ways
         self._offset_mask = self.block_size - 1
         self.n_mcs = n_mcs
-        self.noc = noc
-        self.lat_l1, self.lat_l2, self.lat_dram = latencies
-        sm_nodes, mc_nodes = mesh_placement(n_sms, n_mcs, noc.mesh_w, noc.mesh_h)
-        self.sm_nodes = sm_nodes
-        self.mc_nodes = mc_nodes
-        self.block_bits = l1_geom.block_size.bit_length() - 1
-        # per (SM, MC) round trip: a request flit out, one block back
-        self.rt_latency = [[noc.latency(s, m, REQUEST_BYTES)
-                            + noc.latency(m, s, self.block_size)
-                            for m in mc_nodes] for s in sm_nodes]
-        self.rt_flit_hops = [[noc.flit_hops(s, m, REQUEST_BYTES)
-                              + noc.flit_hops(m, s, self.block_size)
-                              for m in mc_nodes] for s in sm_nodes]
+        self.lat_l2, self.lat_dram = p.lat_l2, p.lat_dram
+        w = p.mesh_w
+        self.sm_nodes, self.mc_nodes = mesh_placement(n_sms, n_mcs, w, p.mesh_h)
+        self.block_bits = self.block_size.bit_length() - 1
+        sm_xy = [(n % w, n // w) for n in self.sm_nodes]
+        mc_xy = [(n % w, n // w) for n in self.mc_nodes]
+        # a round trip is a request out and a block back; a message, a request
+        req_flits = -(-REQUEST_BYTES // p.flit_bytes)
+        rt_flits = req_flits + -(-self.block_size // p.flit_bytes)
+        rt_fixed = 2 * p.pipeline_stages + rt_flits
+        hops = [[abs(x - mx) + abs(y - my) for mx, my in mc_xy]
+                for x, y in sm_xy]
+        self.rt_latency = [[2 * p.hop_cycles * h + rt_fixed for h in row]
+                           for row in hops]
+        self.rt_flit_hops = [[rt_flits * h for h in row] for row in hops]
+        self.msg_flit_hops = [[req_flits * (abs(x - dx) + abs(y - dy))
+                               for dx, dy in sm_xy] for x, y in sm_xy]
         # block -> count of SMs with an installed copy; a block leaves it
         # with its last copy
         self.holders = {}
@@ -188,8 +163,7 @@ class MemoryHierarchy:
 
     def charge_message(self, src_sm, dst_sm):
         """Control message between two SMs: one request-sized NoC transfer."""
-        self.noc_flit_hops += self.noc.flit_hops(
-            self.sm_nodes[src_sm], self.sm_nodes[dst_sm], REQUEST_BYTES)
+        self.noc_flit_hops += self.msg_flit_hops[src_sm][dst_sm]
 
     def home_mc(self, block):
         # interleave at block-index granularity; the raw address is block

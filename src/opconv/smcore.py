@@ -57,7 +57,7 @@ from operator import attrgetter
 
 from . import intra as intra_mod
 from . import inter as inter_mod
-from .cachehier import CacheGeometry, MemoryHierarchy, NocModel
+from .cachehier import CacheGeometry, MemoryHierarchy
 from .metrics import SimStats
 from .workload import ConfigError, check_knobs, knob, map_to_warps, operand_blocks
 
@@ -129,6 +129,8 @@ class SimParams:
     flit_bytes: int = knob("noc.flit_bytes", 16, lo=1)
     hop_cycles: int = knob("noc.hop_cycles", 1, lo=0)
     pipeline_stages: int = knob("noc.pipeline_stages", 2, lo=0)
+    # not charged on an L1 hit: the floor of a blocked op's wait and of a
+    # bounced op's ready cycle, below any fill's round trip by default
     lat_l1: int = knob("lat.l1", 1, lo=0)
     lat_l2: int = knob("lat.l2", 30, lo=0)
     lat_dram: int = knob("lat.dram", 120, lo=0)
@@ -149,6 +151,8 @@ class SimParams:
                 f"sm.count = {self.sm_count} plus mem.mcs = {self.mc_count} "
                 f"nodes do not fit the noc.mesh_w/h = {self.mesh_w}x"
                 f"{self.mesh_h} mesh")
+        if self.l1.block_size != self.l2.block_size:
+            raise ConfigError("L1 and L2 block sizes must match")
         if self.warp_size % self.simt_width:
             raise ConfigError("sm.warp_size must be a multiple of sm.simt_width")
         if self.scheme in ("inter", "both"):
@@ -175,10 +179,7 @@ class Simulation:
         self.speculate = params.scheme in ("intra", "both")
         self.forwarding = params.scheme in ("inter", "both")
         p = params
-        noc = NocModel(p.mesh_w, p.mesh_h, p.flit_bytes, p.hop_cycles,
-                       p.pipeline_stages)
-        self.hier = MemoryHierarchy(p.sm_count, p.l1, p.l2, p.mc_count, noc,
-                                    (p.lat_l1, p.lat_l2, p.lat_dram))
+        self.hier = MemoryHierarchy(p)
         self.block_mask = ~(p.l1.block_size - 1)
 
         self.warps = [[] for _ in range(p.sm_count)]

@@ -14,10 +14,9 @@ from opconv.cachehier import (
     REQUEST_BYTES,
     CacheGeometry,
     MemoryHierarchy,
-    NocModel,
     mesh_placement,
 )
-from opconv.smcore import INF
+from opconv.smcore import INF, SimParams
 from opconv.workload import ConfigError
 
 L1_GEOM = CacheGeometry(16 * 1024, 32, 4)   # 128B blocks
@@ -107,33 +106,41 @@ def test_lru_matches_stack_distance(geom, n_blocks):
 
 # ----------------------------------------------------------------------- NoC
 
-def test_noc_latency_components():
-    noc = NocModel(8, 8, 16, 1, 2)
-    assert noc.coords(0) == (0, 0)
-    assert noc.coords(19) == (3, 2)
-    assert noc.hops(0, 19) == 5
-    assert noc.flits(1) == 1 and noc.flits(16) == 1 and noc.flits(17) == 2
-    # hops + pipeline + serialized flits
-    assert noc.latency(0, 19, 16) == 8
-    assert noc.latency(0, 19, 128) == 15
-    assert noc.flit_hops(0, 19, 128) == 40
-    assert noc.latency(5, 5, 128) == 10  # local turn still pays pipeline + flits
-    with pytest.raises(ConfigError):
-        noc.flits(0)
-    with pytest.raises(ConfigError):
-        NocModel(0, 8, 16, 1, 2)
+def test_noc_tables_match_mesh_arithmetic():
+    """Every round trip, its flit-hops and every SM-to-SM message on a
+    non-square mesh, against the formula worked from node coordinates: a
+    transfer of f flits over h hops takes h * hop_cycles + pipeline_stages
+    + f cycles and makes f * h flit-hops."""
+    p = SimParams(sm_count=10, mc_count=3, mesh_w=5, mesh_h=3, hop_cycles=3,
+                  pipeline_stages=0, flit_bytes=8)
+    hier = MemoryHierarchy(p)
+    sm_nodes, mc_nodes = mesh_placement(10, 3, 5, 3)
+    assert (hier.sm_nodes, hier.mc_nodes) == (sm_nodes, mc_nodes)
+
+    def hops(a, b):   # nodes are numbered row-major, 5 to a row
+        return abs(a % 5 - b % 5) + abs(a // 5 - b // 5)
+
+    req, reply = REQUEST_BYTES // 8, 128 // 8     # 2 flits out, 16 back
+    for s, sm in enumerate(sm_nodes):
+        for m, mc in enumerate(mc_nodes):
+            h = hops(sm, mc)
+            assert hier.rt_latency[s][m] == (3 * h + req) + (3 * h + reply)
+            assert hier.rt_flit_hops[s][m] == (req + reply) * h
+    for a, src in enumerate(sm_nodes):
+        for b, dst in enumerate(sm_nodes):
+            before = hier.noc_flit_hops
+            hier.charge_message(a, b)
+            charged = hier.noc_flit_hops - before
+            assert charged == req * hops(src, dst)
+            assert hier.msg_flit_hops[a][b] == hier.msg_flit_hops[b][a]
+            if a == b:
+                assert charged == 0
 
 
-def test_noc_latency_properties():
-    rng = random.Random(17)
-    noc = NocModel(8, 8, 16, 1, 2)
-    for _ in range(500):
-        a, b = rng.randrange(64), rng.randrange(64)
-        p = rng.randrange(1, 512)
-        # symmetric in endpoints, monotone in payload
-        assert noc.latency(a, b, p) == noc.latency(b, a, p)
-        assert noc.latency(a, b, p + 16) >= noc.latency(a, b, p)
-        assert noc.flit_hops(a, b, p) == noc.flit_hops(b, a, p)
+def test_one_hop_round_trip_frozen():
+    # request 1*1+2+1 = 4, reply 1*1+2+8 = 11; 1 + 8 flits over one hop
+    hier = one_sm_hier()
+    assert (hier.rt_latency, hier.rt_flit_hops) == ([[4 + 11]], [[9]])
 
 
 def test_mesh_placement_layout():
@@ -150,9 +157,9 @@ def test_mesh_placement_layout():
 
 def one_sm_hier():
     """Single SM one hop away from a single MC (`mesh_placement` puts them
-    at nodes 1 and 0); request 1 flit, reply 8."""
-    noc = NocModel(8, 8, 16, 1, 2)
-    return MemoryHierarchy(1, L1_GEOM, L2_GEOM, 1, noc, (1, 30, 120))
+    at nodes 1 and 0) on the default 8x8 mesh, with the default caches and
+    latencies; request 1 flit, reply 8."""
+    return MemoryHierarchy(SimParams(sm_count=1, mc_count=1))
 
 
 def test_miss_path_latency_frozen():
@@ -235,14 +242,12 @@ def test_lookup_touches_a_whole_tuple_before_any_fill():
 
 
 def test_home_mc_interleaves_block_index():
-    noc = NocModel(8, 8, 16, 1, 2)
-    hier = MemoryHierarchy(2, L1_GEOM, L2_GEOM, 4, noc, (1, 30, 120))
+    hier = MemoryHierarchy(SimParams(sm_count=2, mc_count=4))
     assert [hier.home_mc(i * 128) for i in range(6)] == [0, 1, 2, 3, 0, 1]
 
 
 def test_holders_and_probes():
-    noc = NocModel(8, 8, 16, 1, 2)
-    hier = MemoryHierarchy(2, L1_GEOM, L2_GEOM, 1, noc, (1, 30, 120))
+    hier = MemoryHierarchy(SimParams(sm_count=2, mc_count=1))
     hier.fill(0, 0, 0)
     assert hier.absent_for_compute(0, (0,), INF) == 0
     assert hier.absent_for_compute(1, (0,), INF) == 1
@@ -273,10 +278,9 @@ def test_warm_preloads_without_counters():
 
 
 def test_block_size_mismatch_rejected():
-    noc = NocModel(8, 8, 16, 1, 2)
-    with pytest.raises(ConfigError):
-        MemoryHierarchy(1, L1_GEOM, CacheGeometry(64 * 1024, 64, 16), 1, noc,
-                        (1, 30, 120))
+    # 128 B L1 blocks against 64 B L2 blocks: refused by the params alone
+    with pytest.raises(ConfigError, match="block sizes"):
+        SimParams(l2=CacheGeometry(64 * 1024, 64, 16))
 
 
 def test_fill_of_a_landed_resident_block_is_refused():

@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 
 from lru import LruCache
 
-from opconv.cachehier import CacheGeometry, MemoryHierarchy, NocModel
-from opconv.smcore import INF
+from opconv.cachehier import CacheGeometry, MemoryHierarchy
+from opconv.smcore import INF, SimParams
 
 L1 = CacheGeometry(128, 2, 2)     # 32 B blocks, 2 sets of 2 ways
 L2 = CacheGeometry(192, 2, 3)     # 2 sets of 3 ways per slice
 BLOCK = 32
 N_SMS, N_MCS = 2, 2
-LATENCIES = (1, 5, 40)
+PARAMS = SimParams(sm_count=N_SMS, mc_count=N_MCS, mesh_w=4, mesh_h=2,
+                   l1=L1, l2=L2, lat_l2=5, lat_dram=40)
 
 
 class Model:
@@ -67,12 +68,12 @@ class Model:
             self.events.append(("evict", sm, victim))
         mc = (b // BLOCK) % N_MCS
         self.noc_flit_hops += self.rt_flit_hops[sm][mc]
-        ready = now + self.rt_latency[sm][mc] + LATENCIES[1]
+        ready = now + self.rt_latency[sm][mc] + PARAMS.lat_l2
         if self.l2[mc].access(b)[0]:
             self.l2_hits += 1
         else:
             self.l2_misses += 1
-            ready += LATENCIES[2]
+            ready += PARAMS.lat_dram
         self.ready[sm][b] = ready
         return ready
 
@@ -97,8 +98,7 @@ steps = st.lists(st.tuples(
 @settings(phases=[p for p in Phase if p is not Phase.shrink])
 @given(steps)
 def test_hierarchy_matches_lru_model(trace):
-    noc = NocModel(4, 2, 16, 1, 2)
-    hier = MemoryHierarchy(N_SMS, L1, L2, N_MCS, noc, LATENCIES)
+    hier = MemoryHierarchy(PARAMS)
     model = Model(hier)
     events = []
     for sm in range(N_SMS):

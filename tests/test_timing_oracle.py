@@ -8,8 +8,10 @@ operand blocks in an LRU L1, and it fills the misses in lookup order
 through the block's home L2 slice, and through DRAM beyond it on an L2
 miss.  It waits for the latest ready cycle, then issues for warp_size //
 simt_width cycles.  The replay shares no code with `smcore` or with
-`MemoryHierarchy`: it keeps its own caches, and it takes the round trips
-from `NocModel` and `mesh_placement` alone.
+`MemoryHierarchy`: it keeps its own caches, and it works the round trips
+out from `mesh_placement`'s nodes with its own mesh arithmetic.  The
+drawn machines vary the mesh, the MC count, the NoC timing and the flit
+size as well as the caches and latencies.
 """
 
 from collections import Counter
@@ -18,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from strategies import layers
 
-from opconv.cachehier import CacheGeometry, NocModel, mesh_placement
+from opconv.cachehier import CacheGeometry, mesh_placement
 from opconv.oracle import MemoryImage
 from opconv.smcore import SimParams, Simulation
 from opconv.workload import enumerate_ops, make_layouts
@@ -60,14 +62,19 @@ class Lru:
 def replay(params, ops):
     """The counters of `COUNTERS` for ops on one SM with one warp."""
     p = params
-    noc = NocModel(p.mesh_w, p.mesh_h, p.flit_bytes, p.hop_cycles,
-                   p.pipeline_stages)
-    (sm,), mcs = mesh_placement(1, p.mc_count, p.mesh_w, p.mesh_h)
+    w = p.mesh_w
+    (sm,), mcs = mesh_placement(1, p.mc_count, w, p.mesh_h)
     size = p.l1.block_size
-    round_trip = [noc.latency(sm, mc, REQUEST_BYTES) + noc.latency(mc, sm, size)
-                  for mc in mcs]
-    flit_hops = [noc.flit_hops(sm, mc, REQUEST_BYTES)
-                 + noc.flit_hops(mc, sm, size) for mc in mcs]
+    # a request out and a block back, each ceil(bytes / flit_bytes) flits;
+    # a transfer crosses the Manhattan distance between the nodes, each
+    # hop taking hop_cycles, then the router pipeline and one cycle a flit
+    flits = (-(-REQUEST_BYTES // p.flit_bytes), -(-size // p.flit_bytes))
+    round_trip, flit_hops = [], []
+    for mc in mcs:
+        hops = abs(sm % w - mc % w) + abs(sm // w - mc // w)
+        round_trip.append(sum(hops * p.hop_cycles + p.pipeline_stages + f
+                              for f in flits))
+        flit_hops.append(hops * sum(flits))
     l1 = Lru(p.l1)
     l2 = [Lru(p.l2) for _ in mcs]
     count = Counter()
@@ -101,19 +108,30 @@ def replay(params, ops):
     return {name: count[name] for name in COUNTERS}
 
 
-@given(layer=layers(), row_pitch=st.sampled_from([0, 64, 4096]),
-       mcs=st.integers(1, 4), l1=st.sampled_from(L1_GEOMETRIES),
-       lat_l1=st.integers(0, 3), lat_l2=st.integers(0, 40),
-       lat_dram=st.integers(0, 200))
-def test_one_warp_on_one_sm_matches_the_replay(layer, row_pitch, mcs, l1,
+@st.composite
+def nocs(draw):
+    """The SimParams fields of a mesh with room for 1 SM and its MCs."""
+    mcs = draw(st.integers(1, 4))
+    mesh_w = draw(st.integers(1, 5))
+    return dict(mc_count=mcs, mesh_w=mesh_w,
+                mesh_h=draw(st.integers(-(-(1 + mcs) // mesh_w), 5)),
+                hop_cycles=draw(st.integers(0, 3)),
+                pipeline_stages=draw(st.integers(0, 3)),
+                flit_bytes=draw(st.sampled_from([4, 8, 16, 32])))
+
+
+@given(layer=layers(), row_pitch=st.sampled_from([0, 64, 4096]), noc=nocs(),
+       l1=st.sampled_from(L1_GEOMETRIES), lat_l1=st.integers(0, 3),
+       lat_l2=st.integers(0, 40), lat_dram=st.integers(0, 200))
+def test_one_warp_on_one_sm_matches_the_replay(layer, row_pitch, noc, l1,
                                                lat_l1, lat_l2, lat_dram):
     geom = make_layouts(layer, row_pitch)
     ops = enumerate_ops(geom)
     # a warp wide enough for every output of the layer
     outputs = layer.out_channels * layer.out_h * layer.out_w
     params = SimParams(sm_count=1, warp_size=SIMT_WIDTH * -(-outputs // SIMT_WIDTH),
-                       simt_width=SIMT_WIDTH, mc_count=mcs, l1=l1,
-                       lat_l1=lat_l1, lat_l2=lat_l2, lat_dram=lat_dram)
+                       simt_width=SIMT_WIDTH, l1=l1, lat_l1=lat_l1,
+                       lat_l2=lat_l2, lat_dram=lat_dram, **noc)
     sim = Simulation(params, ops, MemoryImage(geom, 0), geom)
     assert [len(warps) for warps in sim.warps] == [1]
     stats, _ = sim.run()
