@@ -106,41 +106,46 @@ def test_lru_matches_stack_distance(geom, n_blocks):
 
 # ----------------------------------------------------------------------- NoC
 
-def test_noc_tables_match_mesh_arithmetic():
-    """Every round trip, its flit-hops and every SM-to-SM message on a
-    non-square mesh, against the formula worked from node coordinates: a
-    transfer of f flits over h hops takes h * hop_cycles + pipeline_stages
-    + f cycles and makes f * h flit-hops."""
-    p = SimParams(sm_count=10, mc_count=3, mesh_w=5, mesh_h=3, hop_cycles=3,
-                  pipeline_stages=0, flit_bytes=8)
-    hier = MemoryHierarchy(p)
+# a non-square mesh and non-default NoC timing and flits: 2 flits out, 16 back
+NOC_PARAMS = SimParams(sm_count=10, mc_count=3, mesh_w=5, mesh_h=3,
+                       hop_cycles=3, pipeline_stages=0, flit_bytes=8)
+REQ_FLITS, REPLY_FLITS = REQUEST_BYTES // 8, 128 // 8
+
+
+def mesh_hops(a, b):
+    """Manhattan distance between NOC_PARAMS' nodes, numbered row-major."""
+    return abs(a % 5 - b % 5) + abs(a // 5 - b // 5)
+
+
+def test_round_trip_tables_match_mesh_arithmetic():
+    """Every (SM, MC) round trip and its flit-hops against the formula
+    worked from node coordinates: a transfer of f flits over h hops takes
+    h * hop_cycles + pipeline_stages + f cycles and makes f * h flit-hops."""
+    hier = MemoryHierarchy(NOC_PARAMS)
     sm_nodes, mc_nodes = mesh_placement(10, 3, 5, 3)
     assert (hier.sm_nodes, hier.mc_nodes) == (sm_nodes, mc_nodes)
-
-    def hops(a, b):   # nodes are numbered row-major, 5 to a row
-        return abs(a % 5 - b % 5) + abs(a // 5 - b // 5)
-
-    req, reply = REQUEST_BYTES // 8, 128 // 8     # 2 flits out, 16 back
     for s, sm in enumerate(sm_nodes):
         for m, mc in enumerate(mc_nodes):
-            h = hops(sm, mc)
-            assert hier.rt_latency[s][m] == (3 * h + req) + (3 * h + reply)
-            assert hier.rt_flit_hops[s][m] == (req + reply) * h
+            h = mesh_hops(sm, mc)
+            assert hier.rt_latency[s][m] == \
+                (3 * h + REQ_FLITS) + (3 * h + REPLY_FLITS)
+            assert hier.rt_flit_hops[s][m] == (REQ_FLITS + REPLY_FLITS) * h
+
+
+def test_messages_charge_mesh_arithmetic():
+    """charge_message for every ordered SM pair charges a request's flits
+    times the hops between them: 0 to the same SM, the same both ways."""
+    hier = MemoryHierarchy(NOC_PARAMS)
+    sm_nodes, _ = mesh_placement(10, 3, 5, 3)
     for a, src in enumerate(sm_nodes):
         for b, dst in enumerate(sm_nodes):
             before = hier.noc_flit_hops
             hier.charge_message(a, b)
             charged = hier.noc_flit_hops - before
-            assert charged == req * hops(src, dst)
+            assert charged == REQ_FLITS * mesh_hops(src, dst)
             assert hier.msg_flit_hops[a][b] == hier.msg_flit_hops[b][a]
             if a == b:
                 assert charged == 0
-
-
-def test_one_hop_round_trip_frozen():
-    # request 1*1+2+1 = 4, reply 1*1+2+8 = 11; 1 + 8 flits over one hop
-    hier = one_sm_hier()
-    assert (hier.rt_latency, hier.rt_flit_hops) == ([[4 + 11]], [[9]])
 
 
 def test_mesh_placement_layout():
